@@ -34,7 +34,7 @@ env = Env(inst)
 state = env.reset()
 rng = np.random.default_rng(0)
 while not state.terminal:
-    options = np.flatnonzero(env.mask_array(state))
+    options = np.flatnonzero(env.mask(state))
     j = int(rng.choice(options))
     out = env.step(state, j)
     print(f"step {state.steps:>2}: -> node {j:>2}  clock {state.clock:7.1f}s"

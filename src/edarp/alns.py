@@ -74,11 +74,6 @@ class OperatorWeights:
             self.uses[n] = 0
 
 
-def update_weights(weights, cfg):
-    weights.update(cfg)
-    return weights
-
-
 def rtr_tolerance(initial_cost, iteration, cfg=None):
     """Acceptance band after the given number of completed iterations."""
     frac = cfg.rtr_init_frac if cfg is not None else 0.05
@@ -111,6 +106,7 @@ def shaw_removal(rng, served, q, rel, rank_pow):
 
 
 def worst_removal(plan, ctx, q):
+    n = ctx.env.n
     plan = [list(r) for r in plan]
     removed = []
     for _ in range(q):
@@ -120,11 +116,11 @@ def worst_removal(plan, ctx, q):
             if info is None:
                 continue
             for node in route:
-                if not (1 <= node <= ctx.n):
+                if not (1 <= node <= n):
                     continue
                 r = node - 1
                 trial = _clean_chargers(
-                    [nd for nd in route if nd != 1 + r and nd != 1 + ctx.n + r],
+                    [nd for nd in route if nd != 1 + r and nd != 1 + n + r],
                     ctx)
                 tcost = ctx.route_cost(trial)
                 saving = info.cost - tcost if tcost != float("inf") else 0.0
@@ -134,7 +130,7 @@ def worst_removal(plan, ctx, q):
             break
         r, ridx = best_r
         plan[ridx] = _clean_chargers(
-            [nd for nd in plan[ridx] if nd != 1 + r and nd != 1 + ctx.n + r],
+            [nd for nd in plan[ridx] if nd != 1 + r and nd != 1 + n + r],
             ctx)
         removed.append(r)
     return sorted(removed)
@@ -264,17 +260,16 @@ def alns_solve(inst, config=None, return_stats=False):
     init = greedy_solve(inst)
     plan = plan_from_solution(init, inst.fleet.vehicles)
     cur_sol = _plan_solution(env, plan)
-    cur_j = -cur_sol.reward
+    cur_j = init_j = -cur_sol.reward
     best_plan, best_sol, best_j = [list(r) for r in plan], cur_sol, cur_j
 
     dweights = OperatorWeights(["random_removal", "shaw_removal", "worst_removal"])
     rweights = OperatorWeights(["random_insert", "regret_2", "regret_3"])
     rel = shaw_relatedness(inst, cfg.shaw_alpha, cfg.shaw_beta) if n else None
-    tol0 = cfg.rtr_init_frac * abs(cur_j)
     stats = AlnsStats()
 
     for it in range(cfg.iterations):
-        tol = tol0 * cfg.rtr_decay ** it
+        tol = rtr_tolerance(init_j, it, cfg)
         d_op = dweights.pick(rng)
         r_op = rweights.pick(rng)
 

@@ -11,9 +11,12 @@ Feasible next nodes come from six constraint groups: visit/precedence
 state, capacity, hard time windows (pickups and chargers; deliveries are
 soft-late but hard on ride time), battery reserve with an escape-energy
 margin, structural charger/depot rules, and fleet accounting handled by
-the depot transition itself. Masks are computed from the deterministic
-matrices; when traversal noise is enabled the realized costs may exceed
-the estimates the mask saw, which is the intended reactive behavior.
+the depot transition itself. Every per-hop rule and the charge curve are
+written once, in the kernel Env builds (see Env); the mask, the step and
+the route evaluator of the neighborhood solver all call it. Masks are
+computed from the deterministic matrices; when traversal noise is
+enabled the realized costs may exceed the estimates the mask saw, which
+is the intended reactive behavior.
 """
 
 import json
@@ -162,103 +165,128 @@ _KIND_CODE = {KIND_DEPOT: _DEPOT, KIND_PICKUP: _PICKUP,
 
 
 class Env:
-    """Simulator bound to one instance; holds no episode state itself."""
+    """Simulator bound to one instance; holds no episode state itself.
+
+    The per-hop rules live in exactly one place, the kernel that
+    __init__ builds with the instance tables bound as closure locals,
+    so the hot insertion scans pay no attribute lookups per hop:
+
+    hop(u, tau, b, load, w, ps) serves stop w after leaving u at clock
+        tau with state of charge b and the given load; ps is w's pickup
+        service start when w is a delivery (None: not on board). It
+        returns (ss, dep, soc, load, wait, late, de, dt) or None when
+        the charger structural rule, capacity, the hard window or ride
+        cap, or the escape-margin battery rule blocks the hop.
+    charge_delta(soc, w) is the charge-curve gain of plugging in at w.
+    home(u, b, load) is the return leg (de, dt) to the depot, or None
+        when the vehicle is loaded or cannot reach it above the reserve.
+
+    Env.mask, Env.step and the route evaluator in routes.py all call it.
+    """
 
     def __init__(self, inst):
         self.inst = inst
-        self.n = inst.n
+        self.n = n = inst.n
         self.num_nodes = inst.num_nodes
-        self.t = inst.edges.time.tolist()
-        self.e = inst.edges.energy.tolist()
-        self.a = [nd.a for nd in inst.nodes]
-        self.l = [nd.l for nd in inst.nodes]
-        self.sigma = [nd.sigma for nd in inst.nodes]
-        self.q = [nd.q for nd in inst.nodes]
-        self.kindc = [_KIND_CODE[nd.kind] for nd in inst.nodes]
-        self.max_ride = [r.max_ride for r in inst.requests]
+        self.t = t = inst.edges.time.tolist()
+        self.e = e = inst.edges.energy.tolist()
+        self.a = a = [nd.a for nd in inst.nodes]
+        self.l = l = [nd.l for nd in inst.nodes]
+        self.sigma = sigma = [nd.sigma for nd in inst.nodes]
+        self.q = q = [nd.q for nd in inst.nodes]
+        self.kindc = kindc = [_KIND_CODE[nd.kind] for nd in inst.nodes]
+        self.max_ride = max_ride = [r.max_ride for r in inst.requests]
         self.first_charger = 1 + 2 * inst.n
         self.chargers = list(range(self.first_charger, self.num_nodes))
+        self.visit_once = list(range(1, 1 + n)) + self.chargers   # pickups, chargers
         self.K = inst.fleet.vehicles
-        self.Q = inst.fleet.capacity
+        self.Q = cap = inst.fleet.capacity
         self.B = inst.fleet.battery_kwh
-        self.invB = 1.0 / self.B
-        self.rho = inst.fleet.soc_reserve
+        self.invB = invB = 1.0 / self.B
+        self.rho = rho = inst.fleet.soc_reserve
         # cheapest escape energy from each node to the depot or any charger
-        self.escape = [min(self.e[j][k] for k in [0] + self.chargers)
-                       for j in range(self.num_nodes)]
+        escape = [min(e[j][k] for k in [0] + self.chargers)
+                  for j in range(self.num_nodes)]
+        home_leg = [(e[u][0], t[u][0]) for u in range(self.num_nodes)]
         self.step_limit = 4 * (self.num_nodes + 2) * self.K
+
+        def charge_delta(soc, w):
+            at = min(max(soc, 0.0), 1.0)
+            charge = charging_power(at) * sigma[w] / 3600.0 * invB
+            room = 1.0 - soc
+            return room if charge > room else charge
+
+        def hop(u, tau, b, load, w, ps):
+            kind = kindc[w]
+            if kind == _CHARGER and (u == 0 or kindc[u] == _CHARGER or load > 0):
+                return None
+            nl = load + q[w]
+            if nl < 0 or nl > cap:
+                return None
+            dt = t[u][w]
+            de = e[u][w]
+            arrival = tau + dt
+            aw = a[w]
+            ss = arrival if arrival > aw else aw
+            wait = late = 0.0
+            if kind == _DELIVERY:
+                if ps is None or ss - ps > max_ride[w - 1 - n]:
+                    return None
+                if ss > l[w]:
+                    late = ss - l[w]
+            elif ss > l[w]:
+                return None          # hard upper window for pickups and chargers
+            elif kind == _PICKUP and arrival < aw:
+                wait = aw - arrival
+            after = b - de * invB
+            if after < rho or after - escape[w] * invB < rho:
+                return None
+            if kind == _CHARGER:
+                after += charge_delta(after, w)
+            return ss, ss + sigma[w], after, nl, wait, late, de, dt
+
+        def home(u, b, load):
+            if load == 0 and b - e[u][0] * invB >= rho:
+                return home_leg[u]
+            return None
+
+        self.hop, self.charge_delta, self.home = hop, charge_delta, home
 
     def reset(self):
         return EpisodeState()
 
     def mask(self, state):
-        """Boolean feasibility over nodes; guaranteed nonempty when non-terminal."""
-        v_count = self.num_nodes
-        allowed = [False] * v_count
+        """Boolean feasibility over nodes; guaranteed nonempty when non-terminal.
+
+        Asks the kernel about every structural candidate: the depot,
+        unvisited pickups, on-board deliveries and unvisited chargers.
+        """
+        allowed = [False] * self.num_nodes
         if state.terminal:
             return allowed
-        v = state.node
-        b = state.soc
-        load = state.load
-        tau = state.clock
-        t_v = self.t[v]
-        e_v = self.e[v]
-        invB = self.invB
-        rho = self.rho
-        at_depot = v == 0
-        from_charger = self.kindc[v] == _CHARGER
-        any_ok = False
-
-        if load == 0 and b - e_v[0] * invB >= rho:
-            allowed[0] = True
-            any_ok = True
+        hop = self.hop
+        v, tau, b, load = state.node, state.clock, state.soc, state.load
+        any_ok = allowed[0] = self.home(v, b, load) is not None
         visited = state.visited
-        for j in range(1, v_count):
-            if (visited >> j) & 1:
-                continue
-            kind = self.kindc[j]
-            if kind == _CHARGER and (at_depot or from_charger or load > 0):
-                continue
-            qj = self.q[j]
-            nl = load + qj
-            if nl < 0 or nl > self.Q:
-                continue
-            arrival = tau + t_v[j]
-            if kind == _DELIVERY:
-                r = j - 1 - self.n
-                picked = state.onboard.get(r)
-                if picked is None:
-                    continue
-                ss = arrival if arrival > self.a[j] else self.a[j]
-                if ss - picked > self.max_ride[r]:
-                    continue
-            else:
-                # hard upper window for pickups and chargers
-                aj = self.a[j]
-                ss = arrival if arrival > aj else aj
-                if ss > self.l[j]:
-                    continue
-            after = b - e_v[j] * invB
-            if after < rho or after - self.escape[j] * invB < rho:
-                continue
-            allowed[j] = True
-            any_ok = True
-
+        for j in self.visit_once:
+            if not (visited >> j) & 1 and hop(v, tau, b, load, j, None) is not None:
+                allowed[j] = any_ok = True
+        d0 = 1 + self.n
+        for r, ps in state.onboard.items():
+            if hop(v, tau, b, load, d0 + r, ps) is not None:
+                allowed[d0 + r] = any_ok = True
         if not any_ok:
             allowed[self._escape_action(state)] = True
         return allowed
-
-    def mask_array(self, state):
-        return np.array(self.mask(state), dtype=bool)
 
     def _escape_action(self, state):
         """Last-resort move when every regular rule blocks: run for the
         cheapest battery-reachable depot/charger, depot preferred. The
         reserve margin in the battery rule guarantees one exists."""
         v = state.node
-        e_v = self.e[v]
-        if state.soc - e_v[0] * self.invB >= self.rho:
+        if self.home(v, state.soc, 0) is not None:     # load aboard or not
             return 0
+        e_v = self.e[v]
         best, best_e = 0, float("inf")
         for c in self.chargers:
             if c != v and e_v[c] < best_e:
@@ -291,11 +319,7 @@ class Env:
         kind = self.kindc[j]
         charge = 0.0
         if kind == _CHARGER:
-            at = min(max(soc_travel, 0.0), 1.0)
-            charge = charging_power(at) * sig / 3600.0 * self.invB
-            room = 1.0 - soc_travel
-            if charge > room:
-                charge = room
+            charge = self.charge_delta(soc_travel, j)
             state.charge_visits += 1
         soc_new = soc_travel + charge
         wait = 0.0

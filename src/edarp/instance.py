@@ -53,7 +53,6 @@ class FleetParams:
     capacity: int = 3
     battery_kwh: float = 20.0
     soc_reserve: float = 0.1
-    initial_soc: float = 1.0
 
 
 @dataclass
@@ -117,15 +116,6 @@ class Instance:
 
     def kind_of(self, j):
         return self.nodes[j].kind
-
-    def request_of(self, j):
-        """Request index served at node j, or None for depot/chargers."""
-        n = self.n
-        if 1 <= j <= n:
-            return j - 1
-        if n < j <= 2 * n:
-            return j - 1 - n
-        return None
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -386,8 +376,7 @@ def save(inst):
         "fleet": {"vehicles": inst.fleet.vehicles,
                   "capacity": inst.fleet.capacity,
                   "batteryKwh": inst.fleet.battery_kwh,
-                  "socReserve": inst.fleet.soc_reserve,
-                  "initialSoc": inst.fleet.initial_soc},
+                  "socReserve": inst.fleet.soc_reserve},
         "weights": {"energy": inst.weights.energy, "wait": inst.weights.wait,
                     "late": inst.weights.late, "complete": inst.weights.complete,
                     "travel": inst.weights.travel, "timeUnit": inst.weights.time_unit},
@@ -419,8 +408,8 @@ def load(data):
     try:
         fl = doc["fleet"]
         fleet = FleetParams(int(fl["vehicles"]), int(fl["capacity"]),
-                            float(fl["batteryKwh"]), float(fl["socReserve"]),
-                            float(fl.get("initialSoc", 1.0)))
+                            float(fl["batteryKwh"]), float(fl["socReserve"]))
+        initial_soc = float(fl.get("initialSoc", 1.0))
         wt = doc["weights"]
         weights = CostWeights(float(wt["energy"]), float(wt["wait"]), float(wt["late"]),
                               float(wt["complete"]), float(wt.get("travel", 0.0)),
@@ -436,6 +425,9 @@ def load(data):
                         float(doc["horizon"]), int(doc.get("seed", 0)))
     except (KeyError, TypeError, ValueError) as e:
         raise InstanceFormatError(f"malformed instance field: {e}") from e
+    if initial_soc != 1.0:
+        raise InstanceFormatError(
+            f"unsupported initialSoc {initial_soc}: every vehicle starts full")
     for nd in inst.nodes:
         if nd.kind not in KINDS:
             raise InstanceFormatError(f"unknown node kind {nd.kind!r}")

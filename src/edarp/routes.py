@@ -3,9 +3,10 @@
 A plan is a list of per-vehicle node sequences without depot bookends.
 Vehicles are cost-independent here because every charging station is
 visited at most once globally and plans never duplicate one, so a route
-can be simulated on its own: fresh vehicle, the exact arithmetic of the
-simulator, every masking rule checked per hop. Insertion scans reuse
-the prefix state up to the insertion point and re-simulate the tail, so
+can be simulated on its own: fresh vehicle, every hop served by the
+simulator's own per-hop kernel (Env.hop and Env.home), the one home of
+the feasibility, battery and charging rules. Insertion scans reuse the
+prefix state up to the insertion point and re-simulate the tail, so
 their verdicts agree with a from-scratch simulation exactly.
 
 Costs here are a route's contribution to the objective J; the completion
@@ -13,15 +14,12 @@ bonus is a constant per inserted request and cancels out of position
 comparisons, so it never appears in these deltas.
 """
 
-from .environment import charging_power
-
 
 class RouteInfo:
     """Per-stop timeline of one simulated route; index 0 is the fresh vehicle."""
 
-    __slots__ = ("nodes", "A", "SS", "DEP", "B", "LOAD", "WAIT", "LATE",
-                 "cumE", "cumW", "cumL", "cumT", "E", "W", "L", "T",
-                 "cost", "pos")
+    __slots__ = ("nodes", "A", "SS", "DEP", "B", "LOAD", "PS",
+                 "cumE", "cumW", "cumL", "cumT", "E", "W", "L", "T", "cost")
 
     def __init__(self, nodes):
         m = len(nodes)
@@ -31,33 +29,18 @@ class RouteInfo:
         self.DEP = [0.0] * (m + 1)     # clock after service
         self.B = [1.0] * (m + 1)       # soc after stop (incl. charge)
         self.LOAD = [0] * (m + 1)
-        self.WAIT = [0.0] * (m + 1)
-        self.LATE = [0.0] * (m + 1)
+        self.PS = [None] * (m + 1)     # pickup service start of a delivery stop
         self.cumE = [0.0] * (m + 1)    # running totals after stop k
         self.cumW = [0.0] * (m + 1)
         self.cumL = [0.0] * (m + 1)
         self.cumT = [0.0] * (m + 1)
-        self.pos = {}                  # node id -> stop index (1-based)
 
 
 class RouteCtx:
-    """Evaluation context sharing one simulator's tables."""
+    """Route evaluation on one simulator's per-hop kernel."""
 
     def __init__(self, env):
         self.env = env
-        self.t = env.t
-        self.e = env.e
-        self.a = env.a
-        self.l = env.l
-        self.sigma = env.sigma
-        self.q = env.q
-        self.kindc = env.kindc
-        self.max_ride = env.max_ride
-        self.escape = env.escape
-        self.invB = env.invB
-        self.rho = env.rho
-        self.Q = env.Q
-        self.n = env.n
         w = env.inst.weights
         self.we = w.energy
         self.ww = w.wait / w.time_unit
@@ -69,72 +52,40 @@ class RouteCtx:
     def simulate(self, nodes):
         """Simulate one route from a fresh vehicle; RouteInfo or None."""
         info = RouteInfo(list(nodes))
-        t, e, a, l, sigma, q, kindc = self.t, self.e, self.a, self.l, self.sigma, self.q, self.kindc
-        invB, rho, cap = self.invB, self.rho, self.Q
+        hop, n = self.env.hop, self.env.n
         u, tau, b, load = 0, 0.0, 1.0, 0
         ss_of = {}                      # pickup node -> service start
         E = W = L = T = 0.0
         for k, w_node in enumerate(nodes, start=1):
             if w_node == 0:
                 raise ValueError("routes must not contain the depot")
-            kind = kindc[w_node]
-            if kind == 3 and (u == 0 or kindc[u] == 3 or load > 0):
+            ps = ss_of.get(w_node - n)
+            res = hop(u, tau, b, load, w_node, ps)
+            if res is None:
                 return None
-            nl = load + q[w_node]
-            if nl < 0 or nl > cap:
-                return None
-            dt = t[u][w_node]
-            de = e[u][w_node]
-            arrival = tau + dt
-            aw = a[w_node]
-            ss = arrival if arrival > aw else aw
-            if kind == 2:
-                pnode = w_node - self.n
-                ps = ss_of.get(pnode)
-                if ps is None:
-                    return None
-                if ss - ps > self.max_ride[w_node - 1 - self.n]:
-                    return None
-            elif ss > l[w_node]:
-                return None
-            after = b - de * invB
-            if after < rho or after - self.escape[w_node] * invB < rho:
-                return None
-            charge = 0.0
-            if kind == 3:
-                at = min(max(after, 0.0), 1.0)
-                charge = charging_power(at) * sigma[w_node] / 3600.0 * invB
-                room = 1.0 - after
-                if charge > room:
-                    charge = room
-            wait = aw - arrival if arrival < aw and kind == 1 else 0.0
-            late = ss - l[w_node] if ss > l[w_node] and kind == 2 else 0.0
-            if kind == 1:
+            ss, dep, b, load, wait, late, de, dt = res
+            if w_node <= n:
                 ss_of[w_node] = ss
             E += de
             W += wait
             L += late
             T += dt
-            u, tau, b, load = w_node, ss + sigma[w_node], after + charge, nl
-            info.A[k] = arrival
+            info.A[k] = tau + dt
             info.SS[k] = ss
-            info.DEP[k] = tau
+            info.DEP[k] = dep
             info.B[k] = b
             info.LOAD[k] = load
-            info.WAIT[k] = wait
-            info.LATE[k] = late
+            info.PS[k] = ps
             info.cumE[k] = E
             info.cumW[k] = W
             info.cumL[k] = L
             info.cumT[k] = T
-            info.pos[w_node] = k
-        if load != 0:
+            u, tau = w_node, dep
+        leg = self.env.home(u, b, load)
+        if leg is None:
             return None
-        # return leg to the depot
-        if b - e[u][0] * invB < rho:
-            return None
-        E += e[u][0]
-        T += t[u][0]
+        E += leg[0]
+        T += leg[1]
         info.E, info.W, info.L, info.T = E, W, L, T
         info.cost = self.we * E + self.ww * W + self.wl * L + self.wt * T
         return info
@@ -145,54 +96,6 @@ class RouteCtx:
 
     # -- insertion search -----------------------------------------------------
 
-    def _hop(self, u, tau, b, load, w_node, ss_over, info):
-        """Serve one stop; returns (node, dep, soc, load, wait, late, de, dt, ss)
-        or None when any feasibility rule blocks it. ss_over maps pickup
-        nodes re-timed by the pending insertion; other pickups keep the
-        service starts recorded in info."""
-        kind = self.kindc[w_node]
-        if kind == 3 and (u == 0 or self.kindc[u] == 3 or load > 0):
-            return None
-        nl = load + self.q[w_node]
-        if nl < 0 or nl > self.Q:
-            return None
-        dt = self.t[u][w_node]
-        de = self.e[u][w_node]
-        arrival = tau + dt
-        aw = self.a[w_node]
-        ss = arrival if arrival > aw else aw
-        late = 0.0
-        wait = 0.0
-        if kind == 2:
-            pnode = w_node - self.n
-            ps = ss_over.get(pnode)
-            if ps is None:
-                kpos = info.pos.get(pnode)
-                if kpos is None:
-                    return None
-                ps = info.SS[kpos]
-            if ss - ps > self.max_ride[w_node - 1 - self.n]:
-                return None
-            lw = self.l[w_node]
-            if ss > lw:
-                late = ss - lw
-        else:
-            if ss > self.l[w_node]:
-                return None
-            if kind == 1 and arrival < aw:
-                wait = aw - arrival
-        after = b - de * self.invB
-        if after < self.rho or after - self.escape[w_node] * self.invB < self.rho:
-            return None
-        if kind == 3:
-            at = min(max(after, 0.0), 1.0)
-            charge = charging_power(at) * self.sigma[w_node] / 3600.0 * self.invB
-            room = 1.0 - after
-            if charge > room:
-                charge = room
-            after += charge
-        return w_node, ss + self.sigma[w_node], after, nl, wait, late, de, dt, ss
-
     def scan_insertions(self, nodes, info, req):
         """Every feasible way to put a request into one route.
 
@@ -201,58 +104,61 @@ class RouteCtx:
         the j-th original stop (j == i puts it directly behind the
         pickup). The tail behind each candidate is re-simulated in
         full, so a returned candidate is feasible by construction.
+        Pickups re-timed by the insertion are looked up in a per-
+        candidate override map, all others in info.PS.
         """
         if info is None:
             return
+        hop, home, n = self.env.hop, self.env.home, self.env.n
         p = 1 + req
-        d = 1 + self.n + req
-        ride_cap = self.max_ride[req]
+        d = 1 + n + req
+        ride_cap = self.env.max_ride[req]
         m = len(info.nodes)
         rnodes = info.nodes
+        PS = info.PS
         out = []
         for i in range(m + 1):
             u = rnodes[i - 1] if i else 0
-            hop_p = self._hop(u, info.DEP[i], info.B[i], info.LOAD[i], p, (), info)
+            hop_p = hop(u, info.DEP[i], info.B[i], info.LOAD[i], p, None)
             if hop_p is None:
                 continue
-            _, tau_c, b_c, load_c, wait_p, _, de_p, dt_p, ss_p = hop_p
+            ss_p, tau_c, b_c, load_c, wait_p, _, de_p, dt_p = hop_p
             # delta of the edge swap at the pickup junction accrues when the
             # tail walk reaches the next original stop; track state instead
-            cur = (p, tau_c, b_c, load_c)
+            cur = p
             ss_over = {p: ss_p}
             # costs of the re-simulated middle part (stops i+1 .. j)
             midE, midW, midL, midT = de_p, wait_p, 0.0, dt_p
             for j in range(i, m + 1):
-                if cur[1] - ss_p > ride_cap:
+                if tau_c - ss_p > ride_cap:
                     break       # departure already too late for the delivery
-                hop_d = self._hop(cur[0], cur[1], cur[2], cur[3], d, ss_over, info)
+                hop_d = hop(cur, tau_c, b_c, load_c, d, ss_p)
                 if hop_d is not None:
-                    nd, tau_d, b_d, load_d, _, late_d, de_d, dt_d, _ = hop_d
+                    _, st_tau, st_b, st_load, _, late_d, de_d, dt_d = hop_d
                     tailE = midE + de_d
                     tailW = midW
                     tailL = midL + late_d
                     tailT = midT + dt_d
-                    st = (nd, tau_d, b_d, load_d)
+                    st = d
                     over = dict(ss_over)
-                    ok = True
                     for k in range(j + 1, m + 1):
-                        hop = self._hop(st[0], st[1], st[2], st[3], rnodes[k - 1], over, info)
-                        if hop is None:
-                            ok = False
+                        wn = rnodes[k - 1]
+                        res = hop(st, st_tau, st_b, st_load, wn, over.get(wn - n, PS[k]))
+                        if res is None:
                             break
-                        wn, taun, bn, loadn, wn_wait, wn_late, wn_de, wn_dt, wn_ss = hop
-                        if self.kindc[wn] == 1:
+                        wn_ss, st_tau, st_b, st_load, wn_wait, wn_late, wn_de, wn_dt = res
+                        if wn <= n:
                             over[wn] = wn_ss
                         tailE += wn_de
                         tailW += wn_wait
                         tailL += wn_late
                         tailT += wn_dt
-                        st = (wn, taun, bn, loadn)
-                    if ok:
-                        last = st[0]
-                        if st[2] - self.e[last][0] * self.invB >= self.rho:
-                            tailE += self.e[last][0]
-                            tailT += self.t[last][0]
+                        st = wn
+                    else:
+                        leg = home(st, st_b, st_load)
+                        if leg is not None:
+                            tailE += leg[0]
+                            tailT += leg[1]
                             oldE = info.E - info.cumE[i]
                             oldW = info.W - info.cumW[i]
                             oldL = info.L - info.cumL[i]
@@ -263,23 +169,23 @@ class RouteCtx:
                 if j == m:
                     break
                 nxt = rnodes[j]
-                hop = self._hop(cur[0], cur[1], cur[2], cur[3], nxt, ss_over, info)
-                if hop is None:
+                res = hop(cur, tau_c, b_c, load_c, nxt, ss_over.get(nxt - n, PS[j + 1]))
+                if res is None:
                     break       # pickup insertion breaks the route from here on
-                wn, taun, bn, loadn, wn_wait, wn_late, wn_de, wn_dt, wn_ss = hop
-                if self.kindc[wn] == 1:
-                    ss_over[wn] = wn_ss
+                wn_ss, tau_c, b_c, load_c, wn_wait, wn_late, wn_de, wn_dt = res
+                if nxt <= n:
+                    ss_over[nxt] = wn_ss
                 midE += wn_de
                 midW += wn_wait
                 midL += wn_late
                 midT += wn_dt
-                cur = (wn, taun, bn, loadn)
+                cur = nxt
         return out
 
     def insert(self, nodes, req, i, j):
         """Materialize a candidate from scan_insertions."""
         p = 1 + req
-        d = 1 + self.n + req
+        d = 1 + self.env.n + req
         out = list(nodes)
         out.insert(i, p)
         out.insert(j + 1, d)
@@ -313,6 +219,7 @@ def remove_requests(plan, ctx, req_ids):
     from its tail until it simulates cleanly; everything stripped joins
     the returned removal pool.
     """
+    n = ctx.env.n
     drop = set(req_ids)
     pool = set(req_ids)
     out = []
@@ -320,10 +227,10 @@ def remove_requests(plan, ctx, req_ids):
         kept = []
         for node in route:
             r = None
-            if 1 <= node <= ctx.n:
+            if 1 <= node <= n:
                 r = node - 1
-            elif node <= 2 * ctx.n and node > ctx.n:
-                r = node - 1 - ctx.n
+            elif node <= 2 * n and node > n:
+                r = node - 1 - n
             if r is not None and r in drop:
                 continue
             kept.append(node)
@@ -331,14 +238,14 @@ def remove_requests(plan, ctx, req_ids):
         while kept and ctx.simulate(kept) is None:
             victim = None
             for node in reversed(kept):
-                if 1 <= node <= ctx.n:
+                if 1 <= node <= n:
                     victim = node - 1
                     break
             if victim is None:
                 kept = []
                 break
             kept = [nd for nd in kept
-                    if nd != 1 + victim and nd != 1 + ctx.n + victim]
+                    if nd != 1 + victim and nd != 1 + n + victim]
             kept = _clean_chargers(kept, ctx)
             pool.add(victim)
         out.append(kept)
@@ -346,9 +253,10 @@ def remove_requests(plan, ctx, req_ids):
 
 
 def _clean_chargers(route, ctx):
+    kindc = ctx.env.kindc
     out = []
     for node in route:
-        if ctx.kindc[node] == 3 and (not out or ctx.kindc[out[-1]] == 3):
+        if kindc[node] == 3 and (not out or kindc[out[-1]] == 3):
             continue
         out.append(node)
     return out
@@ -357,6 +265,7 @@ def _clean_chargers(route, ctx):
 def prune_chargers(plan, ctx):
     """Drop charger stops whose removal keeps the route feasible and no
     more expensive; the inherited greedy routes are littered with them."""
+    kindc = ctx.env.kindc
     out = []
     for route in plan:
         cost = ctx.route_cost(route)
@@ -364,7 +273,7 @@ def prune_chargers(plan, ctx):
         while changed:
             changed = False
             for idx, node in enumerate(route):
-                if ctx.kindc[node] != 3:
+                if kindc[node] != 3:
                     continue
                 trial = route[:idx] + route[idx + 1:]
                 tcost = ctx.route_cost(trial)

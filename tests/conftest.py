@@ -20,5 +20,11 @@ def small_instance():
 
 
 @pytest.fixture
+def tight_fleet():
+    """A fleet whose battery binds: the reserve rule blocks real candidates."""
+    return FleetParams(battery_kwh=4.0, soc_reserve=0.3)
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)

@@ -72,7 +72,7 @@ def test_mask_guided_rollouts_never_violate_constraints():
         rng = np.random.default_rng(i)
         state = env.reset()
         while not state.terminal:
-            acts = np.flatnonzero(env.mask_array(state))
+            acts = np.flatnonzero(env.mask(state))
             state = env.step(state, int(rng.choice(acts))).state
             assert state.load <= env.Q
             assert env.rho - 1e-12 <= state.soc <= 1.0 + 1e-12
@@ -328,7 +328,7 @@ def test_decoder_distribution_contract():
             worst_sum = max(worst_sum, abs(p.sum() - 1.0))
             assert all(p[j] == 0.0 for j in range(len(m)) if not m[j])
             checked += 1
-            acts = np.flatnonzero(env.mask_array(state))
+            acts = np.flatnonzero(env.mask(state))
             state = env.step(state, int(rng.choice(acts))).state
         i += 1
     _verdict("distribution contract", worst_sum <= 1e-9,

@@ -7,28 +7,28 @@ from edarp import (AlnsConfig, Env, OperatorWeights, RouteCtx, alns_solve,
                    exact_solve, generate_instance, greedy_solve,
                    shaw_relatedness)
 from edarp.alns import (random_removal, rtr_accept, rtr_tolerance,
-                        shaw_removal, update_weights, worst_removal)
+                        shaw_removal, worst_removal)
 from edarp.routes import plan_from_solution, served_requests
 
 
 def test_weight_update_single_success_is_2_8():
     w = OperatorWeights(["a", "b"])
     w.credit("a", 10.0)
-    update_weights(w, AlnsConfig())
+    w.update(AlnsConfig())
     assert w.values["a"] == 2.8
 
 
 def test_weight_update_leaves_unused_untouched():
     w = OperatorWeights(["a", "b"])
     w.credit("a", 5.0)
-    update_weights(w, AlnsConfig())
+    w.update(AlnsConfig())
     assert w.values["b"] == 1.0
 
 
 def test_weight_update_zero_score_decays():
     w = OperatorWeights(["a"])
     w.credit("a", 0.0)
-    update_weights(w, AlnsConfig())
+    w.update(AlnsConfig())
     assert w.values["a"] == pytest.approx(0.8, abs=1e-15)
 
 
@@ -37,14 +37,14 @@ def test_weight_floor():
     cfg = AlnsConfig()
     for _ in range(30):
         w.credit("a", 0.0)
-        update_weights(w, cfg)
+        w.update(cfg)
     assert w.values["a"] == cfg.w_min
 
 
 def test_weight_update_resets_segment_accounting():
     w = OperatorWeights(["a"])
     w.credit("a", 10.0)
-    update_weights(w, AlnsConfig())
+    w.update(AlnsConfig())
     assert w.scores["a"] == 0.0 and w.uses["a"] == 0
 
 
@@ -78,7 +78,7 @@ def test_removal_operators_contract():
 
     ctx = RouteCtx(Env(inst))
     plan = plan_from_solution(greedy_solve(inst), inst.fleet.vehicles)
-    served_now = served_requests(plan, ctx.n)
+    served_now = served_requests(plan, inst.n)
     if len(served_now) >= 2:
         got = worst_removal(plan, ctx, 2)
         assert len(got) <= 2 and set(got) <= set(served_now)

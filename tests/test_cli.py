@@ -114,6 +114,12 @@ def test_solve_missing_and_malformed_instance(tmp_path, capsys):
     bad.write_text("{not json")
     assert run("solve", str(bad), "--solver", "greedy",
                "--out", str(tmp_path)) == 3
+    doc = json.loads((gen_dir(tmp_path) / "instance_0000.json").read_text())
+    doc["fleet"]["initialSoc"] = 0.2
+    bad.write_text(json.dumps(doc))
+    assert run("solve", str(bad), "--solver", "greedy",
+               "--out", str(tmp_path)) == 3
+    assert "initialSoc" in capsys.readouterr().err
 
 
 def test_solve_jobs_parallel_matches_serial(tmp_path):

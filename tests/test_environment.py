@@ -7,11 +7,12 @@ from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
                    sample_noise, save_solution, score_solution)
 
 
-def slow_mask(env, state):
+def slow_mask(env, state, battery_blocks=None):
     """Re-derivation of the feasibility rules straight from their prose.
 
     Written independently of Env.mask so the two can cross-check each
-    other; intentionally unoptimized.
+    other; intentionally unoptimized. Nodes that only the battery rule
+    blocks are appended to battery_blocks when it is given.
     """
     inst = env.inst
     V = inst.num_nodes
@@ -55,6 +56,8 @@ def slow_mask(env, state):
                 continue                               # rule 3: hard window
         after = b - e[v][j] / B
         if after < rho or after - escape(j) / B < rho:
+            if battery_blocks is not None:
+                battery_blocks.append(j)
             continue                                   # rule 4
         out[j] = True
     if not any(out):
@@ -148,21 +151,26 @@ def test_mask_battery_boundary():
     assert not any(m[1:])           # every positive-energy move blocked
 
 
-def test_mask_matches_slow_rederivation():
+def test_mask_matches_slow_rederivation(tight_fleet):
     rng = np.random.default_rng(7)
-    checked = 0
-    for seed in range(40):
-        inst = generate_instance(1 + seed % 4, charger_count=1 + seed % 2,
-                                 seed=900 + seed)
-        env = Env(inst)
-        s = env.reset()
-        while not s.terminal:
-            fast = env.mask(s)
-            assert fast == slow_mask(env, s), f"seed {seed} step {s.steps}"
-            checked += 1
-            choices = [j for j, ok in enumerate(fast) if ok]
-            env.step(s, int(rng.choice(choices)))
-    assert checked > 200
+    checked = [0, 0]                # compared steps per fleet
+    blocked = []
+    for f, fleet in enumerate((FleetParams(), tight_fleet)):
+        for seed in range(40):
+            inst = generate_instance(1 + seed % 4, charger_count=1 + seed % 2,
+                                     fleet=fleet, seed=900 + seed)
+            env = Env(inst)
+            s = env.reset()
+            while not s.terminal:
+                fast = env.mask(s)
+                assert fast == slow_mask(env, s, blocked), \
+                    f"{fleet} seed {seed} step {s.steps}"
+                checked[f] += 1
+                choices = [j for j, ok in enumerate(fast) if ok]
+                env.step(s, int(rng.choice(choices)))
+    assert checked[0] > 200
+    assert checked[1] >= 100          # the tight fleet ends episodes sooner
+    assert blocked, "the battery rule never blocked a candidate"
 
 
 def test_step_charging_delta_hand_value():

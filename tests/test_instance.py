@@ -115,6 +115,15 @@ def test_unknown_schema_version_rejected():
     doc["schema"] = "edarp-instance/99"
     with pytest.raises(InstanceFormatError, match="schema"):
         load(json.dumps(doc).encode())
+    # a field the simulator cannot honour is refused, not ignored
+    doc = json.loads(save(generate_instance(2, seed=1)))
+    assert "initialSoc" not in doc["fleet"]
+    for soc in (0.2, 7.0):
+        doc["fleet"]["initialSoc"] = soc
+        with pytest.raises(InstanceFormatError, match="initialSoc"):
+            load(json.dumps(doc).encode())
+    doc["fleet"]["initialSoc"] = 1.0
+    assert load(json.dumps(doc).encode()) == generate_instance(2, seed=1)
 
 
 def test_generator_rejects_bad_arguments():
