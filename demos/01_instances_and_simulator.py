@@ -36,10 +36,9 @@ rng = np.random.default_rng(0)
 while not state.terminal:
     options = np.flatnonzero(env.mask(state))
     j = int(rng.choice(options))
-    out = env.step(state, j)
+    env.step(state, j)              # mutates the state in place
     print(f"step {state.steps:>2}: -> node {j:>2}  clock {state.clock:7.1f}s"
           f"  soc {state.soc:.3f}  load {state.load}")
-    state = out.state
 
 # A terminal state scores into a Solution with the cost breakdown.
 sol = env.solution(state)

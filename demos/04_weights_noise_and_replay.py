@@ -10,9 +10,9 @@ re-scored from scratch.
 
 import numpy as np
 
-from edarp import (AlnsConfig, CostWeights, Env, FleetParams, NoiseConfig,
-                   ReplayError, alns_solve, generate_instance, load_solution,
-                   replay, sample_noise, save_solution, score_solution)
+from edarp import (AlnsConfig, CostWeights, Env, FleetParams, MaskViolation,
+                   NoiseConfig, alns_solve, generate_instance, load_solution,
+                   sample_noise, save_solution, score_solution)
 
 # Discounting the time terms tenfold makes pooled rides cheaper than
 # solo ones wherever sharing saves energy.
@@ -44,12 +44,19 @@ obj, reward, metrics = score_solution(back, inst)
 print(f"replayed reward {reward:.4f} (saved {sol.reward:.4f}), "
       f"completion {metrics['completion_pct']:.0f}%")
 
-# The same plan can be stress-tested under travel noise: inflated legs
-# raise the cost, and a window pushed past its close aborts the replay.
+# The same plan can be stress-tested under travel noise by stepping its
+# visits through the simulator: inflated legs raise the cost, and a
+# window pushed past its close takes the next visit off the mask.
+env = Env(inst)
+visits = [j for route in back.vehicle_routes() if route for j in route + [0]]
 for rep in range(5):
+    noise = NoiseConfig.make(0.2, seed=rep)
+    state = env.reset()
     try:
-        noisy = replay(Env(inst), back.vehicle_routes(),
-                       noise=NoiseConfig.make(0.2, seed=rep))
-        print(f"replica {rep}: objective {noisy.objective:.4f}")
-    except ReplayError as err:
+        for j in visits:
+            env.step(state, j, noise=noise)
+        while not state.terminal:
+            env.step(state, 0)
+        print(f"replica {rep}: objective {env.objective(state):.4f}")
+    except MaskViolation as err:
         print(f"replica {rep}: plan broke under noise ({err})")

@@ -10,9 +10,8 @@ from .instance import (CostWeights, EdgeMatrices, FeatureTensors, FleetParams,
                        Instance, InstanceFormatError, Node, Request, Violation,
                        generate_instance, load, normalize_features, save, validate)
 from .environment import (Env, EpisodeState, MaskViolation, NoiseConfig,
-                          ReplayError, Solution, StepOutcome, charging_power,
-                          load_solution, replay, sample_noise, save_solution,
-                          score_solution)
+                          ReplayError, Solution, charging_power, load_solution,
+                          replay, sample_noise, save_solution, score_solution)
 from .oracle import enumerate_rewards, exact_solve
 from .greedy import greedy_solve
 from .routes import RouteCtx, plan_from_solution, prune_chargers, remove_requests
@@ -31,7 +30,7 @@ __all__ = [
     "EdgeMatrices", "Env", "EpisodeState", "FeatureTensors", "FleetParams",
     "Instance", "InstanceFormatError", "MaskViolation", "Node", "NoiseConfig",
     "OperatorWeights", "Policy", "PolicyConfig", "ReplayError", "Request",
-    "RouteCtx", "Solution", "StageResult", "StepOutcome", "Tape", "Tensor",
+    "RouteCtx", "Solution", "StageResult", "Tape", "Tensor",
     "TrainConfig", "TrainReport", "Violation", "alns_solve", "charging_power",
     "curriculum_train", "enumerate_rewards", "exact_solve", "generate_instance",
     "greedy_rollout", "greedy_solve", "load", "load_policy", "load_solution",

@@ -74,11 +74,9 @@ class OperatorWeights:
             self.uses[n] = 0
 
 
-def rtr_tolerance(initial_cost, iteration, cfg=None):
+def rtr_tolerance(initial_cost, iteration, cfg):
     """Acceptance band after the given number of completed iterations."""
-    frac = cfg.rtr_init_frac if cfg is not None else 0.05
-    decay = cfg.rtr_decay if cfg is not None else 0.99
-    return frac * abs(initial_cost) * decay ** iteration
+    return cfg.rtr_init_frac * abs(initial_cost) * cfg.rtr_decay ** iteration
 
 
 def rtr_accept(candidate_cost, best_cost, tolerance):
@@ -241,10 +239,6 @@ class AlnsStats:
             self.history = []
 
 
-def _plan_solution(env, plan):
-    return replay(env, [list(r) for r in plan])
-
-
 def alns_solve(inst, config=None, return_stats=False):
     """Improve the greedy plan by adaptive destroy/repair.
 
@@ -259,7 +253,7 @@ def alns_solve(inst, config=None, return_stats=False):
 
     init = greedy_solve(inst)
     plan = plan_from_solution(init, inst.fleet.vehicles)
-    cur_sol = _plan_solution(env, plan)
+    cur_sol = replay(env, plan)
     cur_j = init_j = -cur_sol.reward
     best_plan, best_sol, best_j = [list(r) for r in plan], cur_sol, cur_j
 
@@ -300,7 +294,7 @@ def alns_solve(inst, config=None, return_stats=False):
             regret_insert(ctx, cand_plan, cand_infos, pool, 2 if r_op == "regret_2" else 3)
 
         try:
-            cand_sol = _plan_solution(env, cand_plan)
+            cand_sol = replay(env, cand_plan)
         except ReplayError:
             stats.replay_failures += 1
             dweights.credit(d_op, 0.0)

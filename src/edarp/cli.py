@@ -7,13 +7,17 @@ hashes, output paths, and wall time. All randomness derives from the
 single --seed through labeled seed sequences, so reruns reproduce
 artifacts byte for byte. --jobs parallelizes across instances only.
 
-Exit codes: 0 success, 2 usage, 3 data error, 4 numerical failure.
+Exit codes: 0 success; 2 usage, including a numeric flag out of its range
+and an exact search whose --limit runs out before any complete
+trajectory; 3 data error, including a missing, unreadable or malformed
+instance, config or checkpoint file; 4 numerical failure.
 """
 
 import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -22,12 +26,11 @@ import numpy as np
 
 from . import __version__
 from .alns import AlnsConfig, alns_solve
-from .environment import Env, NoiseConfig, save_solution
+from .environment import NoiseConfig, save_solution
 from .greedy import greedy_solve
 from .instance import FleetParams, InstanceFormatError, generate_instance, load, save, validate
-from .oracle import exact_solve
-from .policy import (Policy, PolicyConfig, greedy_rollout, load_policy,
-                     multistart_rollout)
+from .oracle import SearchLimitError, exact_solve
+from .policy import PolicyConfig, load_policy, multistart_rollout
 from .training import CURRICULUM_SIZES, TrainConfig, curriculum_train, train
 
 SCHEMA_MANIFEST = "edarp-manifest/1"
@@ -98,6 +101,22 @@ def _load_instance(path):
     return inst
 
 
+def _read_checkpoint(path):
+    """(bytes, policy, optimizer state) of a checkpoint file.
+
+    A missing, unreadable or malformed file is a DataError.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise DataError(f"checkpoint not found: {p}")
+    data = p.read_bytes()
+    try:
+        policy, opt_state = load_policy(data)
+    except (ValueError, KeyError, TypeError) as e:
+        raise DataError(f"cannot load checkpoint {p}: {e}") from e
+    return data, policy, opt_state
+
+
 def _metrics_row(path, solver, seed, sol, wall):
     m = sol.metrics
     return [str(path), solver, seed, f"{sol.reward:.6f}",
@@ -120,10 +139,6 @@ def _append_metrics(path, rows):
 # -- generate -------------------------------------------------------------------
 
 def cmd_generate(args):
-    if args.n <= 0:
-        raise UsageError("--n must be positive")
-    if args.count <= 0:
-        raise UsageError("--count must be positive")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
@@ -152,7 +167,10 @@ def _solve_one(task):
     if solver == "greedy":
         sol = greedy_solve(inst)
     elif solver == "exact":
-        sol, optimal = exact_solve(inst, limit=opts["limit"])
+        try:
+            sol, optimal = exact_solve(inst, limit=opts["limit"])
+        except SearchLimitError as e:
+            raise UsageError(f"{path}: {e}; raise --limit") from e
         if not optimal:
             print(f"warning: search limit hit on {path}; best found returned",
                   file=sys.stderr)
@@ -161,7 +179,7 @@ def _solve_one(task):
                          telemetry_path=opts.get("telemetry"))
         sol = alns_solve(inst, cfg)
     else:
-        policy, _ = load_policy(Path(opts["checkpoint"]).read_bytes())
+        policy, _ = load_policy(opts["checkpoint"])
         sol = multistart_rollout(policy, inst, k_p=opts["multistart"])
     wall = time.time() - t0
     if not np.isfinite(sol.reward) or not np.isfinite(sol.objective):
@@ -170,15 +188,16 @@ def _solve_one(task):
 
 
 def cmd_solve(args):
-    if args.solver == "neural" and not args.checkpoint:
-        raise UsageError("--checkpoint is required with --solver neural")
-    if args.solver == "neural" and not Path(args.checkpoint).is_file():
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
+    ckpt_bytes = None
+    if args.solver == "neural":
+        if not args.checkpoint:
+            raise UsageError("--checkpoint is required with --solver neural")
+        ckpt_bytes, _, _ = _read_checkpoint(args.checkpoint)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     opts = {"iterations": args.iterations, "limit": args.limit,
-            "checkpoint": args.checkpoint, "multistart": args.multistart}
+            "checkpoint": ckpt_bytes, "multistart": args.multistart}
     tasks = []
     for i, path in enumerate(args.instances):
         seed = _stream_seed(args.seed, 2, i)
@@ -216,9 +235,10 @@ def cmd_solve(args):
 TRAIN_BASE_KEYS = ("epochs", "steps_per_epoch", "batch", "k_p", "lr",
                    "beta1", "beta2", "eps_num", "grad_clip", "seed",
                    "val_size", "charger_count", "vehicles", "capacity",
-                   "sizes", "growth_factor", "epochs_per_stage")
-TRAIN_KEYS = set(TRAIN_BASE_KEYS) | {"n", "curriculum", "d_h", "heads",
-                                     "layers", "ffn_mult", "lambda", "kappa"}
+                   "sizes")
+TRAIN_KEYS = set(TRAIN_BASE_KEYS) | {"n", "curriculum", "epochs_per_stage",
+                                     "d_h", "heads", "layers", "ffn_mult",
+                                     "lambda", "kappa"}
 
 
 def _train_configs(doc):
@@ -253,10 +273,7 @@ def cmd_train(args):
     opt_state = None
     start_epoch = 0
     if args.resume:
-        ck = Path(args.resume)
-        if not ck.is_file():
-            raise DataError(f"checkpoint not found: {ck}")
-        policy, opt_state = load_policy(ck.read_bytes())
+        _, policy, opt_state = _read_checkpoint(args.resume)
         hc = policy.config
         for name, want in (("d_h", pol_cfg.d_h), ("heads", pol_cfg.heads),
                            ("layers", pol_cfg.layers)):
@@ -266,7 +283,7 @@ def cmd_train(args):
                     f"{name}={getattr(hc, name)}")
         if opt_state and "epoch" in opt_state:
             start_epoch = int(opt_state["epoch"])
-        inputs.append(ck)
+        inputs.append(Path(args.resume))
 
     outputs = []
     if "curriculum" in doc:
@@ -274,8 +291,8 @@ def cmd_train(args):
         if sizes is True:
             sizes = CURRICULUM_SIZES
         stage_base = dict(base)
-        if base.get("epochs_per_stage"):
-            stage_base["epochs"] = base["epochs_per_stage"]
+        if doc.get("epochs_per_stage"):
+            stage_base["epochs"] = doc["epochs_per_stage"]
         try:
             stage_cfgs = [TrainConfig(n=s, **stage_base) for s in sizes]
         except (TypeError, ValueError) as e:
@@ -333,14 +350,7 @@ def _eval_one(task):
 
 
 def cmd_eval(args):
-    ck = Path(args.checkpoint)
-    if not ck.is_file():
-        raise DataError(f"checkpoint not found: {ck}")
-    ckpt_bytes = ck.read_bytes()
-    try:
-        load_policy(ckpt_bytes)
-    except (ValueError, KeyError) as e:
-        raise DataError(f"cannot load checkpoint: {e}") from e
+    ckpt_bytes, _, _ = _read_checkpoint(args.checkpoint)
     inst_dir = Path(args.instances)
     paths = sorted(inst_dir.glob("instance_*.json")) if inst_dir.is_dir() \
         else [inst_dir]
@@ -381,7 +391,8 @@ def cmd_eval(args):
             wr.writerow([name, f"{agg[:, i].mean():.6f}",
                          f"{agg[:, i].std():.6f}"])
     _write_manifest(out, "eval", _config_echo(args),
-                    args.seed, [ck, *paths], [metrics_path, summary_path],
+                    args.seed, [Path(args.checkpoint), *paths],
+                    [metrics_path, summary_path],
                     time.time() - t0)
     print(f"evaluated {len(paths)} instances x {args.replicas} replicas; "
           f"mean reward {agg[:, 0].mean():.3f} +/- {agg[:, 0].std():.3f}")
@@ -427,6 +438,17 @@ def cmd_report(args):
 
 # -- entry ----------------------------------------------------------------------
 
+def _at_least(kind, lo):
+    """argparse type: a finite number of the given kind, no smaller than lo."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= lo):
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {lo}, got {text}")
+        return value
+    parse.__name__ = kind.__name__       # argparse names the kind in its own messages
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(prog="edarp",
                                  description="electric dial-a-ride workbench")
@@ -434,13 +456,13 @@ def build_parser():
 
     g = sub.add_parser("generate", help="write random instances")
     g.add_argument("--out", required=True)
-    g.add_argument("--count", type=int, default=1)
-    g.add_argument("--n", type=int, required=True)
-    g.add_argument("--chargers", type=int, default=1)
-    g.add_argument("--vehicles", type=int, default=2)
-    g.add_argument("--capacity", type=int, default=3)
-    g.add_argument("--asymmetry", type=float, default=0.2)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--count", type=_at_least(int, 1), default=1)
+    g.add_argument("--n", type=_at_least(int, 1), required=True)
+    g.add_argument("--chargers", type=_at_least(int, 1), default=1)
+    g.add_argument("--vehicles", type=_at_least(int, 1), default=2)
+    g.add_argument("--capacity", type=_at_least(int, 1), default=3)
+    g.add_argument("--asymmetry", type=_at_least(float, 0.0), default=0.2)
+    g.add_argument("--seed", type=_at_least(int, 0), default=0)
     g.set_defaults(fn=cmd_generate)
 
     s = sub.add_parser("solve", help="solve instances")
@@ -448,14 +470,14 @@ def build_parser():
     s.add_argument("--solver", required=True,
                    choices=["greedy", "alns", "neural", "exact"])
     s.add_argument("--checkpoint")
-    s.add_argument("--iterations", type=int, default=5000)
-    s.add_argument("--limit", type=int, default=10_000_000)
-    s.add_argument("--multistart", type=int, default=8)
+    s.add_argument("--iterations", type=_at_least(int, 0), default=5000)
+    s.add_argument("--limit", type=_at_least(int, 1), default=10_000_000)
+    s.add_argument("--multistart", type=_at_least(int, 0), default=8)
     s.add_argument("--telemetry", action="store_true")
     s.add_argument("--metrics", default="metrics.csv")
     s.add_argument("--out", default=".")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--jobs", type=int, default=1)
+    s.add_argument("--seed", type=_at_least(int, 0), default=0)
+    s.add_argument("--jobs", type=_at_least(int, 1), default=1)
     s.set_defaults(fn=cmd_solve)
 
     t = sub.add_parser("train", help="train a policy from a JSON config")
@@ -467,12 +489,12 @@ def build_parser():
     e = sub.add_parser("eval", help="evaluate a checkpoint on instances")
     e.add_argument("--checkpoint", required=True)
     e.add_argument("--instances", required=True)
-    e.add_argument("--stochastic", type=float, default=0.0)
-    e.add_argument("--replicas", type=int, default=1)
-    e.add_argument("--multistart", type=int, default=8)
+    e.add_argument("--stochastic", type=_at_least(float, 0.0), default=0.0)
+    e.add_argument("--replicas", type=_at_least(int, 1), default=1)
+    e.add_argument("--multistart", type=_at_least(int, 0), default=8)
     e.add_argument("--out", default=".")
-    e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--jobs", type=int, default=1)
+    e.add_argument("--seed", type=_at_least(int, 0), default=0)
+    e.add_argument("--jobs", type=_at_least(int, 1), default=1)
     e.set_defaults(fn=cmd_eval)
 
     r = sub.add_parser("report", help="aggregate metrics CSVs by solver")

@@ -64,23 +64,23 @@ def sample_noise(base, scale, z):
 
 @dataclass
 class NoiseConfig:
-    enabled: bool = False
-    scale: float = 0.1
+    """Half-normal traversal noise; a scale of 0 means deterministic."""
+
+    scale: float = 0.0
     rng: object = None
 
     @staticmethod
     def make(scale, seed):
         """Noise at the given scale; scale 0 means deterministic."""
-        return NoiseConfig(scale > 0.0, scale, np.random.default_rng(seed))
+        return NoiseConfig(scale, np.random.default_rng(seed))
 
 
 class EpisodeState:
     """Mutable rollout state; clone() is cheap enough for tree search."""
 
     __slots__ = ("node", "clock", "soc", "load", "onboard", "vehicles_used",
-                 "visited", "served_pickup", "served_delivery", "n_served",
-                 "routes", "energy_kwh", "wait_sec", "late_sec", "travel_sec",
-                 "charge_visits", "terminal", "steps")
+                 "visited", "n_served", "routes", "energy_kwh", "wait_sec",
+                 "late_sec", "travel_sec", "charge_visits", "terminal", "steps")
 
     def __init__(self):
         self.node = 0
@@ -90,8 +90,6 @@ class EpisodeState:
         self.onboard = {}            # request id -> pickup service start
         self.vehicles_used = 1
         self.visited = 0             # bitset over nodes (depot exempt)
-        self.served_pickup = 0       # bitsets over requests
-        self.served_delivery = 0
         self.n_served = 0
         self.routes = [[(0, 0.0, 0.0, 1.0, 0.0)]]
         self.energy_kwh = 0.0
@@ -111,8 +109,6 @@ class EpisodeState:
         c.onboard = dict(self.onboard)
         c.vehicles_used = self.vehicles_used
         c.visited = self.visited
-        c.served_pickup = self.served_pickup
-        c.served_delivery = self.served_delivery
         c.n_served = self.n_served
         c.routes = [list(r) for r in self.routes]
         c.energy_kwh = self.energy_kwh
@@ -123,17 +119,6 @@ class EpisodeState:
         c.terminal = self.terminal
         c.steps = self.steps
         return c
-
-
-@dataclass
-class StepOutcome:
-    state: EpisodeState
-    energy: float
-    wait: float
-    late: float
-    charge_delta: float
-    vehicle_reset: bool
-    terminal: bool
 
 
 class Solution:
@@ -196,11 +181,10 @@ class Env:
         self.q = q = [nd.q for nd in inst.nodes]
         self.kindc = kindc = [_KIND_CODE[nd.kind] for nd in inst.nodes]
         self.max_ride = max_ride = [r.max_ride for r in inst.requests]
-        self.first_charger = 1 + 2 * inst.n
-        self.chargers = list(range(self.first_charger, self.num_nodes))
+        self.chargers = list(range(1 + 2 * n, self.num_nodes))
         self.visit_once = list(range(1, 1 + n)) + self.chargers   # pickups, chargers
         self.K = inst.fleet.vehicles
-        self.Q = cap = inst.fleet.capacity
+        cap = inst.fleet.capacity
         self.B = inst.fleet.battery_kwh
         self.invB = invB = 1.0 / self.B
         self.rho = rho = inst.fleet.soc_reserve
@@ -294,7 +278,7 @@ class Env:
         return best
 
     def step(self, state, action, noise=None, mask=None):
-        """Advance the episode; mutates state and returns the outcome."""
+        """Advance the episode by one action; mutates state in place."""
         if state.terminal:
             raise RuntimeError("step() called on a terminal episode")
         if mask is None:
@@ -307,7 +291,7 @@ class Env:
         v, j = state.node, action
         dt = self.t[v][j]
         de = self.e[v][j]
-        if noise is not None and noise.enabled and noise.scale > 0.0:
+        if noise is not None and noise.scale > 0.0:
             z = float(noise.rng.standard_normal())
             dt = sample_noise(dt, noise.scale, z)
             de = sample_noise(de, noise.scale, z)
@@ -322,23 +306,15 @@ class Env:
             charge = self.charge_delta(soc_travel, j)
             state.charge_visits += 1
         soc_new = soc_travel + charge
-        wait = 0.0
-        late = 0.0
         if kind == _PICKUP:
             if arrival < aj:
-                wait = aj - arrival
-                state.wait_sec += wait
-            r = j - 1
-            state.served_pickup |= 1 << r
-            state.onboard[r] = service_start
+                state.wait_sec += aj - arrival
+            state.onboard[j - 1] = service_start
         elif kind == _DELIVERY:
             lj = self.l[j]
             if service_start > lj:
-                late = service_start - lj
-                state.late_sec += late
-            r = j - 1 - self.n
-            state.served_delivery |= 1 << r
-            state.onboard.pop(r, None)
+                state.late_sec += service_start - lj
+            state.onboard.pop(j - 1 - self.n, None)
             state.n_served += 1
         state.energy_kwh += de
         state.travel_sec += dt
@@ -348,12 +324,9 @@ class Env:
         if j != 0:
             state.visited |= 1 << j
         state.routes[-1].append((j, arrival, service_start, soc_new, charge))
-        vehicle_reset = False
-        terminal = False
         if j == 0:
             state.node = 0
             if state.n_served < self.n and state.vehicles_used < self.K:
-                vehicle_reset = True
                 state.vehicles_used += 1
                 state.clock = 0.0
                 state.soc = 1.0
@@ -361,23 +334,25 @@ class Env:
                 state.onboard.clear()
                 state.routes.append([(0, 0.0, 0.0, 1.0, 0.0)])
             else:
-                terminal = True
                 state.terminal = True
         else:
             state.node = j
-        return StepOutcome(state, de, wait, late, charge, vehicle_reset, terminal)
+
+    def objective(self, state):
+        """Weighted cost accumulated so far; it only grows along an episode."""
+        w = self.inst.weights
+        tu = w.time_unit
+        return (w.energy * state.energy_kwh
+                + w.wait * (state.wait_sec / tu)
+                + w.late * (state.late_sec / tu)
+                + w.travel * (state.travel_sec / tu))
 
     def solution(self, state):
         """Score a terminal state into a Solution."""
         if not state.terminal:
             raise ValueError("episode still running")
-        w = self.inst.weights
-        tu = w.time_unit
-        j_val = (w.energy * state.energy_kwh
-                 + w.wait * (state.wait_sec / tu)
-                 + w.late * (state.late_sec / tu)
-                 + w.travel * (state.travel_sec / tu))
-        reward = -j_val + w.complete * state.n_served
+        j_val = self.objective(state)
+        reward = -j_val + self.inst.weights.complete * state.n_served
         metrics = self._metrics(state, j_val, reward)
         return Solution([list(r) for r in state.routes], state.n_served,
                         state.energy_kwh, state.wait_sec, state.late_sec,
@@ -396,7 +371,7 @@ class Env:
                 load += self.q[log[k][0]]
                 if load >= 1:
                     seg_loads.append(load)
-        picked = bin(state.served_pickup).count("1")
+        picked = bin((state.visited >> 1) & ((1 << self.n) - 1)).count("1")   # pickup bits 1..n
         delivered = state.n_served
         return {
             "completion_pct": 100.0 * delivered / self.n if self.n else 100.0,
@@ -409,7 +384,7 @@ class Env:
         }
 
 
-def replay(env, vehicle_routes, noise=None):
+def replay(env, vehicle_routes):
     """Drive per-vehicle visit lists through the simulator.
 
     Each route is a node list without depot bookends; a depot return is
@@ -436,7 +411,7 @@ def replay(env, vehicle_routes, noise=None):
         m = env.mask(state)
         if not m[action]:
             raise ReplayError(idx, action)
-        env.step(state, action, noise=noise, mask=m)
+        env.step(state, action, mask=m)
         idx += 1
     while not state.terminal:
         env.step(state, 0)

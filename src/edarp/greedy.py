@@ -11,7 +11,7 @@ happen to be near and drops requests whose windows close meanwhile.
 from .environment import Env
 
 
-def greedy_solve(inst, noise=None):
+def greedy_solve(inst):
     env = inst if isinstance(inst, Env) else Env(inst)
     state = env.reset()
     while not state.terminal:
@@ -22,5 +22,5 @@ def greedy_solve(inst, noise=None):
         for j in range(1, env.num_nodes):
             if m[j] and e_v[j] < best_e:
                 action, best_e = j, e_v[j]
-        env.step(state, action, noise=noise, mask=m)
+        env.step(state, action, mask=m)
     return env.solution(state)

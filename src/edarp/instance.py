@@ -10,7 +10,7 @@ Units are seconds, meters, and kWh throughout.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,9 +113,6 @@ class Instance:
     @property
     def chargers(self):
         return list(range(1 + 2 * self.n, self.num_nodes))
-
-    def kind_of(self, j):
-        return self.nodes[j].kind
 
     def __eq__(self, other):
         if not isinstance(other, Instance):
@@ -310,11 +307,10 @@ def validate(inst):
 
 @dataclass
 class FeatureTensors:
-    """Min-max scaled model inputs plus the constants needed to invert them."""
+    """Min-max scaled model inputs."""
 
     node: np.ndarray    # [V, 10]: one-hot kind, x, y, a, l, sigma, q
     edge: np.ndarray    # [V, V, 3]: travel time, distance, energy / B
-    scales: dict = field(default_factory=dict)
 
 
 def _minmax(values, lo, hi):
@@ -356,14 +352,7 @@ def normalize_features(inst):
     edge[:, :, 0] = np.where(off, _minmax(t, t_lo, t_hi), 0.0)
     edge[:, :, 1] = np.where(off, _minmax(d, d_lo, d_hi), 0.0)
     edge[:, :, 2] = inst.edges.energy / inst.fleet.battery_kwh
-
-    scales = {"x": (float(xs.min()), float(xs.max())),
-              "y": (float(ys.min()), float(ys.max())),
-              "sigma": (float(sig.min()), float(sig.max())),
-              "q": (float(qs.min()), float(qs.max())),
-              "time": (t_lo, t_hi), "dist": (d_lo, d_hi),
-              "horizon": inst.horizon, "battery": inst.fleet.battery_kwh}
-    return FeatureTensors(node, edge, scales)
+    return FeatureTensors(node, edge)
 
 
 def save(inst):

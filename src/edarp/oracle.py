@@ -12,25 +12,15 @@ that order. Exponential in n: intended for n <= 4 and K <= 2.
 from .environment import Env
 
 
-def _partial_objective(inst, state):
-    w = inst.weights
-    tu = w.time_unit
-    return (w.energy * state.energy_kwh + w.wait * (state.wait_sec / tu)
-            + w.late * (state.late_sec / tu) + w.travel * (state.travel_sec / tu))
-
-
-def _replay_actions(env, seq):
-    state = env.reset()
-    for action in seq:
-        env.step(state, action)
-    return env.solution(state)
+class SearchLimitError(RuntimeError):
+    """The node budget ran out before any trajectory was complete."""
 
 
 def _search(inst, limit, prune, track_worst):
     env = Env(inst)
     w_c = inst.weights.complete
     n = inst.n
-    best = [float("-inf"), None]     # reward, action sequence
+    best = [float("-inf"), None, None]     # reward, action sequence, terminal state
     worst = [float("inf"), None]
     counters = {"expanded": 0, "complete": 0, "exhausted": False}
 
@@ -46,19 +36,19 @@ def _search(inst, limit, prune, track_worst):
             if counters["exhausted"]:
                 return
             child = state.clone()
-            out = env.step(child, j, mask=mask)
+            env.step(child, j, mask=mask)
             seq.append(j)
-            if out.terminal:
+            if child.terminal:
                 counters["complete"] += 1
-                reward = -_partial_objective(inst, child) + w_c * child.n_served
+                reward = -env.objective(child) + w_c * child.n_served
                 if reward > best[0]:
-                    best[0], best[1] = reward, list(seq)
+                    best[:] = reward, list(seq), child
                 if track_worst and reward < worst[0]:
-                    worst[0], worst[1] = reward, list(seq)
+                    worst[:] = reward, list(seq)
             else:
                 go = True
                 if prune:
-                    bound = -_partial_objective(inst, child) + w_c * n
+                    bound = -env.objective(child) + w_c * n
                     go = bound > best[0]
                 if go:
                     rec(child, seq)
@@ -75,10 +65,10 @@ def exact_solve(inst, limit=10_000_000, prune=True):
     ran out, in which case the best trajectory found so far is returned.
     """
     env, best, _, counters = _search(inst, limit, prune, track_worst=False)
-    if best[1] is None:
-        raise RuntimeError("search found no complete trajectory")
-    sol = _replay_actions(env, best[1])
-    return sol, not counters["exhausted"]
+    if best[2] is None:
+        raise SearchLimitError(f"node budget {limit} ran out before the search "
+                               "completed any trajectory")
+    return env.solution(best[2]), not counters["exhausted"]
 
 
 def enumerate_rewards(inst, limit=10_000_000):

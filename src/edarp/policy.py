@@ -282,10 +282,10 @@ def rollout_episode(policy, env, tape, rng=None, greedy=False,
     return state, lp, actions
 
 
-def greedy_rollout(policy, inst, noise=None):
+def greedy_rollout(policy, inst):
     """Deterministic argmax decode; returns the finished Solution."""
     env = Env(inst)
-    state, _, _ = rollout_episode(policy, env, None, greedy=True, noise=noise)
+    state, _, _ = rollout_episode(policy, env, None, greedy=True)
     return env.solution(state)
 
 
@@ -332,8 +332,9 @@ def save_policy(policy, opt_state=None):
 
 def load_policy(data):
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
-    if doc.get("schema") != SCHEMA_POLICY:
-        raise ValueError(f"unsupported policy schema: {doc.get('schema')!r}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != SCHEMA_POLICY:
+        raise ValueError(f"unsupported policy schema: {schema!r}")
     h = doc["header"]
     cfg = PolicyConfig(d_h=h["dH"], heads=h["heads"], layers=h["layers"],
                        ffn_mult=h["ffnMult"], lam=h["lambda"],
@@ -346,4 +347,7 @@ def load_policy(data):
         if arr.shape != pol.params[k].data.shape:
             raise ValueError(f"shape mismatch for {k!r}")
         pol.params[k].data = arr
+    missing = sorted(set(pol.params) - set(doc["params"]))
+    if missing:
+        raise ValueError(f"checkpoint lacks parameters {missing}")
     return pol, doc.get("optState")

@@ -101,7 +101,6 @@ def pomo_advantages(rewards):
 @dataclass
 class UpdateStats:
     loss: float = 0.0
-    mean_reward: float = 0.0
     grad_norm: float = 0.0
     skipped: bool = False
 
@@ -114,8 +113,6 @@ def reinforce_update(policy, opt, instances, rng, k_p, grad_clip):
     """
     policy.zero_grad()
     total_loss = 0.0
-    total_reward = 0.0
-    groups = 0
     try:
         for inst in instances:
             env = Env(inst)
@@ -137,8 +134,6 @@ def reinforce_update(policy, opt, instances, rng, k_p, grad_clip):
                             -1.0 / (len(starts) * len(instances)))
             tape.backward(loss)
             total_loss += float(loss.data)
-            total_reward += float(np.mean(rewards))
-            groups += 1
     except FloatingPointError:
         policy.zero_grad()
         return UpdateStats(skipped=True)
@@ -148,8 +143,7 @@ def reinforce_update(policy, opt, instances, rng, k_p, grad_clip):
         return UpdateStats(skipped=True)
     opt.step()
     policy.zero_grad()
-    return UpdateStats(loss=total_loss, mean_reward=total_reward / max(1, groups),
-                       grad_norm=norm)
+    return UpdateStats(loss=total_loss, grad_norm=norm)
 
 
 @dataclass
@@ -170,9 +164,6 @@ class TrainConfig:
     vehicles: int = 2
     capacity: int = 3
     sizes: list = None          # mixed-size training: n sampled uniformly
-    curriculum: list = None     # stage sizes for curriculum_train
-    growth_factor: float = 1.2
-    epochs_per_stage: int = None
     weights: object = None      # CostWeights for generated instances
     gen_kwargs: dict = field(default_factory=dict)
 
@@ -180,8 +171,6 @@ class TrainConfig:
         if self.k_p < 2:
             raise ValueError("k_p must be >= 2: the shared baseline needs "
                              "more than one rollout")
-        if self.growth_factor <= 1.0:
-            raise ValueError("growth_factor must exceed 1")
 
 
 @dataclass
@@ -190,13 +179,6 @@ class TrainReport:
     best_val: float = -np.inf
     best_checkpoint: bytes = b""
     final_checkpoint: bytes = b""
-
-    def sigma_50(self):
-        """Std of the validation reward over the last <= 50 epochs."""
-        vals = [r["val_reward"] for r in self.rows if r["epoch"] > 0]
-        if not vals:
-            return float("nan")
-        return float(np.std(vals[-50:]))
 
     def to_csv(self):
         head = ["epoch", "trainLoss", "valReward", "valCompletion",
@@ -251,8 +233,7 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
     t0 = time.time()
     v0, c0 = validate(policy, val)
     if start_epoch == 0 and cfg.epochs > 0:
-        report.rows.append({"epoch": 0, "train_reward": float("nan"),
-                            "val_reward": v0, "val_completion": c0,
+        report.rows.append({"epoch": 0, "val_reward": v0, "val_completion": c0,
                             "train_loss": float("nan"),
                             "grad_norm": float("nan"),
                             "seconds": time.time() - t0})
@@ -262,7 +243,7 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
     inst_seed = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, cfg.n, 23, start_epoch]))
     for epoch in range(start_epoch + 1, start_epoch + cfg.epochs + 1):
-        losses, rewards, norms = [], [], []
+        losses, norms = [], []
         for _ in range(cfg.steps_per_epoch):
             ns = (cfg.sizes[inst_seed.integers(len(cfg.sizes))]
                   if cfg.sizes else None)
@@ -272,12 +253,9 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
                                   cfg.grad_clip)
             if not st.skipped:
                 losses.append(st.loss)
-                rewards.append(st.mean_reward)
                 norms.append(st.grad_norm)
         vr, vc = validate(policy, val)
-        report.rows.append({"epoch": epoch,
-                            "train_reward": float(np.mean(rewards)) if rewards else float("nan"),
-                            "val_reward": vr, "val_completion": vc,
+        report.rows.append({"epoch": epoch, "val_reward": vr, "val_completion": vc,
                             "train_loss": float(np.mean(losses)) if losses else float("nan"),
                             "grad_norm": float(np.mean(norms)) if norms else float("nan"),
                             "seconds": time.time() - t0})

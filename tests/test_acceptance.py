@@ -58,7 +58,7 @@ def _verify_episode(env, state):
                 load -= 1
                 assert r in pick_ss
                 assert ss - pick_ss[r] <= env.max_ride[r] + 1e-9
-            assert 0 <= load <= env.Q
+            assert 0 <= load <= env.inst.fleet.capacity
 
 
 def test_mask_guided_rollouts_never_violate_constraints():
@@ -73,8 +73,8 @@ def test_mask_guided_rollouts_never_violate_constraints():
         state = env.reset()
         while not state.terminal:
             acts = np.flatnonzero(env.mask(state))
-            state = env.step(state, int(rng.choice(acts))).state
-            assert state.load <= env.Q
+            env.step(state, int(rng.choice(acts)))
+            assert state.load <= inst.fleet.capacity
             assert env.rho - 1e-12 <= state.soc <= 1.0 + 1e-12
             states_checked += 1
         _verify_episode(env, state)
@@ -149,7 +149,7 @@ def test_operator_weight_and_tolerance_arithmetic():
     worst = 0.0
     for j0 in (-37.5, 512.0):
         for k in (0, 1, 17, 100):
-            worst = max(worst, abs(rtr_tolerance(j0, k)
+            worst = max(worst, abs(rtr_tolerance(j0, k, AlnsConfig())
                                    - 0.05 * abs(j0) * 0.99 ** k))
     ok = (w.values["a"] == 2.8 and w.values["b"] == 1.0
           and worst <= 1e-12
@@ -329,7 +329,7 @@ def test_decoder_distribution_contract():
             assert all(p[j] == 0.0 for j in range(len(m)) if not m[j])
             checked += 1
             acts = np.flatnonzero(env.mask(state))
-            state = env.step(state, int(rng.choice(acts))).state
+            env.step(state, int(rng.choice(acts)))
         i += 1
     _verdict("distribution contract", worst_sum <= 1e-9,
              f"{checked} states, |sum-1| worst {worst_sum:.1e} <= 1e-9, "

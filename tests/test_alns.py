@@ -58,7 +58,7 @@ def test_rtr_tolerance_closed_form():
     j0 = -30.0
     for k in (0, 1, 17, 100):
         want = 0.05 * abs(j0) * 0.99 ** k
-        assert rtr_tolerance(j0, k) == pytest.approx(want, abs=1e-12)
+        assert rtr_tolerance(j0, k, AlnsConfig()) == pytest.approx(want, abs=1e-12)
     cfg = AlnsConfig(rtr_init_frac=0.2, rtr_decay=0.9)
     assert rtr_tolerance(10.0, 3, cfg) == pytest.approx(0.2 * 10.0 * 0.9 ** 3,
                                                         abs=1e-12)

@@ -16,6 +16,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def exit_code(*argv):
+    """Exit status of `edarp <argv>`, returned by main or raised by argparse."""
+    try:
+        return main(list(argv))
+    except SystemExit as e:
+        return e.code
+
+
 def gen_dir(tmp_path, count=2, n=2, seed=0, name="inst"):
     out = tmp_path / name
     assert run("generate", "--out", str(out), "--n", str(n),
@@ -60,8 +68,37 @@ def test_generate_reproducible_bytes(tmp_path):
 
 
 def test_generate_rejects_bad_n(tmp_path, capsys):
-    assert run("generate", "--out", str(tmp_path / "x"), "--n", "0") == 2
+    assert exit_code("generate", "--out", str(tmp_path / "x"), "--n", "0") == 2
     assert "--n" in capsys.readouterr().err
+
+
+EVAL = ["eval", "--checkpoint", "{inst}", "--instances", "{inst}"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["generate", "--n", "2", "--count", "0"], "--count"),
+    (["generate", "--n", "2", "--chargers", "0"], "--chargers"),
+    (["generate", "--n", "2", "--vehicles", "0"], "--vehicles"),
+    (["generate", "--n", "2", "--capacity", "0"], "--capacity"),
+    (["generate", "--n", "2", "--asymmetry", "-2"], "--asymmetry"),
+    (["generate", "--n", "2", "--seed", "-1"], "--seed"),
+    (["solve", "{inst}", "--solver", "exact", "--limit", "0"], "--limit"),
+    (["solve", "{inst}", "--solver", "exact", "--limit", "1"], "--limit"),
+    (["solve", "{inst}", "--solver", "alns", "--iterations", "-1"], "--iterations"),
+    (["solve", "{inst}", "--solver", "neural", "--multistart", "-3"], "--multistart"),
+    (["solve", "{inst}", "--solver", "greedy", "--jobs", "0"], "--jobs"),
+    (EVAL + ["--stochastic", "-0.5"], "--stochastic"),
+    (EVAL + ["--stochastic", "nan"], "--stochastic"),
+    (EVAL + ["--replicas", "0"], "--replicas"),
+    (EVAL + ["--multistart", "-3"], "--multistart"),
+])
+def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, flag):
+    inst = gen_dir(tmp_path, count=1) / "instance_0000.json"
+    argv = [a.format(inst=inst) for a in argv] + ["--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert exit_code(*argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not any((tmp_path / "out").glob("*"))
 
 
 def test_solve_exact_small_instance(tmp_path):
@@ -104,7 +141,27 @@ def test_solve_neural_requires_checkpoint(tmp_path, capsys):
     assert run("solve", inst, "--solver", "neural") == 2
     assert "checkpoint" in capsys.readouterr().err
     assert run("solve", inst, "--solver", "neural",
-               "--checkpoint", str(tmp_path / "missing.json")) == 2
+               "--checkpoint", str(tmp_path / "missing.json")) == 3
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "checkpoint not found"),
+    ("{not json", "cannot load checkpoint"),
+    ("[1, 2]", "cannot load checkpoint"),
+])
+@pytest.mark.parametrize("command", ["solve", "train", "eval"])
+def test_bad_checkpoint_exits_3(tmp_path, capsys, command, content, message):
+    inst_dir = gen_dir(tmp_path, count=1)
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_text(content)
+    argv = {"solve": ["solve", str(inst_dir / "instance_0000.json"),
+                      "--solver", "neural", "--checkpoint", str(bad)],
+            "train": ["train", "--config", str(write_config(tmp_path, TINY_TRAIN)),
+                      "--resume", str(bad)],
+            "eval": ["eval", "--checkpoint", str(bad), "--instances", str(inst_dir)]}
+    assert run(*argv[command], "--out", str(tmp_path / "out")) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_solve_missing_and_malformed_instance(tmp_path, capsys):
@@ -179,6 +236,9 @@ def test_train_rejects_unknown_key_by_name(tmp_path, capsys):
     assert run("train", "--config", str(cfg), "--out", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert "learning_rate" in err
+    cfg = write_config(tmp_path, dict(TINY_TRAIN, growth_factor=7.5))
+    assert run("train", "--config", str(cfg), "--out", str(tmp_path)) == 2
+    assert "growth_factor" in capsys.readouterr().err
 
 
 def test_train_rejects_k_p_one(tmp_path):

@@ -34,10 +34,10 @@ def slow_mask(env, state, battery_blocks=None):
     if lo == 0 and b - e[v][0] / B >= rho:
         out[0] = True
     for j in range(1, V):
-        kind = inst.kind_of(j)
+        kind = inst.nodes[j].kind
         if (state.visited >> j) & 1:
             continue                                   # rule 1: no revisits
-        if kind == "charger" and (v == 0 or inst.kind_of(v) == "charger"
+        if kind == "charger" and (v == 0 or inst.nodes[v].kind == "charger"
                                   or lo > 0):
             continue                                   # rule 5
         nd = inst.nodes[j]
@@ -132,7 +132,7 @@ def test_fresh_mask_allows_pickups_blocks_chargers(small_instance):
 def test_mask_capacity_rule(small_instance):
     env = Env(small_instance)
     s = env.reset()
-    s.load = env.Q
+    s.load = small_instance.fleet.capacity
     m = env.mask(s)
     assert not any(m[j] for j in range(1, 1 + env.n))
 
@@ -180,9 +180,9 @@ def test_step_charging_delta_hand_value():
     env.step(s, 1)
     env.step(s, 2)
     assert s.soc == 1.0 - 0.25 - 0.25
-    out = env.step(s, 3)
+    env.step(s, 3)
     # 100 kW at SoC 0.30 for 90 s into a 20 kWh pack
-    assert out.charge_delta == 0.125
+    assert s.routes[-1][-1][4] == 0.125          # the stop's charge delta
     assert s.soc == 0.5 - 0.2 + 0.125
     assert s.charge_visits == 1
 
@@ -194,9 +194,9 @@ def test_step_charge_clamped_at_full():
     s = env.reset()
     env.step(s, 1)
     env.step(s, 2)
-    out = env.step(s, 3)
+    env.step(s, 3)
     assert s.soc == 1.0
-    assert out.charge_delta == pytest.approx(1.0 - 0.3, abs=1e-12)
+    assert s.routes[-1][-1][4] == pytest.approx(1.0 - 0.3, abs=1e-12)
 
 
 def test_step_wait_before_window(small_instance):
@@ -205,21 +205,25 @@ def test_step_wait_before_window(small_instance):
     m = env.mask(s)
     j = next(j for j in range(1, 1 + env.n) if m[j])
     arrival = s.clock + env.t[0][j]
-    out = env.step(s, j)
+    wait_before = s.wait_sec
+    env.step(s, j)
+    wait = s.wait_sec - wait_before
     if arrival < env.a[j]:
-        assert out.wait == pytest.approx(env.a[j] - arrival)
+        assert wait == pytest.approx(env.a[j] - arrival)
         assert s.routes[-1][-1][2] == env.a[j]
     else:
-        assert out.wait == 0.0
+        assert wait == 0.0
 
 
 def test_terminal_on_depot_when_done():
     inst = fixture_charging_instance()
     env = Env(inst)
     s = env.reset()
-    for a in (1, 2, 3, 0):
-        out = env.step(s, a)
-    assert out.terminal and s.terminal
+    for a in (1, 2, 3):
+        env.step(s, a)
+        assert not s.terminal
+    env.step(s, 0)
+    assert s.terminal
     with pytest.raises(RuntimeError):
         env.step(s, 0)
 
@@ -228,11 +232,11 @@ def test_vehicle_reset_and_fleet_exhaustion(tiny_instance):
     env = Env(tiny_instance)
     assert env.K == 2
     s = env.reset()
-    out = env.step(s, 0)          # give up immediately; requests remain
-    assert out.vehicle_reset and not out.terminal
+    env.step(s, 0)                # give up immediately; requests remain
+    assert not s.terminal
     assert s.vehicles_used == 2 and s.soc == 1.0 and s.clock == 0.0
-    out = env.step(s, 0)          # second depot visit exhausts the fleet
-    assert out.terminal
+    env.step(s, 0)                # second depot visit exhausts the fleet
+    assert s.terminal and s.vehicles_used == 2
 
 
 def test_off_mask_step_raises(small_instance):
@@ -326,16 +330,20 @@ def test_rollout_invariants_small_fuzz():
         env = Env(inst)
         s = env.reset()
         rho = inst.fleet.soc_reserve
+        all_requests = (1 << inst.n) - 1
         clock_prev = 0.0
         while not s.terminal:
             m = env.mask(s)
             j = int(rng.choice([k for k, ok in enumerate(m) if ok]))
-            out = env.step(s, j)
-            assert 0 <= s.load <= env.Q
+            used = s.vehicles_used
+            env.step(s, j)
+            assert 0 <= s.load <= inst.fleet.capacity
             assert s.soc >= rho - 1e-12
             assert s.soc <= 1.0 + 1e-12
-            assert s.served_delivery & ~s.served_pickup == 0
-            if out.vehicle_reset:
+            picked = (s.visited >> 1) & all_requests
+            delivered = (s.visited >> (1 + inst.n)) & all_requests
+            assert delivered & ~picked == 0
+            if s.vehicles_used > used:
                 clock_prev = 0.0
                 assert s.soc == 1.0
             else:

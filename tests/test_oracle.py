@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
                    Node, Request, enumerate_rewards, exact_solve,
@@ -32,7 +31,8 @@ def test_oracle_solution_survives_replay():
         inst = generate_instance(2, charger_count=1, seed=seed)
         sol, _ = exact_solve(inst)
         fresh = replay(inst, sol.vehicle_routes())
-        assert fresh.reward == pytest.approx(sol.reward, abs=1e-9)
+        assert fresh.reward == sol.reward
+        assert fresh.routes == sol.routes
         assert fresh.n_served == sol.n_served
 
 

@@ -48,7 +48,7 @@ def test_single_feasible_action_gets_probability_one():
     env = Env(inst)
     enc = policy.encode(None, normalize_features(inst))
     s = env.reset()
-    s.load = env.Q                  # blocks everything; fallback leaves one
+    s.load = inst.fleet.capacity    # blocks everything; fallback leaves one
     m = env.mask(s)
     assert sum(m) == 1
     load, soc, tfrac = state_scalars(env, s)
@@ -99,8 +99,7 @@ def test_encoder_permutation_equivariance():
     v = feats.node.shape[0]
     rng = np.random.default_rng(0)
     perm = rng.permutation(v)
-    pfeats = FeatureTensors(feats.node[perm],
-                            feats.edge[perm][:, perm], feats.scales)
+    pfeats = FeatureTensors(feats.node[perm], feats.edge[perm][:, perm])
     z = policy.encode(None, feats).Z.data
     zp = policy.encode(None, pfeats).Z.data
     assert np.max(np.abs(zp - z[perm])) <= 1e-9
@@ -111,8 +110,7 @@ def test_encoder_sensitive_to_edge_direction():
     inst = generate_instance(3, charger_count=1, seed=14, asymmetry=0.4)
     feats = normalize_features(inst)
     flipped = FeatureTensors(feats.node,
-                             np.ascontiguousarray(feats.edge.transpose(1, 0, 2)),
-                             feats.scales)
+                             np.ascontiguousarray(feats.edge.transpose(1, 0, 2)))
     z = policy.encode(None, feats).Z.data
     zf = policy.encode(None, flipped).Z.data
     assert np.max(np.abs(zf - z)) > 1e-6
@@ -123,7 +121,7 @@ def test_single_node_graph():
     node = np.zeros((1, 10))
     node[0, 0] = 1.0                # depot one-hot
     edge = np.zeros((1, 1, 3))
-    enc = policy.encode(None, FeatureTensors(node, edge, {}))
+    enc = policy.encode(None, FeatureTensors(node, edge))
     p = policy.decode_step(None, enc, 0, 0.0, 1.0, 0.0, [True]).data
     assert p.shape == (1,)
     assert p[0] == 1.0
@@ -158,6 +156,10 @@ def test_checkpoint_rejects_bad_schema_and_shapes():
     renamed["params"]["no_such_param"] = renamed["params"].pop("embed_w")
     with pytest.raises(ValueError, match="no_such_param"):
         load_policy(json.dumps(renamed))
+    dropped = json.loads(save_policy(policy))
+    del dropped["params"]["embed_w"]
+    with pytest.raises(ValueError, match="embed_w"):
+        load_policy(json.dumps(dropped))
 
 
 def test_greedy_rollout_deterministic(small_instance):
@@ -214,7 +216,7 @@ def test_state_scalars_ranges(small_instance):
     s = env.reset()
     load, soc, tfrac = state_scalars(env, s)
     assert (load, soc, tfrac) == (0.0, 1.0, 0.0)
-    s.load = env.Q
+    s.load = small_instance.fleet.capacity
     s.clock = small_instance.horizon * 2
     load, _, tfrac = state_scalars(env, s)
     assert load == 1.0 and tfrac == 1.0

@@ -187,8 +187,6 @@ def test_reinforce_update_skips_on_poisoned_params():
 def test_train_config_validation():
     with pytest.raises(ValueError, match="k_p"):
         tiny_cfg(k_p=1)
-    with pytest.raises(ValueError, match="growth_factor"):
-        tiny_cfg(growth_factor=1.0)
 
 
 def test_zero_epochs_returns_initial_params_and_empty_rows():
@@ -247,18 +245,16 @@ def test_resume_continues_epoch_numbering():
     assert opt3["epoch"] == 3
 
 
-def test_report_sigma50_and_csv_header():
+def test_report_csv_header():
     rep = TrainReport()
-    assert np.isnan(rep.sigma_50())
     vals = [3.0, 1.0, 4.0, 1.0, 5.0]
-    rep.rows.append({"epoch": 0, "train_reward": np.nan, "val_reward": 99.0,
+    rep.rows.append({"epoch": 0, "val_reward": 99.0,
                      "val_completion": 0.0, "train_loss": np.nan,
                      "grad_norm": np.nan, "seconds": 0.0})
     for i, v in enumerate(vals, start=1):
-        rep.rows.append({"epoch": i, "train_reward": 0.0, "val_reward": v,
+        rep.rows.append({"epoch": i, "val_reward": v,
                          "val_completion": 50.0, "train_loss": -0.1,
                          "grad_norm": 1.0, "seconds": float(i)})
-    assert rep.sigma_50() == pytest.approx(float(np.std(vals)), abs=1e-12)
     csv_text = rep.to_csv()
     assert csv_text.splitlines()[0] == \
         "epoch,trainLoss,valReward,valCompletion,gradNorm,seconds"
