@@ -9,7 +9,7 @@ on something bigger.
 
 import numpy as np
 
-from edarp import (AlnsConfig, alns_solve, enumerate_rewards, exact_solve,
+from edarp import (alns_solve, enumerate_rewards, exact_solve,
                    generate_instance, greedy_solve)
 
 # On one or two requests the full trajectory tree is small enough to
@@ -29,7 +29,7 @@ g = greedy_solve(inst)
 print(f"greedy:  reward {g.reward:8.3f}  served {g.n_served}/{inst.n}")
 
 for iters in (0, 500, 5000):
-    a, stats = alns_solve(inst, AlnsConfig(iterations=iters, seed=1),
+    a, stats = alns_solve(inst, iterations=iters, seed=1,
                           return_stats=True)
     print(f"alns {iters:>5} iters: reward {a.reward:8.3f}  "
           f"served {a.n_served}/{inst.n}")

@@ -15,7 +15,7 @@ from .environment import (Env, EpisodeState, MaskViolation, NoiseConfig,
 from .oracle import enumerate_rewards, exact_solve
 from .greedy import greedy_solve
 from .routes import RouteCtx, plan_from_solution, prune_chargers, remove_requests
-from .alns import AlnsConfig, AlnsStats, OperatorWeights, alns_solve, shaw_relatedness
+from .alns import AlnsStats, OperatorWeights, alns_solve, shaw_relatedness
 from .autodiff import Tape, Tensor
 from .policy import (Policy, PolicyConfig, greedy_rollout, load_policy,
                      multistart_rollout, rollout_episode, save_policy)
@@ -26,7 +26,7 @@ from .training import (Adam, CURRICULUM_SIZES, StageResult, TrainConfig,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "AlnsConfig", "AlnsStats", "CURRICULUM_SIZES", "CostWeights",
+    "Adam", "AlnsStats", "CURRICULUM_SIZES", "CostWeights",
     "EdgeMatrices", "Env", "EpisodeState", "FeatureTensors", "FleetParams",
     "Instance", "InstanceFormatError", "MaskViolation", "Node", "NoiseConfig",
     "OperatorWeights", "Policy", "PolicyConfig", "ReplayError", "Request",

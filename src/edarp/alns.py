@@ -7,9 +7,11 @@ is record-to-record: a candidate passes while it stays within a
 shrinking tolerance band above the best cost seen so far. The cost
 being minimized is the negated episode reward, so unserved requests
 pay their forfeited completion bonus.
+
+The search runs one tuned parameter set, the module constants below;
+only the iteration count and the seed are arguments of alns_solve.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,25 +21,19 @@ from .greedy import greedy_solve
 from .routes import (RouteCtx, _clean_chargers, plan_from_solution,
                      prune_chargers, remove_requests, served_requests)
 
-
-@dataclass
-class AlnsConfig:
-    iterations: int = 5000
-    seed: int = 0
-    segment_length: int = 100
-    removal_low: float = 0.1
-    removal_high: float = 0.3
-    sigma1: float = 10.0
-    sigma2: float = 5.0
-    sigma3: float = 1.0
-    weight_decay: float = 0.2
-    w_min: float = 0.1
-    rtr_init_frac: float = 0.05
-    rtr_decay: float = 0.99
-    shaw_alpha: float = 0.5
-    shaw_beta: float = 0.5
-    shaw_rank_pow: float = 6.0
-    telemetry_path: str | None = None
+SEGMENT_LENGTH = 100        # iterations between operator weight updates
+REMOVAL_LOW = 0.1           # destroyed share of n, drawn from [LOW, HIGH)
+REMOVAL_HIGH = 0.3
+SIGMA1 = 10.0               # segment score: new best
+SIGMA2 = 5.0                # accepted and better than the current plan
+SIGMA3 = 1.0                # accepted otherwise
+WEIGHT_DECAY = 0.2          # share of the segment score in a new weight
+W_MIN = 0.1                 # floor of an operator weight
+RTR_INIT_FRAC = 0.05        # first acceptance band, share of the greedy cost
+RTR_DECAY = 0.99            # band shrink per iteration
+SHAW_ALPHA = 0.5            # relatedness weight of travel times
+SHAW_BETA = 0.5             # relatedness weight of window opens
+SHAW_RANK_POW = 6.0         # bias of Shaw removal towards the most related
 
 
 class OperatorWeights:
@@ -63,20 +59,20 @@ class OperatorWeights:
         self.scores[name] += score
         self.uses[name] += 1
 
-    def update(self, cfg):
+    def update(self):
         for n in self.names:
             u = self.uses[n]
             if u > 0:
-                blended = ((1.0 - cfg.weight_decay) * self.values[n]
-                           + cfg.weight_decay * self.scores[n] / u)
-                self.values[n] = max(cfg.w_min, blended)
+                blended = ((1.0 - WEIGHT_DECAY) * self.values[n]
+                           + WEIGHT_DECAY * self.scores[n] / u)
+                self.values[n] = max(W_MIN, blended)
             self.scores[n] = 0.0
             self.uses[n] = 0
 
 
-def rtr_tolerance(initial_cost, iteration, cfg):
+def rtr_tolerance(initial_cost, iteration):
     """Acceptance band after the given number of completed iterations."""
-    return cfg.rtr_init_frac * abs(initial_cost) * cfg.rtr_decay ** iteration
+    return RTR_INIT_FRAC * abs(initial_cost) * RTR_DECAY ** iteration
 
 
 def rtr_accept(candidate_cost, best_cost, tolerance):
@@ -90,13 +86,13 @@ def random_removal(rng, served, q):
     return sorted(served[i] for i in idx)
 
 
-def shaw_removal(rng, served, q, rel, rank_pow):
+def shaw_removal(rng, served, q, rel):
     pool = list(served)
     seed = pool.pop(int(rng.integers(len(pool))))
     removed = [seed]
     while pool and len(removed) < q:
         scored = sorted(pool, key=lambda r: min(rel[r][s] for s in removed))
-        k = int(rng.random() ** rank_pow * len(scored))
+        k = int(rng.random() ** SHAW_RANK_POW * len(scored))
         pick = scored[min(k, len(scored) - 1)]
         pool.remove(pick)
         removed.append(pick)
@@ -134,7 +130,7 @@ def worst_removal(plan, ctx, q):
     return sorted(removed)
 
 
-def shaw_relatedness(inst, alpha, beta):
+def shaw_relatedness(inst):
     n = inst.n
     t = inst.edges.time
     tmax = float(t.max())
@@ -145,8 +141,8 @@ def shaw_relatedness(inst, alpha, beta):
         for s in range(n):
             pr, dr = 1 + r, 1 + n + r
             ps, ds = 1 + s, 1 + n + s
-            rel[r][s] = (alpha * (t[pr][ps] + t[dr][ds]) / tmax
-                         + beta * (abs(a[pr] - a[ps]) + abs(a[dr] - a[ds])) / horizon)
+            rel[r][s] = (SHAW_ALPHA * (t[pr][ps] + t[dr][ds]) / tmax
+                         + SHAW_BETA * (abs(a[pr] - a[ps]) + abs(a[dr] - a[ds])) / horizon)
     return rel.tolist()
 
 
@@ -239,43 +235,42 @@ class AlnsStats:
             self.history = []
 
 
-def alns_solve(inst, config=None, return_stats=False):
+def alns_solve(inst, iterations=5000, seed=0, return_stats=False):
     """Improve the greedy plan by adaptive destroy/repair.
 
     With zero iterations this returns the greedy solution unchanged.
-    The best-cost trajectory is non-increasing by construction.
+    The best-cost trajectory is non-increasing by construction; with
+    return_stats the AlnsStats come back too, whose history holds one
+    row per priced iteration.
     """
-    cfg = config or AlnsConfig()
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     env = Env(inst)
     ctx = RouteCtx(env)
     n = inst.n
 
-    init = greedy_solve(inst)
-    plan = plan_from_solution(init, inst.fleet.vehicles)
-    cur_sol = replay(env, plan)
-    cur_j = init_j = -cur_sol.reward
-    best_plan, best_sol, best_j = [list(r) for r in plan], cur_sol, cur_j
+    best_sol = greedy_solve(inst)
+    plan = plan_from_solution(best_sol, inst.fleet.vehicles)
+    cur_j = best_j = init_j = -best_sol.reward
 
     dweights = OperatorWeights(["random_removal", "shaw_removal", "worst_removal"])
     rweights = OperatorWeights(["random_insert", "regret_2", "regret_3"])
-    rel = shaw_relatedness(inst, cfg.shaw_alpha, cfg.shaw_beta) if n else None
+    rel = shaw_relatedness(inst) if n else None
     stats = AlnsStats()
 
-    for it in range(cfg.iterations):
-        tol = rtr_tolerance(init_j, it, cfg)
+    for it in range(iterations):
+        tol = rtr_tolerance(init_j, it)
         d_op = dweights.pick(rng)
         r_op = rweights.pick(rng)
 
         cand_plan = [list(r) for r in plan]
         served = served_requests(cand_plan, n)
         if served:
-            frac = rng.uniform(cfg.removal_low, cfg.removal_high)
+            frac = rng.uniform(REMOVAL_LOW, REMOVAL_HIGH)
             q = max(1, min(len(served), round(frac * n)))
             if d_op == "random_removal":
                 ids = random_removal(rng, served, q)
             elif d_op == "shaw_removal":
-                ids = shaw_removal(rng, served, q, rel, cfg.shaw_rank_pow)
+                ids = shaw_removal(rng, served, q, rel)
             else:
                 ids = worst_removal(cand_plan, ctx, q)
             cand_plan, _ = remove_requests(cand_plan, ctx, ids)
@@ -304,33 +299,25 @@ def alns_solve(inst, config=None, return_stats=False):
 
         score = 0.0
         if cand_j < best_j:
-            score = cfg.sigma1
+            score = SIGMA1
         accepted = rtr_accept(cand_j, best_j, tol)
         if accepted and score == 0.0:
-            score = cfg.sigma2 if cand_j < cur_j else cfg.sigma3
+            score = SIGMA2 if cand_j < cur_j else SIGMA3
         dweights.credit(d_op, score)
         rweights.credit(r_op, score)
 
         if cand_j < best_j:
-            best_plan = [list(r) for r in cand_plan]
             best_sol, best_j = cand_sol, cand_j
             stats.new_best += 1
         if accepted:
-            plan, cur_sol, cur_j = cand_plan, cand_sol, cand_j
+            plan, cur_j = cand_plan, cand_j
             stats.accepted += 1
 
         stats.history.append((it, best_j, cur_j, tol, d_op, r_op))
         stats.iterations = it + 1
-        if (it + 1) % cfg.segment_length == 0:
-            dweights.update(cfg)
-            rweights.update(cfg)
-
-    if cfg.telemetry_path:
-        with open(cfg.telemetry_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["iteration", "best_cost", "current_cost", "tolerance",
-                         "destroy_op", "repair_op"])
-            wr.writerows(stats.history)
+        if (it + 1) % SEGMENT_LENGTH == 0:
+            dweights.update()
+            rweights.update()
 
     if return_stats:
         return best_sol, stats

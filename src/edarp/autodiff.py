@@ -8,6 +8,8 @@ slots, so one tape can back-propagate a whole batch at once.
 
 import numpy as np
 
+LN_EPS = 1e-6               # variance floor of layer_norm
+
 
 class Tensor:
     __slots__ = ("data", "grad")
@@ -140,29 +142,29 @@ def log(tape, a):
     return out
 
 
-def tsum(tape, a, axis=None, keepdims=False):
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+def tsum(tape, a, axis=None):
+    out = Tensor(a.data.sum(axis=axis))
     if tape is not None:
         def back():
             if out.grad is None:
                 return
             g = out.grad
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g, a.data.shape).copy())
         tape.record(back)
     return out
 
 
-def tmean(tape, a, axis=None, keepdims=False):
+def tmean(tape, a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.mean(axis=axis))
     if tape is not None:
         def back():
             if out.grad is None:
                 return
             g = out.grad
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
         tape.record(back)
@@ -237,13 +239,13 @@ def narrow(tape, a, axis, start, length):
     return out
 
 
-def layer_norm(tape, x, gain, bias, eps=1e-6):
+def layer_norm(tape, x, gain, bias):
     """Normalize the last axis, then apply a learned affine map."""
     n = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
     if tape is not None:

@@ -7,10 +7,13 @@ hashes, output paths, and wall time. All randomness derives from the
 single --seed through labeled seed sequences, so reruns reproduce
 artifacts byte for byte. --jobs parallelizes across instances only.
 
-Exit codes: 0 success; 2 usage, including a numeric flag out of its range
-and an exact search whose --limit runs out before any complete
-trajectory; 3 data error, including a missing, unreadable or malformed
-instance, config or checkpoint file; 4 numerical failure.
+Exit codes: 0 success; 2 usage, including a numeric flag out of its
+range, a solve flag that another solver reads (SOLVER_FLAGS), a train
+config value of the wrong type or range, train --resume with a
+curriculum, an --asymmetry at which no instance can be built, and an
+exact search whose --limit runs out before any complete trajectory; 3
+data error, including a missing, unreadable or malformed instance,
+config or checkpoint file; 4 numerical failure.
 """
 
 import argparse
@@ -20,17 +23,19 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .alns import AlnsConfig, alns_solve
+from .alns import alns_solve
 from .environment import NoiseConfig, save_solution
 from .greedy import greedy_solve
 from .instance import FleetParams, InstanceFormatError, generate_instance, load, save, validate
 from .oracle import SearchLimitError, exact_solve
-from .policy import PolicyConfig, load_policy, multistart_rollout
+from .policy import (PolicyConfig, load_policy, multistart_rollout, require,
+                     save_policy)
 from .training import CURRICULUM_SIZES, TrainConfig, curriculum_train, train
 
 SCHEMA_MANIFEST = "edarp-manifest/1"
@@ -126,6 +131,13 @@ def _metrics_row(path, solver, seed, sol, wall):
             f"{m['late_s']:.6f}", f"{wall:.6f}"]
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        wr = csv.writer(fh)
+        wr.writerow(header)
+        wr.writerows(rows)
+
+
 def _append_metrics(path, rows):
     path = Path(path)
     fresh = not path.exists()
@@ -139,19 +151,26 @@ def _append_metrics(path, rows):
 # -- generate -------------------------------------------------------------------
 
 def cmd_generate(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     fleet = FleetParams(vehicles=args.vehicles, capacity=args.capacity)
-    written = []
-    for i in range(args.count):
-        inst = generate_instance(args.n, charger_count=args.chargers,
-                                 fleet=fleet,
+
+    def build(i):
+        return generate_instance(args.n, charger_count=args.chargers, fleet=fleet,
                                  seed=_stream_seed(args.seed, 1, i),
                                  asymmetry=args.asymmetry)
-        path = out / f"instance_{i:04d}.json"
-        path.write_bytes(save(inst))
-        written.append(path)
+
+    # every instance builds before any is written; building twice costs
+    # little next to serializing, and holds one instance at a time
+    try:
+        for i in range(args.count):
+            build(i)
+    except ValueError as e:
+        raise UsageError(f"--asymmetry {args.asymmetry}: {e}") from e
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    written = [out / f"instance_{i:04d}.json" for i in range(args.count)]
+    for i, path in enumerate(written):
+        path.write_bytes(save(build(i)))
     _write_manifest(out, "generate", _config_echo(args), args.seed, [], written,
                     time.time() - t0)
     print(f"wrote {len(written)} instances to {out}")
@@ -161,9 +180,11 @@ def cmd_generate(args):
 # -- solve ----------------------------------------------------------------------
 
 def _solve_one(task):
+    """(path, solution, wall seconds, ALNS history rows or None)."""
     path, solver, seed, opts = task
     inst = _load_instance(path)
     t0 = time.time()
+    history = None
     if solver == "greedy":
         sol = greedy_solve(inst)
     elif solver == "exact":
@@ -175,19 +196,34 @@ def _solve_one(task):
             print(f"warning: search limit hit on {path}; best found returned",
                   file=sys.stderr)
     elif solver == "alns":
-        cfg = AlnsConfig(iterations=opts["iterations"], seed=seed,
-                         telemetry_path=opts.get("telemetry"))
-        sol = alns_solve(inst, cfg)
+        sol, stats = alns_solve(inst, opts["iterations"], seed,
+                                return_stats=True)
+        if opts["telemetry"]:
+            history = stats.history
     else:
         policy, _ = load_policy(opts["checkpoint"])
         sol = multistart_rollout(policy, inst, k_p=opts["multistart"])
     wall = time.time() - t0
     if not np.isfinite(sol.reward) or not np.isfinite(sol.objective):
         raise NumericalError(f"non-finite objective for {path}")
-    return path, sol, wall
+    return path, sol, wall, history
+
+
+# flag -> (the one solver that reads it, its value when not given)
+SOLVER_FLAGS = {"iterations": ("alns", 5000), "telemetry": ("alns", False),
+                "limit": ("exact", 10_000_000),
+                "checkpoint": ("neural", None), "multistart": ("neural", 8)}
 
 
 def cmd_solve(args):
+    stray = []
+    for flag, (owner, default) in SOLVER_FLAGS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif owner != args.solver:
+            stray.append(f"--{flag} applies only to --solver {owner}")
+    if stray:
+        raise UsageError("; ".join(stray))
     ckpt_bytes = None
     if args.solver == "neural":
         if not args.checkpoint:
@@ -196,15 +232,10 @@ def cmd_solve(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
-    opts = {"iterations": args.iterations, "limit": args.limit,
-            "checkpoint": ckpt_bytes, "multistart": args.multistart}
-    tasks = []
-    for i, path in enumerate(args.instances):
-        seed = _stream_seed(args.seed, 2, i)
-        topts = dict(opts)
-        if args.telemetry:
-            topts["telemetry"] = str(out / f"telemetry_{Path(path).stem}.csv")
-        tasks.append((path, args.solver, seed, topts))
+    opts = {flag: getattr(args, flag) for flag in SOLVER_FLAGS}
+    opts["checkpoint"] = ckpt_bytes
+    tasks = [(path, args.solver, _stream_seed(args.seed, 2, i), opts)
+             for i, path in enumerate(args.instances)]
 
     if args.jobs > 1 and len(tasks) > 1:
         import multiprocessing as mp
@@ -215,10 +246,15 @@ def cmd_solve(args):
 
     rows = []
     outputs = []
-    for (path, sol, wall), task in zip(results, tasks):
+    for (path, sol, wall, history), task in zip(results, tasks):
         sol_path = out / f"solution_{Path(path).stem}_{args.solver}.json"
         sol_path.write_bytes(save_solution(sol))
         outputs.append(sol_path)
+        if history is not None:
+            tele_path = out / f"telemetry_{Path(path).stem}.csv"
+            _write_csv(tele_path, ["iteration", "best_cost", "current_cost",
+                                   "tolerance", "destroy_op", "repair_op"], history)
+            outputs.append(tele_path)
         rows.append(_metrics_row(path, args.solver, task[2], sol, wall))
     metrics_path = out / args.metrics
     _append_metrics(metrics_path, rows)
@@ -232,27 +268,42 @@ def cmd_solve(args):
 
 # -- train ----------------------------------------------------------------------
 
-TRAIN_BASE_KEYS = ("epochs", "steps_per_epoch", "batch", "k_p", "lr",
-                   "beta1", "beta2", "eps_num", "grad_clip", "seed",
-                   "val_size", "charger_count", "vehicles", "capacity",
-                   "sizes")
-TRAIN_KEYS = set(TRAIN_BASE_KEYS) | {"n", "curriculum", "epochs_per_stage",
-                                     "d_h", "heads", "layers", "ffn_mult",
-                                     "lambda", "kappa"}
+# config key -> PolicyConfig argument; every TrainConfig field is a key too
+POLICY_KEYS = {"d_h": "d_h", "heads": "heads", "layers": "layers",
+               "ffn_mult": "ffn_mult", "lambda": "lam", "kappa": "kappa",
+               "seed": "seed"}
+TRAIN_KEYS = ({f.name for f in fields(TrainConfig)} | set(POLICY_KEYS)
+              | {"curriculum", "epochs_per_stage"})
 
 
 def _train_configs(doc):
+    """(PolicyConfig, TrainConfigs) of a config document: one TrainConfig
+    per curriculum stage, or a single one. A bad key or value is a
+    UsageError naming the key."""
     unknown = sorted(set(doc) - TRAIN_KEYS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-    pol = PolicyConfig(d_h=doc.get("d_h", 64), heads=doc.get("heads", 4),
-                       layers=doc.get("layers", 4),
-                       ffn_mult=doc.get("ffn_mult", 4),
-                       lam=doc.get("lambda", 1.0),
-                       kappa=doc.get("kappa", 10.0),
-                       seed=doc.get("seed", 0))
-    base = {k: doc[k] for k in TRAIN_BASE_KEYS if k in doc}
-    return pol, base
+    base = {f.name: doc[f.name] for f in fields(TrainConfig) if f.name in doc}
+    try:
+        pol = PolicyConfig(**{arg: doc[key] for key, arg in POLICY_KEYS.items()
+                              if key in doc})
+        if "curriculum" not in doc:
+            return pol, [TrainConfig(**base)]
+        base.pop("n", None)             # each stage sets its own size
+        sizes = doc["curriculum"]
+        if sizes is True:
+            sizes = CURRICULUM_SIZES
+        if not isinstance(sizes, list) or not sizes:
+            raise ValueError("curriculum must be true or a non-empty list "
+                             f"of sizes, got {sizes!r}")
+        for size in sizes:
+            require("curriculum entry", size, 1, integer=True)
+        if "epochs_per_stage" in doc:
+            require("epochs_per_stage", doc["epochs_per_stage"], 1, integer=True)
+            base["epochs"] = doc["epochs_per_stage"]
+        return pol, [TrainConfig(n=size, **base) for size in sizes]
+    except ValueError as e:
+        raise UsageError(f"config: {e}") from e
 
 
 def cmd_train(args):
@@ -263,9 +314,10 @@ def cmd_train(args):
         doc = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as e:
         raise DataError(f"malformed config JSON: {e}") from e
-    pol_cfg, base = _train_configs(doc)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if not isinstance(doc, dict):
+        raise DataError("config must be a JSON object")
+    pol_cfg, train_cfgs = _train_configs(doc)
+    curriculum = "curriculum" in doc
     t0 = time.time()
     inputs = [cfg_path]
 
@@ -273,6 +325,9 @@ def cmd_train(args):
     opt_state = None
     start_epoch = 0
     if args.resume:
+        if curriculum:
+            raise UsageError("--resume applies only to a config without "
+                             "curriculum: stages restart their optimizer")
         _, policy, opt_state = _read_checkpoint(args.resume)
         hc = policy.config
         for name, want in (("d_h", pol_cfg.d_h), ("heads", pol_cfg.heads),
@@ -285,39 +340,23 @@ def cmd_train(args):
             start_epoch = int(opt_state["epoch"])
         inputs.append(Path(args.resume))
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     outputs = []
-    if "curriculum" in doc:
-        sizes = doc["curriculum"]
-        if sizes is True:
-            sizes = CURRICULUM_SIZES
-        stage_base = dict(base)
-        if doc.get("epochs_per_stage"):
-            stage_base["epochs"] = doc["epochs_per_stage"]
-        try:
-            stage_cfgs = [TrainConfig(n=s, **stage_base) for s in sizes]
-        except (TypeError, ValueError) as e:
-            raise UsageError(str(e)) from e
-        policy, results = curriculum_train(stage_cfgs, policy=policy,
-                                           policy_config=pol_cfg)
+    if curriculum:
+        policy, results = curriculum_train(train_cfgs, policy_config=pol_cfg)
         rep_path = out / "curriculum_report.csv"
-        with open(rep_path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["size", "zero_shot", "best_val", "passed"])
-            for r in results:
-                wr.writerow([r.size, f"{r.zero_shot:.6f}",
-                             f"{r.best_val:.6f}", r.passed])
+        _write_csv(rep_path, ["size", "zero_shot", "best_val", "passed"],
+                   ([r.size, f"{r.zero_shot:.6f}", f"{r.best_val:.6f}", r.passed]
+                    for r in results))
         outputs.append(rep_path)
         ck_path = out / "checkpoint_final.json"
-        from .policy import save_policy
         ck_path.write_bytes(save_policy(policy))
         outputs.append(ck_path)
     else:
-        try:
-            tcfg = TrainConfig(n=doc.get("n", 8), **base)
-        except (TypeError, ValueError) as e:
-            raise UsageError(str(e)) from e
-        policy, report = train(tcfg, policy=policy, policy_config=pol_cfg,
-                               opt_state=opt_state, start_epoch=start_epoch)
+        policy, report = train(train_cfgs[0], policy=policy,
+                               policy_config=pol_cfg, opt_state=opt_state,
+                               start_epoch=start_epoch)
         best_path = out / "checkpoint_best.json"
         best_path.write_bytes(report.best_checkpoint)
         final_path = out / "checkpoint_final.json"
@@ -383,13 +422,10 @@ def cmd_eval(args):
     _append_metrics(metrics_path, rows)
     agg = np.array(per_instance)
     summary_path = out / "eval_summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["metric", "mean", "std"])
-        for i, name in enumerate(["reward", "objective", "completion_pct",
-                                  "travel_s"]):
-            wr.writerow([name, f"{agg[:, i].mean():.6f}",
-                         f"{agg[:, i].std():.6f}"])
+    _write_csv(summary_path, ["metric", "mean", "std"],
+               ([name, f"{agg[:, i].mean():.6f}", f"{agg[:, i].std():.6f}"]
+                for i, name in enumerate(["reward", "objective",
+                                          "completion_pct", "travel_s"])))
     _write_manifest(out, "eval", _config_echo(args),
                     args.seed, [Path(args.checkpoint), *paths],
                     [metrics_path, summary_path],
@@ -469,11 +505,13 @@ def build_parser():
     s.add_argument("instances", nargs="+")
     s.add_argument("--solver", required=True,
                    choices=["greedy", "alns", "neural", "exact"])
+    # solver-specific flags default to None so cmd_solve can tell a given
+    # flag from an absent one; SOLVER_FLAGS holds their real defaults
     s.add_argument("--checkpoint")
-    s.add_argument("--iterations", type=_at_least(int, 0), default=5000)
-    s.add_argument("--limit", type=_at_least(int, 1), default=10_000_000)
-    s.add_argument("--multistart", type=_at_least(int, 0), default=8)
-    s.add_argument("--telemetry", action="store_true")
+    s.add_argument("--iterations", type=_at_least(int, 0))
+    s.add_argument("--limit", type=_at_least(int, 1))
+    s.add_argument("--multistart", type=_at_least(int, 0))
+    s.add_argument("--telemetry", action="store_true", default=None)
     s.add_argument("--metrics", default="metrics.csv")
     s.add_argument("--out", default=".")
     s.add_argument("--seed", type=_at_least(int, 0), default=0)

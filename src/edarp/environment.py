@@ -392,8 +392,6 @@ def replay(env, vehicle_routes):
     visits until the episode terminates, so partial plans score cleanly.
     Raises ReplayError when any action is off-mask.
     """
-    if not isinstance(env, Env):
-        env = Env(env)
     if len(vehicle_routes) > env.K:
         raise ReplayError(0, 0, f"{len(vehicle_routes)} routes for {env.K} vehicles")
     routes = list(vehicle_routes)
@@ -424,8 +422,7 @@ def score_solution(sol, inst):
     The replay recomputes every timestamp and cost from scratch, so a
     tampered or stale solution is rejected with the offending step.
     """
-    env = inst if isinstance(inst, Env) else Env(inst)
-    fresh = replay(env, sol.vehicle_routes())
+    fresh = replay(Env(inst), sol.vehicle_routes())
     return fresh.objective, fresh.reward, fresh.metrics
 
 

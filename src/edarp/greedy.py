@@ -12,7 +12,7 @@ from .environment import Env
 
 
 def greedy_solve(inst):
-    env = inst if isinstance(inst, Env) else Env(inst)
+    env = Env(inst)
     state = env.reset()
     while not state.terminal:
         m = env.mask(state)

@@ -7,6 +7,8 @@ homogeneous fleet, and the cost weights used to score solutions.
 Node order is fixed: [depot, pickups 1..n, deliveries n+1..2n, chargers].
 Request i is picked up at node 1+i and delivered at node 1+n+i.
 Units are seconds, meters, and kWh throughout.
+The generator's geometry and timing are module constants; its fleet and
+cost weights are arguments.
 """
 
 import json
@@ -130,36 +132,42 @@ class Instance:
                 f"K={self.fleet.vehicles}, seed={self.seed})")
 
 
+# Generator geometry and timing: meters, seconds and kWh per km.
+AREA_M = 10_000.0
+SPEED_MPS = 10.0
+HORIZON = 14_400.0
+WINDOW_WIDTH = 900.0
+SERVICE_TIME = 60.0
+CHARGER_SERVICE_TIME = 900.0
+ENERGY_PER_KM = 0.15
+RIDE_TIME_FACTOR = 3.0      # max ride as a multiple of the direct travel time
+DELIVERY_SLACK = 600.0
+DEMAND_EVERY = 900.0        # seconds of window-open range per request
+
+
 def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
-                      weights=None, area_m=10_000.0, speed_mps=10.0,
-                      horizon=14_400.0, window_width=900.0, service_time=60.0,
-                      charger_service_time=900.0, energy_per_km=0.15,
-                      ride_time_factor=3.0, delivery_slack=600.0,
-                      demand_every=900.0):
+                      weights=None):
     """Sample a random instance, deterministic in all arguments.
 
-    Nodes are uniform over a square of side area_m. Travel time is
-    Euclidean distance over speed_mps, each directed entry inflated by
-    (1 + u) with u ~ Uniform(0, asymmetry); energy is energy_per_km
+    Nodes are uniform over a square of side AREA_M. Travel time is
+    Euclidean distance over SPEED_MPS, each directed entry inflated by
+    (1 + u) with u ~ Uniform(0, asymmetry); energy is ENERGY_PER_KM
     times distance with an independent directed inflation. Pickup
-    windows are window_width wide with the open time drawn so that both
-    stops can still reach the depot inside the horizon; the delivery
+    windows are WINDOW_WIDTH wide with the open time drawn so that both
+    stops can still reach the depot inside HORIZON; the delivery
     window is the pickup window shifted by the direct travel time plus
-    delivery_slack on the close side.
+    DELIVERY_SLACK on the close side.
 
-    Window opens are drawn from the first n * demand_every seconds (capped
-    by the horizon feasibility bound) so demand density per hour stays
-    roughly constant across sizes; vehicles idling for hours in front of
-    a lone far-future window would otherwise drown the completion bonus
-    in waiting cost. Pass demand_every=None to spread windows over the
-    whole feasible horizon instead.
+    Window opens are drawn from the first n * DEMAND_EVERY seconds
+    (capped by the horizon feasibility bound) so demand density per hour
+    stays roughly constant across sizes; vehicles idling for hours in
+    front of a lone far-future window would otherwise drown the
+    completion bonus in waiting cost.
     """
     if n < 1:
         raise ValueError("need at least one request")
     if charger_count < 1:
         raise ValueError("need at least one charging station")
-    if ride_time_factor < 1.0:
-        raise ValueError("ride_time_factor below 1 makes direct rides illegal")
     if fleet is None:
         fleet = FleetParams()
     if weights is None:
@@ -167,43 +175,42 @@ def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
 
     rng = np.random.default_rng(seed)
     v = 1 + 2 * n + charger_count
-    xy = rng.uniform(0.0, area_m, size=(v, 2))
+    xy = rng.uniform(0.0, AREA_M, size=(v, 2))
     diff = xy[:, None, :] - xy[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=-1))
-    time = (dist / speed_mps) * (1.0 + rng.uniform(0.0, asymmetry, size=(v, v)))
-    energy = energy_per_km * (dist / 1000.0) * (1.0 + rng.uniform(0.0, asymmetry, size=(v, v)))
+    time = (dist / SPEED_MPS) * (1.0 + rng.uniform(0.0, asymmetry, size=(v, v)))
+    energy = ENERGY_PER_KM * (dist / 1000.0) * (1.0 + rng.uniform(0.0, asymmetry, size=(v, v)))
     np.fill_diagonal(time, 0.0)
     np.fill_diagonal(energy, 0.0)
 
     nodes = [Node(0, KIND_DEPOT, float(xy[0, 0]), float(xy[0, 1]),
-                  0.0, float(horizon), 0.0, 0)]
+                  0.0, HORIZON, 0.0, 0)]
     requests = []
     for i in range(n):
         p, d = 1 + i, 1 + n + i
         t_direct = float(time[p, d])
         # latest window open keeping pickup and delivery depot-reachable in the horizon
-        a_hi = min(horizon - window_width - float(time[p, 0]),
-                   horizon - window_width - t_direct - delivery_slack - float(time[d, 0]))
+        a_hi = min(HORIZON - WINDOW_WIDTH - float(time[p, 0]),
+                   HORIZON - WINDOW_WIDTH - t_direct - DELIVERY_SLACK - float(time[d, 0]))
         if a_hi <= 0.0:
             raise ValueError(f"horizon too short for request {i}")
-        if demand_every is not None:
-            a_hi = min(a_hi, n * demand_every)
+        a_hi = min(a_hi, n * DEMAND_EVERY)
         a_p = float(rng.uniform(0.0, a_hi))
         nodes.append(Node(p, KIND_PICKUP, float(xy[p, 0]), float(xy[p, 1]),
-                          a_p, a_p + window_width, service_time, 1))
-        requests.append(Request(i, p, d, ride_time_factor * t_direct))
+                          a_p, a_p + WINDOW_WIDTH, SERVICE_TIME, 1))
+        requests.append(Request(i, p, d, RIDE_TIME_FACTOR * t_direct))
     for i in range(n):
         p, d = 1 + i, 1 + n + i
         t_direct = float(time[p, d])
         a_p = nodes[p].a
         nodes.append(Node(d, KIND_DELIVERY, float(xy[d, 0]), float(xy[d, 1]),
                           a_p + t_direct,
-                          a_p + window_width + t_direct + delivery_slack,
-                          service_time, -1))
+                          a_p + WINDOW_WIDTH + t_direct + DELIVERY_SLACK,
+                          SERVICE_TIME, -1))
     for c in range(charger_count):
         j = 1 + 2 * n + c
         nodes.append(Node(j, KIND_CHARGER, float(xy[j, 0]), float(xy[j, 1]),
-                          0.0, float(horizon), charger_service_time, 0))
+                          0.0, HORIZON, CHARGER_SERVICE_TIME, 0))
 
     # every node must be able to reach the depot on the safety reserve
     worst = float(energy[:, 0].max())
@@ -211,7 +218,7 @@ def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
         raise ValueError("battery too small: depot unreachable from some node")
 
     return Instance(nodes, EdgeMatrices(time, dist, energy), requests,
-                    fleet, weights, horizon, seed)
+                    fleet, weights, HORIZON, seed)
 
 
 @dataclass

@@ -16,7 +16,10 @@ class SearchLimitError(RuntimeError):
     """The node budget ran out before any trajectory was complete."""
 
 
-def _search(inst, limit, prune, track_worst):
+def _search(inst, limit, enumerate_all):
+    """Depth-first search: with enumerate_all every trajectory is visited
+    and the worst one kept; otherwise branches that cannot beat the best
+    are pruned."""
     env = Env(inst)
     w_c = inst.weights.complete
     n = inst.n
@@ -43,28 +46,23 @@ def _search(inst, limit, prune, track_worst):
                 reward = -env.objective(child) + w_c * child.n_served
                 if reward > best[0]:
                     best[:] = reward, list(seq), child
-                if track_worst and reward < worst[0]:
+                if enumerate_all and reward < worst[0]:
                     worst[:] = reward, list(seq)
-            else:
-                go = True
-                if prune:
-                    bound = -env.objective(child) + w_c * n
-                    go = bound > best[0]
-                if go:
-                    rec(child, seq)
+            elif enumerate_all or -env.objective(child) + w_c * n > best[0]:
+                rec(child, seq)
             seq.pop()
 
     rec(env.reset(), [])
     return env, best, worst, counters
 
 
-def exact_solve(inst, limit=10_000_000, prune=True):
+def exact_solve(inst, limit=10_000_000):
     """Max-reward solution over all feasible trajectories.
 
     Returns (Solution, optimal); optimal is False when the node budget
     ran out, in which case the best trajectory found so far is returned.
     """
-    env, best, _, counters = _search(inst, limit, prune, track_worst=False)
+    env, best, _, counters = _search(inst, limit, enumerate_all=False)
     if best[2] is None:
         raise SearchLimitError(f"node budget {limit} ran out before the search "
                                "completed any trajectory")
@@ -79,7 +77,7 @@ def enumerate_rewards(inst, limit=10_000_000):
     inside the budget. Serves as the independent cross-check for
     exact_solve and as the reward-range reference on tiny instances.
     """
-    _, best, worst, counters = _search(inst, limit, prune=False, track_worst=True)
+    _, best, worst, counters = _search(inst, limit, enumerate_all=True)
     return {
         "best_reward": best[0],
         "best_seq": best[1],

@@ -16,6 +16,8 @@ exactly zero probability.
 """
 
 import json
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -30,11 +32,31 @@ NODE_FEATS = 10
 EDGE_FEATS = 3
 
 
+def require(name, value, lo, *, integer=False, above=False, below=math.inf):
+    """Raise ValueError naming `name` unless value is a number (an integer
+    when asked, never a bool) with lo <= value < below, and value > lo
+    when above is set. NaN and infinities fail."""
+    if isinstance(value, bool) or not isinstance(value, Integral if integer else Real):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    if not lo <= value < below or (above and value == lo):
+        bound = f"> {lo}" if above else f">= {lo}"
+        if below < math.inf:
+            bound += f" and < {below}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
+
+
 class PolicyConfig:
     def __init__(self, d_h=64, heads=4, layers=4, ffn_mult=4,
                  lam=1.0, kappa=10.0, seed=0):
+        for name, value in (("d_h", d_h), ("heads", heads), ("layers", layers),
+                            ("ffn_mult", ffn_mult)):
+            require(name, value, 1, integer=True)
+        require("seed", seed, 0, integer=True)
+        require("lambda", lam, 0)
+        require("kappa", kappa, 0, above=True)
         if d_h % heads:
-            raise ValueError("d_h must be divisible by heads")
+            raise ValueError(f"d_h={d_h} must be divisible by heads={heads}")
         self.d_h = d_h
         self.heads = heads
         self.layers = layers
@@ -176,7 +198,7 @@ class Policy:
     # -- decoder ---------------------------------------------------------------
 
     def decode_step(self, tape, enc, node, load_frac, soc, time_frac,
-                    feasible, visited=None):
+                    feasible, visited):
         """Action distribution for one state; exact zeros off-mask.
 
         feasible is the boolean action mask from the simulator, visited
@@ -199,7 +221,7 @@ class Policy:
         c = project(ad.take(tape, enc.Z, int(node)), p["ctx_curr"])
         c = ad.add(tape, c, project(ad.take(tape, enc.Z, 0), p["ctx_depot"]))
         c = ad.add(tape, c, project(enc.zbar, p["ctx_graph"]))
-        if visited is not None and visited.any():
+        if visited.any():
             c = ad.add(tape, c, project(mean_of(np.asarray(visited, bool)),
                                         p["ctx_visited"]))
         if blocked.any():
@@ -260,7 +282,7 @@ def rollout_episode(policy, env, tape, rng=None, greedy=False,
         m = env.mask(state)
         load, soc, tfrac = state_scalars(env, state)
         probs = policy.decode_step(tape, enc, state.node, load, soc, tfrac, m,
-                                   visited=visited_array(env, state))
+                                   visited_array(env, state))
         if step == 0 and first_action is not None:
             a = int(first_action)
             if not m[a]:

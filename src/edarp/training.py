@@ -19,9 +19,10 @@ from . import autodiff as ad
 from .environment import Env
 from .instance import generate_instance, normalize_features
 from .policy import (Policy, PolicyConfig, greedy_rollout, load_policy,
-                     rollout_episode, save_policy)
+                     require, rollout_episode, save_policy)
 
 CURRICULUM_SIZES = [8, 10, 12, 14, 17, 21]
+PASS_BAND = 0.05            # a stage may end this far (relative) below its zero-shot
 
 
 class Adam:
@@ -164,13 +165,21 @@ class TrainConfig:
     vehicles: int = 2
     capacity: int = 3
     sizes: list = None          # mixed-size training: n sampled uniformly
-    weights: object = None      # CostWeights for generated instances
-    gen_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.k_p < 2:
-            raise ValueError("k_p must be >= 2: the shared baseline needs "
-                             "more than one rollout")
+        # k_p >= 2: the shared baseline needs more than one rollout
+        for name, lo in (("n", 1), ("epochs", 0), ("steps_per_epoch", 1),
+                         ("batch", 1), ("k_p", 2), ("seed", 0), ("val_size", 1),
+                         ("charger_count", 1), ("vehicles", 1), ("capacity", 1)):
+            require(name, getattr(self, name), lo, integer=True)
+        for name in ("lr", "eps_num", "grad_clip"):
+            require(name, getattr(self, name), 0, above=True)
+        for name in ("beta1", "beta2"):
+            require(name, getattr(self, name), 0, below=1)
+        if not isinstance(self.sizes or [], list):
+            raise ValueError(f"sizes must be a list, got {self.sizes!r}")
+        for size in self.sizes or []:
+            require("sizes entry", size, 1, integer=True)
 
 
 @dataclass
@@ -197,7 +206,7 @@ def _make_instance(cfg, seed, n=None):
     fleet = FleetParams(vehicles=cfg.vehicles, capacity=cfg.capacity)
     return generate_instance(cfg.n if n is None else n,
                              charger_count=cfg.charger_count, fleet=fleet,
-                             seed=seed, weights=cfg.weights, **cfg.gen_kwargs)
+                             seed=seed)
 
 
 def validation_set(cfg):
@@ -276,13 +285,12 @@ class StageResult:
     passed: bool
 
 
-def curriculum_train(stage_cfgs, policy=None, policy_config=None,
-                     pass_band=0.05):
+def curriculum_train(stage_cfgs, policy=None, policy_config=None):
     """Train through increasing sizes, keeping each stage's best weights.
 
-    A stage passes when its best validation reward stays within the
-    relative band below the incoming policy's zero-shot reward on the
-    new size (transfer must not regress), and fine-tuning usually
+    A stage passes when its best validation reward stays within
+    PASS_BAND (relative) below the incoming policy's zero-shot reward on
+    the new size (transfer must not regress), and fine-tuning usually
     pushes it above.
     """
     results = []
@@ -292,7 +300,7 @@ def curriculum_train(stage_cfgs, policy=None, policy_config=None,
         zero, _ = validate(policy, validation_set(cfg))
         policy, report = train(cfg, policy=policy)
         best = report.best_val
-        passed = best >= zero - pass_band * abs(zero)
+        passed = best >= zero - PASS_BAND * abs(zero)
         results.append(StageResult(cfg.n, zero, best, passed))
         policy, _ = load_policy(report.best_checkpoint)
     return policy, results

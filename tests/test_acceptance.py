@@ -10,8 +10,7 @@ import pytest
 
 from edarp import Tape, Tensor
 from edarp import autodiff as ad
-from edarp.alns import (AlnsConfig, OperatorWeights, alns_solve, rtr_accept,
-                        rtr_tolerance)
+from edarp.alns import OperatorWeights, alns_solve, rtr_accept, rtr_tolerance
 from edarp.environment import Env, charging_power, sample_noise, score_solution
 from edarp.greedy import greedy_solve
 from edarp.instance import (CostWeights, FleetParams, generate_instance,
@@ -128,7 +127,7 @@ def test_alns_dominates_greedy_at_ten_requests():
         inst = generate_instance(10, fleet=FleetParams(vehicles=2),
                                  seed=40_000 + i)
         g = greedy_solve(inst)
-        a, stats = alns_solve(inst, AlnsConfig(iterations=10_000, seed=i),
+        a, stats = alns_solve(inst, iterations=10_000, seed=i,
                               return_stats=True)
         best_trace = [h[1] for h in stats.history]
         assert all(b2 <= b1 for b1, b2 in zip(best_trace, best_trace[1:]))
@@ -145,11 +144,11 @@ def test_alns_dominates_greedy_at_ten_requests():
 def test_operator_weight_and_tolerance_arithmetic():
     w = OperatorWeights(["a", "b"])
     w.credit("a", 10.0)
-    w.update(AlnsConfig())
+    w.update()
     worst = 0.0
     for j0 in (-37.5, 512.0):
         for k in (0, 1, 17, 100):
-            worst = max(worst, abs(rtr_tolerance(j0, k, AlnsConfig())
+            worst = max(worst, abs(rtr_tolerance(j0, k)
                                    - 0.05 * abs(j0) * 0.99 ** k))
     ok = (w.values["a"] == 2.8 and w.values["b"] == 1.0
           and worst <= 1e-12
@@ -431,7 +430,7 @@ def test_discounted_time_weights_raise_load_factor():
             inst = generate_instance(12, fleet=FleetParams(vehicles=4,
                                                            capacity=3),
                                      seed=120_000 + i, weights=w)
-            sol = alns_solve(inst, AlnsConfig(iterations=600, seed=i))
+            sol = alns_solve(inst, iterations=600, seed=i)
             lf[name].append(sol.metrics["load_factor"])
     mp, mf = float(np.mean(lf["pool"])), float(np.mean(lf["flat"]))
     dt = time.time() - t0

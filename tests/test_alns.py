@@ -1,12 +1,10 @@
-import csv
-
 import numpy as np
 import pytest
 
-from edarp import (AlnsConfig, Env, OperatorWeights, RouteCtx, alns_solve,
+from edarp import (Env, OperatorWeights, RouteCtx, alns_solve,
                    exact_solve, generate_instance, greedy_solve,
                    shaw_relatedness)
-from edarp.alns import (random_removal, rtr_accept, rtr_tolerance,
+from edarp.alns import (W_MIN, random_removal, rtr_accept, rtr_tolerance,
                         shaw_removal, worst_removal)
 from edarp.routes import plan_from_solution, served_requests
 
@@ -14,37 +12,36 @@ from edarp.routes import plan_from_solution, served_requests
 def test_weight_update_single_success_is_2_8():
     w = OperatorWeights(["a", "b"])
     w.credit("a", 10.0)
-    w.update(AlnsConfig())
+    w.update()
     assert w.values["a"] == 2.8
 
 
 def test_weight_update_leaves_unused_untouched():
     w = OperatorWeights(["a", "b"])
     w.credit("a", 5.0)
-    w.update(AlnsConfig())
+    w.update()
     assert w.values["b"] == 1.0
 
 
 def test_weight_update_zero_score_decays():
     w = OperatorWeights(["a"])
     w.credit("a", 0.0)
-    w.update(AlnsConfig())
+    w.update()
     assert w.values["a"] == pytest.approx(0.8, abs=1e-15)
 
 
 def test_weight_floor():
     w = OperatorWeights(["a"])
-    cfg = AlnsConfig()
     for _ in range(30):
         w.credit("a", 0.0)
-        w.update(cfg)
-    assert w.values["a"] == cfg.w_min
+        w.update()
+    assert w.values["a"] == W_MIN
 
 
 def test_weight_update_resets_segment_accounting():
     w = OperatorWeights(["a"])
     w.credit("a", 10.0)
-    w.update(AlnsConfig())
+    w.update()
     assert w.scores["a"] == 0.0 and w.uses["a"] == 0
 
 
@@ -58,10 +55,7 @@ def test_rtr_tolerance_closed_form():
     j0 = -30.0
     for k in (0, 1, 17, 100):
         want = 0.05 * abs(j0) * 0.99 ** k
-        assert rtr_tolerance(j0, k, AlnsConfig()) == pytest.approx(want, abs=1e-12)
-    cfg = AlnsConfig(rtr_init_frac=0.2, rtr_decay=0.9)
-    assert rtr_tolerance(10.0, 3, cfg) == pytest.approx(0.2 * 10.0 * 0.9 ** 3,
-                                                        abs=1e-12)
+        assert rtr_tolerance(j0, k) == pytest.approx(want, abs=1e-12)
 
 
 def test_removal_operators_contract():
@@ -72,8 +66,8 @@ def test_removal_operators_contract():
     assert set(got) <= set(served)
 
     inst = generate_instance(6, charger_count=1, seed=9)
-    rel = shaw_relatedness(inst, 0.5, 0.5)
-    got = shaw_removal(rng, served, 3, rel, 6.0)
+    rel = shaw_relatedness(inst)
+    got = shaw_removal(rng, served, 3, rel)
     assert len(got) == 3 and set(got) <= set(served)
 
     ctx = RouteCtx(Env(inst))
@@ -86,7 +80,7 @@ def test_removal_operators_contract():
 
 def test_shaw_relatedness_shape():
     inst = generate_instance(4, charger_count=1, seed=13)
-    rel = shaw_relatedness(inst, 0.5, 0.5)
+    rel = shaw_relatedness(inst)
     assert len(rel) == 4 and all(len(row) == 4 for row in rel)
     for r in range(4):
         assert rel[r][r] == 0.0
@@ -95,7 +89,7 @@ def test_shaw_relatedness_shape():
 
 
 def test_zero_iterations_equals_greedy(small_instance):
-    sol = alns_solve(small_instance, AlnsConfig(iterations=0))
+    sol = alns_solve(small_instance, iterations=0)
     base = greedy_solve(small_instance)
     assert sol.reward == base.reward
     assert sol.vehicle_routes() == base.vehicle_routes()
@@ -107,7 +101,7 @@ def test_reaches_oracle_on_tiny_instances():
         inst = generate_instance(2, charger_count=1, seed=seed)
         best, optimal = exact_solve(inst)
         assert optimal
-        sol = alns_solve(inst, AlnsConfig(iterations=500, seed=seed))
+        sol = alns_solve(inst, iterations=500, seed=seed)
         assert sol.reward <= best.reward + 1e-9
         if sol.reward >= best.reward - 1e-9:
             hits += 1
@@ -116,7 +110,7 @@ def test_reaches_oracle_on_tiny_instances():
 
 def test_best_cost_monotone_and_beats_greedy():
     inst = generate_instance(10, charger_count=2, seed=321)
-    sol, stats = alns_solve(inst, AlnsConfig(iterations=2000, seed=7),
+    sol, stats = alns_solve(inst, iterations=2000, seed=7,
                             return_stats=True)
     base = greedy_solve(inst)
     assert sol.reward >= base.reward - 1e-9
@@ -128,22 +122,19 @@ def test_best_cost_monotone_and_beats_greedy():
 
 def test_deterministic_given_seed():
     inst = generate_instance(6, charger_count=1, seed=55)
-    a = alns_solve(inst, AlnsConfig(iterations=300, seed=11))
-    b = alns_solve(inst, AlnsConfig(iterations=300, seed=11))
+    a = alns_solve(inst, iterations=300, seed=11)
+    b = alns_solve(inst, iterations=300, seed=11)
     assert a.reward == b.reward
     assert a.vehicle_routes() == b.vehicle_routes()
 
 
-def test_telemetry_file_shape(tmp_path, small_instance):
-    path = tmp_path / "telemetry.csv"
-    alns_solve(small_instance,
-               AlnsConfig(iterations=50, seed=3, telemetry_path=str(path)))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "best_cost", "current_cost", "tolerance",
-                       "destroy_op", "repair_op"]
-    assert len(rows) == 51
-    assert [r[0] for r in rows[1:]] == [str(i) for i in range(50)]
+def test_telemetry_file_shape(small_instance):
+    _, stats = alns_solve(small_instance, iterations=50, seed=3,
+                          return_stats=True)
+    rows = stats.history
+    assert len(rows) == 50
+    assert [r[0] for r in rows] == list(range(50))
+    assert all(len(r) == 6 for r in rows)
     known = {"random_removal", "shaw_removal", "worst_removal",
              "random_insert", "regret_2", "regret_3"}
-    assert all(r[4] in known and r[5] in known for r in rows[1:])
+    assert all(r[4] in known and r[5] in known for r in rows)

@@ -87,7 +87,7 @@ def test_gradcheck_tanh_log(rng):
 def test_gradcheck_sum_mean_axes(rng):
     a = Tensor(rng.standard_normal((3, 4)))
     check_grads(lambda tp, a: ad.tsum(tp, ad.mul(
-        tp, ad.tsum(tp, a, axis=1, keepdims=True), a)), [a])
+        tp, ad.reshape(tp, ad.tsum(tp, a, axis=1), (3, 1)), a)), [a])
     b = Tensor(rng.standard_normal((2, 5)))
     check_grads(lambda tp, b: ad.tsum(tp, ad.mul(
         tp, ad.tmean(tp, b, axis=0), ad.tmean(tp, b, axis=0))), [b])

@@ -1,10 +1,11 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
 
-from edarp import cli
+from edarp import Policy, PolicyConfig, cli, save_policy
 from edarp.cli import METRICS_COLUMNS, main
 
 TINY_TRAIN = {"n": 2, "epochs": 1, "steps_per_epoch": 1, "batch": 2,
@@ -91,6 +92,7 @@ EVAL = ["eval", "--checkpoint", "{inst}", "--instances", "{inst}"]
     (EVAL + ["--stochastic", "nan"], "--stochastic"),
     (EVAL + ["--replicas", "0"], "--replicas"),
     (EVAL + ["--multistart", "-3"], "--multistart"),
+    (["generate", "--n", "10", "--count", "3", "--asymmetry", "10"], "--asymmetry"),
 ])
 def test_out_of_range_flag_exits_2(tmp_path, capsys, argv, flag):
     inst = gen_dir(tmp_path, count=1) / "instance_0000.json"
@@ -116,6 +118,32 @@ def test_solve_exact_small_instance(tmp_path):
     assert (sol_dir / "solution_instance_0000_exact.json").is_file()
     mani = json.loads((sol_dir / "manifest_solve.json").read_text())
     assert str(inst) in mani["inputHashes"]
+    # flags of other solvers are absent and echo their defaults
+    assert {k: mani["config"][k] for k in cli.SOLVER_FLAGS} == {
+        "iterations": 5000, "telemetry": False, "limit": 10_000_000,
+        "checkpoint": None, "multistart": 8}
+
+
+@pytest.mark.parametrize("solver, extra, flags", [
+    ("greedy", ["--telemetry"], ["--telemetry"]),
+    ("greedy", ["--checkpoint", "/nonexistent.json", "--iterations", "3"],
+     ["--checkpoint", "--iterations"]),
+    ("alns", ["--limit", "5", "--multistart", "3"], ["--limit", "--multistart"]),
+    ("alns", ["--checkpoint", "/nonexistent.json"], ["--checkpoint"]),
+    ("exact", ["--iterations", "0"], ["--iterations"]),
+    ("exact", ["--telemetry"], ["--telemetry"]),
+    ("neural", ["--limit", "5"], ["--limit"]),
+    ("neural", ["--iterations", "3"], ["--iterations"]),
+])
+def test_solve_refuses_flags_of_other_solvers(tmp_path, capsys, solver, extra, flags):
+    inst = gen_dir(tmp_path, count=1) / "instance_0000.json"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("solve", str(inst), "--solver", solver, *extra,
+               "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert all(flag in err for flag in flags)
+    assert not out.exists()
 
 
 def test_solve_alns_not_worse_than_greedy(tmp_path):
@@ -214,8 +242,12 @@ def test_solve_telemetry_written(tmp_path):
                "--iterations", "20", "--telemetry",
                "--out", str(sol_dir)) == 0
     tele = read_csv(sol_dir / "telemetry_instance_0000.csv")
-    assert tele[0][0] == "iteration"
+    assert tele[0] == ["iteration", "best_cost", "current_cost", "tolerance",
+                       "destroy_op", "repair_op"]
     assert len(tele) == 21
+    assert [r[0] for r in tele[1:]] == [str(i) for i in range(20)]
+    mani = json.loads((sol_dir / "manifest_solve.json").read_text())
+    assert str(sol_dir / "telemetry_instance_0000.csv") in mani["outputPaths"]
 
 
 def test_train_smoke_and_artifacts(tmp_path):
@@ -244,6 +276,55 @@ def test_train_rejects_unknown_key_by_name(tmp_path, capsys):
 def test_train_rejects_k_p_one(tmp_path):
     cfg = write_config(tmp_path, dict(TINY_TRAIN, k_p=1))
     assert run("train", "--config", str(cfg), "--out", str(tmp_path)) == 2
+
+
+CURRICULUM = dict(TINY_TRAIN, curriculum=[2, 3], epochs_per_stage=1)
+del CURRICULUM["n"]
+
+
+@pytest.mark.parametrize("doc, key", [
+    (dict(TINY_TRAIN, batch=0), "batch"),
+    (dict(TINY_TRAIN, epochs=-1), "epochs"),
+    (dict(TINY_TRAIN, epochs=1.5), "epochs"),
+    (dict(TINY_TRAIN, lr=-1), "lr"),
+    (dict(TINY_TRAIN, lr="0.1"), "lr"),
+    (dict(TINY_TRAIN, layers=-1), "layers"),
+    (dict(TINY_TRAIN, n=True), "n"),
+    (dict(TINY_TRAIN, n=0), "n"),
+    (dict(TINY_TRAIN, grad_clip=-1), "grad_clip"),
+    (dict(TINY_TRAIN, val_size=0), "val_size"),
+    (dict(TINY_TRAIN, steps_per_epoch=0), "steps_per_epoch"),
+    (dict(TINY_TRAIN, charger_count=0), "charger_count"),
+    (dict(TINY_TRAIN, vehicles=0), "vehicles"),
+    (dict(TINY_TRAIN, capacity=0), "capacity"),
+    (dict(TINY_TRAIN, seed=-1), "seed"),
+    (dict(TINY_TRAIN, beta1=1.0), "beta1"),
+    (dict(TINY_TRAIN, beta2=-0.1), "beta2"),
+    (dict(TINY_TRAIN, eps_num=0), "eps_num"),
+    (dict(TINY_TRAIN, sizes=[2, 0]), "sizes"),
+    (dict(TINY_TRAIN, heads=3), "heads"),
+    (dict(TINY_TRAIN, heads=0), "heads"),
+    (dict(TINY_TRAIN, d_h=0), "d_h"),
+    (dict(TINY_TRAIN, ffn_mult=0), "ffn_mult"),
+    (dict(TINY_TRAIN, kappa=0), "kappa"),
+    (dict(TINY_TRAIN, **{"lambda": -1}), "lambda"),
+    (dict(TINY_TRAIN, k_p=2.5), "k_p"),
+    (dict(CURRICULUM, curriculum=[0]), "curriculum"),
+    (dict(CURRICULUM, curriculum=[]), "curriculum"),
+    (dict(CURRICULUM, epochs_per_stage=0), "epochs_per_stage"),
+    (CURRICULUM, "--resume"),       # a curriculum restarts its optimizer
+])
+def test_train_rejects_bad_config_value_by_name(tmp_path, capsys, doc, key):
+    argv = ["train", "--config", str(write_config(tmp_path, doc))]
+    if key == "--resume":
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_bytes(save_policy(Policy(PolicyConfig(d_h=16, heads=2,
+                                                         layers=1))))
+        argv += ["--resume", str(ckpt)]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    assert re.search(rf"(?<![\w-]){key}\b", capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_train_resume_continues_numbering(tmp_path):

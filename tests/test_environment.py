@@ -304,7 +304,7 @@ def test_score_solution_zero_weights_counts_served(tiny_instance):
 def test_replay_bit_exact(small_instance):
     from edarp import greedy_solve
     sol = greedy_solve(small_instance)
-    sol2 = replay(small_instance, sol.vehicle_routes())
+    sol2 = replay(Env(small_instance), sol.vehicle_routes())
     assert sol2.reward == sol.reward
     assert sol2.routes == sol.routes
 
@@ -312,7 +312,7 @@ def test_replay_bit_exact(small_instance):
 def test_replay_rejects_off_mask(small_instance):
     charger = small_instance.chargers[0]
     with pytest.raises(ReplayError):
-        replay(small_instance, [[charger]])
+        replay(Env(small_instance), [[charger]])
 
 
 def test_solution_round_trip(small_instance):

@@ -132,7 +132,7 @@ def test_generator_rejects_bad_arguments():
     with pytest.raises(ValueError):
         generate_instance(2, charger_count=0, seed=1)
     with pytest.raises(ValueError, match="horizon"):
-        generate_instance(2, seed=1, horizon=30.0)
+        generate_instance(2, seed=5, asymmetry=10.0)
 
 
 def test_fleet_and_node_invariants_hold():

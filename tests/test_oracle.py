@@ -18,7 +18,7 @@ def test_pruned_matches_unpruned_enumeration():
     for seed in range(12):
         inst = generate_instance(1 + seed % 2, charger_count=1,
                                  fleet=FleetParams(vehicles=2), seed=300 + seed)
-        sol, optimal = exact_solve(inst, prune=True)
+        sol, optimal = exact_solve(inst)
         full = enumerate_rewards(inst)
         assert optimal and full["complete"]
         assert sol.reward == full["best_reward"]
@@ -30,7 +30,7 @@ def test_oracle_solution_survives_replay():
     for seed in (41, 42, 43):
         inst = generate_instance(2, charger_count=1, seed=seed)
         sol, _ = exact_solve(inst)
-        fresh = replay(inst, sol.vehicle_routes())
+        fresh = replay(Env(inst), sol.vehicle_routes())
         assert fresh.reward == sol.reward
         assert fresh.routes == sol.routes
         assert fresh.n_served == sol.n_served

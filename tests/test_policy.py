@@ -52,7 +52,8 @@ def test_single_feasible_action_gets_probability_one():
     m = env.mask(s)
     assert sum(m) == 1
     load, soc, tfrac = state_scalars(env, s)
-    p = policy.decode_step(None, enc, s.node, load, soc, tfrac, m).data
+    p = policy.decode_step(None, enc, s.node, load, soc, tfrac, m,
+                           visited_array(env, s)).data
     assert p[np.argmax(m)] == 1.0
     assert p.sum() == 1.0
 
@@ -71,7 +72,8 @@ def test_zeroed_policy_ranks_actions_by_energy():
     enc = policy.encode(None, feats)
     s = env.reset()
     m = env.mask(s)
-    p = policy.decode_step(None, enc, 0, 0.0, 1.0, 0.0, m).data
+    p = policy.decode_step(None, enc, 0, 0.0, 1.0, 0.0, m,
+                           visited_array(env, s)).data
     eps = enc.eps_norm[0]
     live = np.flatnonzero(m)
     for i in live:
@@ -122,7 +124,8 @@ def test_single_node_graph():
     node[0, 0] = 1.0                # depot one-hot
     edge = np.zeros((1, 1, 3))
     enc = policy.encode(None, FeatureTensors(node, edge))
-    p = policy.decode_step(None, enc, 0, 0.0, 1.0, 0.0, [True]).data
+    p = policy.decode_step(None, enc, 0, 0.0, 1.0, 0.0, [True],
+                           np.zeros(1, dtype=bool)).data
     assert p.shape == (1,)
     assert p[0] == 1.0
 

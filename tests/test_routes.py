@@ -47,7 +47,7 @@ def test_simulate_matches_episode_replay(tight_fleet):
                 info = ctx.simulate(route)
                 if fleet is tight_fleet:
                     try:
-                        sol = replay(inst, [route])
+                        sol = replay(env, [route])
                     except ReplayError:
                         # the episode took an escape move here (a loaded run
                         # to a charger, or to one another vehicle used), which
@@ -55,7 +55,7 @@ def test_simulate_matches_episode_replay(tight_fleet):
                         assert info is None, route
                         continue
                 else:
-                    sol = replay(inst, [route])
+                    sol = replay(env, [route])
                 checked[f] += 1
                 assert info is not None
                 assert info.E == pytest.approx(sol.j_energy, abs=1e-9)
@@ -75,7 +75,7 @@ def test_simulate_matches_episode_replay(tight_fleet):
                 bare = [nd for nd in route if nd not in env.chargers]
                 bare_info = ctx.simulate(bare)
                 try:
-                    replay(inst, [bare])
+                    replay(env, [bare])
                 except ReplayError:
                     assert bare_info is None, bare
                     blocked += loose.simulate(bare) is not None
