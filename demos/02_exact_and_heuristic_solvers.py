@@ -29,8 +29,7 @@ g = greedy_solve(inst)
 print(f"greedy:  reward {g.reward:8.3f}  served {g.n_served}/{inst.n}")
 
 for iters in (0, 500, 5000):
-    a, stats = alns_solve(inst, iterations=iters, seed=1,
-                          return_stats=True)
+    a, stats = alns_solve(inst, iterations=iters, seed=1)
     print(f"alns {iters:>5} iters: reward {a.reward:8.3f}  "
           f"served {a.n_served}/{inst.n}")
 
@@ -38,5 +37,5 @@ for iters in (0, 500, 5000):
 # improvements and which operator pair found them.
 for it, best_j, cur_j, tol, d_op, r_op in stats.history[-4:]:
     print(f"iter {it:>5}: best J {best_j:8.3f}  via {d_op} + {r_op}")
-print(f"accepted {stats.accepted}/{stats.iterations} candidates, "
+print(f"accepted {stats.accepted}/{len(stats.history)} candidates, "
       f"{stats.new_best} new bests")

@@ -23,7 +23,7 @@ for name, w in (("pooled ", pooled), ("uniform", uniform)):
     for i in range(8):
         inst = generate_instance(12, fleet=FleetParams(vehicles=4),
                                  seed=50_000 + i, weights=w)
-        sol = alns_solve(inst, iterations=400, seed=i)
+        sol, _ = alns_solve(inst, iterations=400, seed=i)
         lf.append(sol.metrics["load_factor"])
     print(f"{name} weights: mean load factor {np.mean(lf):.3f}")
 
@@ -37,7 +37,7 @@ print(f"noise floor {draws.min():.1f}s (base 600), "
 # Solutions serialize to bytes and re-score by full replay, so stale
 # or tampered files are caught rather than trusted.
 inst = generate_instance(5, seed=77)
-sol = alns_solve(inst, iterations=300, seed=0)
+sol, _ = alns_solve(inst, iterations=300, seed=0)
 blob = save_solution(sol)
 back = load_solution(blob)
 obj, reward, metrics = score_solution(back, inst)

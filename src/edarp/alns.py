@@ -1,8 +1,10 @@
 """Adaptive large neighborhood search over complete episode plans.
 
 Candidates are produced by destroy/repair moves on per-vehicle node
-lists, then priced by replaying the whole plan through the simulator;
-the route-level scans only decide where insertions can go. Acceptance
+lists and priced from the route model (RouteCtx.plan_objective, which
+equals a replay's objective). The simulator stays the arbiter: it
+replays the plan the search returns, and first judges any candidate
+that visits a charger twice, which the route model cannot. Acceptance
 is record-to-record: a candidate passes while it stays within a
 shrinking tolerance band above the best cost seen so far. The cost
 being minimized is the negated episode reward, so unserved requests
@@ -12,7 +14,7 @@ The search runs one tuned parameter set, the module constants below;
 only the iteration count and the seed are arguments of alns_solve.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -224,33 +226,29 @@ def regret_insert(ctx, plan, infos, pool, k):
 
 @dataclass
 class AlnsStats:
-    iterations: int = 0
     accepted: int = 0
     new_best: int = 0
-    replay_failures: int = 0
-    history: list = None   # (iteration, bestJ, currentJ, tolerance, d_op, r_op)
-
-    def __post_init__(self):
-        if self.history is None:
-            self.history = []
+    replay_failures: int = 0    # candidates refused by replay, see alns_solve
+    # one row per priced candidate: (iteration, bestJ, currentJ, tolerance, d_op, r_op)
+    history: list = field(default_factory=list)
 
 
-def alns_solve(inst, iterations=5000, seed=0, return_stats=False):
+def alns_solve(inst, iterations=5000, seed=0):
     """Improve the greedy plan by adaptive destroy/repair.
 
-    With zero iterations this returns the greedy solution unchanged.
-    The best-cost trajectory is non-increasing by construction; with
-    return_stats the AlnsStats come back too, whose history holds one
-    row per priced iteration.
+    Returns (Solution, AlnsStats). With zero iterations the solution is
+    the greedy one unchanged. The best-cost trajectory in the stats is
+    non-increasing by construction.
     """
     rng = np.random.default_rng(seed)
     env = Env(inst)
     ctx = RouteCtx(env)
     n = inst.n
+    bonus = inst.weights.complete
 
-    best_sol = greedy_solve(inst)
-    plan = plan_from_solution(best_sol, inst.fleet.vehicles)
-    cur_j = best_j = init_j = -best_sol.reward
+    greedy = greedy_solve(inst)
+    plan = best_plan = plan_from_solution(greedy, inst.fleet.vehicles)
+    cur_j = best_j = init_j = -greedy.reward
 
     dweights = OperatorWeights(["random_removal", "shaw_removal", "worst_removal"])
     rweights = OperatorWeights(["random_insert", "regret_2", "regret_3"])
@@ -273,6 +271,7 @@ def alns_solve(inst, iterations=5000, seed=0, return_stats=False):
                 ids = shaw_removal(rng, served, q, rel)
             else:
                 ids = worst_removal(cand_plan, ctx, q)
+            # repairs every route, also the greedy routes the route model rejects
             cand_plan, _ = remove_requests(cand_plan, ctx, ids)
             changed = sorted(i for i in range(len(plan))
                              if cand_plan[i] != plan[i])
@@ -283,19 +282,27 @@ def alns_solve(inst, iterations=5000, seed=0, return_stats=False):
         pool = sorted(set(range(n)) - set(served_requests(cand_plan, n)))
 
         cand_infos = [ctx.simulate(r) for r in cand_plan]
+        if None in cand_infos:
+            raise RuntimeError("destroy step left a route the route model rejects")
         if r_op == "random_insert":
             random_insert(rng, ctx, cand_plan, cand_infos, pool)
         else:
             regret_insert(ctx, cand_plan, cand_infos, pool, 2 if r_op == "regret_2" else 3)
-
-        try:
-            cand_sol = replay(env, cand_plan)
-        except ReplayError:
-            stats.replay_failures += 1
-            dweights.credit(d_op, 0.0)
-            rweights.credit(r_op, 0.0)
-            continue
-        cand_j = -cand_sol.reward
+        # Each route simulates, but the route model cannot see a charger two
+        # stops share (greedy's escape moves leave such plans); only replay
+        # can tell whether its escape rule reaches the second visit.
+        stations = [nd for route in cand_plan for nd in route if nd > 2 * n]
+        if len(stations) != len(set(stations)):
+            try:
+                replay(env, cand_plan)
+            except ReplayError:
+                stats.replay_failures += 1
+                dweights.credit(d_op, 0.0)
+                rweights.credit(r_op, 0.0)
+                continue
+        # home() needs load 0, so every pickup on a route is delivered
+        cand_j = (ctx.plan_objective(cand_infos)
+                  - bonus * len(served_requests(cand_plan, n)))
 
         score = 0.0
         if cand_j < best_j:
@@ -307,18 +314,15 @@ def alns_solve(inst, iterations=5000, seed=0, return_stats=False):
         rweights.credit(r_op, score)
 
         if cand_j < best_j:
-            best_sol, best_j = cand_sol, cand_j
+            best_plan, best_j = cand_plan, cand_j
             stats.new_best += 1
         if accepted:
             plan, cur_j = cand_plan, cand_j
             stats.accepted += 1
 
         stats.history.append((it, best_j, cur_j, tol, d_op, r_op))
-        stats.iterations = it + 1
         if (it + 1) % SEGMENT_LENGTH == 0:
             dweights.update()
             rweights.update()
 
-    if return_stats:
-        return best_sol, stats
-    return best_sol
+    return replay(env, best_plan), stats

@@ -22,9 +22,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def zero_grad(self):
-        self.grad = None
-
 
 class Tape:
     """Ordered record of backward closures."""

@@ -9,11 +9,12 @@ artifacts byte for byte. --jobs parallelizes across instances only.
 
 Exit codes: 0 success; 2 usage, including a numeric flag out of its
 range, a solve flag that another solver reads (SOLVER_FLAGS), a train
-config value of the wrong type or range, train --resume with a
-curriculum, an --asymmetry at which no instance can be built, and an
-exact search whose --limit runs out before any complete trajectory; 3
-data error, including a missing, unreadable or malformed instance,
-config or checkpoint file; 4 numerical failure.
+config value of the wrong type or range, a train config key its
+curriculum overrides (n; epochs beside epochs_per_stage), train
+--resume with a curriculum, an --asymmetry at which no instance can be
+built, and an exact search whose --limit runs out before any complete
+trajectory; 3 data error, including a missing, unreadable or malformed
+instance, config or checkpoint file; 4 numerical failure.
 """
 
 import argparse
@@ -196,8 +197,7 @@ def _solve_one(task):
             print(f"warning: search limit hit on {path}; best found returned",
                   file=sys.stderr)
     elif solver == "alns":
-        sol, stats = alns_solve(inst, opts["iterations"], seed,
-                                return_stats=True)
+        sol, stats = alns_solve(inst, opts["iterations"], seed)
         if opts["telemetry"]:
             history = stats.history
     else:
@@ -229,8 +229,6 @@ def cmd_solve(args):
         if not args.checkpoint:
             raise UsageError("--checkpoint is required with --solver neural")
         ckpt_bytes, _, _ = _read_checkpoint(args.checkpoint)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
     opts = {flag: getattr(args, flag) for flag in SOLVER_FLAGS}
     opts["checkpoint"] = ckpt_bytes
@@ -244,6 +242,9 @@ def cmd_solve(args):
     else:
         results = [_solve_one(t) for t in tasks]
 
+    # the output directory appears only once every instance has loaded
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     outputs = []
     for (path, sol, wall, history), task in zip(results, tasks):
@@ -289,7 +290,10 @@ def _train_configs(doc):
                               if key in doc})
         if "curriculum" not in doc:
             return pol, [TrainConfig(**base)]
-        base.pop("n", None)             # each stage sets its own size
+        # stages take n from the curriculum, epochs from epochs_per_stage
+        for key, over in (("n", "curriculum"), ("epochs", "epochs_per_stage")):
+            if key in doc and over in doc:
+                raise ValueError(f"{key!r} cannot be combined with {over!r}")
         sizes = doc["curriculum"]
         if sizes is True:
             sizes = CURRICULUM_SIZES
@@ -395,8 +399,6 @@ def cmd_eval(args):
         else [inst_dir]
     if not paths or (len(paths) == 1 and not paths[0].is_file()):
         raise DataError(f"no instances found under {args.instances}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     t0 = time.time()
 
     tasks = [(p, ckpt_bytes, args.stochastic, args.replicas,
@@ -409,6 +411,8 @@ def cmd_eval(args):
     else:
         results = [_eval_one(t) for t in tasks]
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     per_instance = []
     for (path, reps), task in zip(results, tasks):

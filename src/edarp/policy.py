@@ -129,9 +129,6 @@ class Policy:
             par(name, d)
         self.params = p
 
-    def parameters(self):
-        return list(self.params.values())
-
     def zero_grad(self):
         for t in self.params.values():
             t.grad = None
@@ -264,16 +261,16 @@ def visited_array(env, state):
 
 
 def rollout_episode(policy, env, tape, rng=None, greedy=False,
-                    first_action=None, noise=None, enc=None, feats=None):
+                    first_action=None, noise=None, enc=None):
     """Run one full episode under the policy.
 
-    Returns (state, log_prob_sum, actions); log_prob_sum is a tape
-    tensor covering every sampled step including a forced first action.
+    enc is the instance's encoding when the caller already has it;
+    without it the episode encodes env.inst itself. Returns (state,
+    log_prob_sum, actions); log_prob_sum is a tape tensor covering
+    every sampled step including a forced first action.
     """
-    if feats is None:
-        feats = normalize_features(env.inst)
     if enc is None:
-        enc = policy.encode(tape, feats)
+        enc = policy.encode(tape, normalize_features(env.inst))
     state = env.reset()
     logps = []
     actions = []
@@ -326,8 +323,7 @@ def multistart_rollout(policy, inst, k_p=8, noise=None):
     best = None
     for a0 in starts:
         state, _, _ = rollout_episode(policy, env, None, greedy=True,
-                                      first_action=a0, noise=noise,
-                                      enc=enc, feats=feats)
+                                      first_action=a0, noise=noise, enc=enc)
         sol = env.solution(state)
         if best is None or sol.reward > best.reward:
             best = sol

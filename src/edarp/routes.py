@@ -9,16 +9,23 @@ the feasibility, battery and charging rules. Insertion scans reuse the
 prefix state up to the insertion point and re-simulate the tail, so
 their verdicts agree with a from-scratch simulation exactly.
 
+Greedy's start plan breaks that premise where the simulator's escape
+move ran: a depot return with passengers aboard leaves a route this
+model rejects, which remove_requests strips until it simulates, and a
+second visit to a charger is a plan fact this model cannot see.
+
 Costs here are a route's contribution to the objective J; the completion
 bonus is a constant per inserted request and cancels out of position
 comparisons, so it never appears in these deltas.
 """
 
+from .environment import EpisodeState
+
 
 class RouteInfo:
     """Per-stop timeline of one simulated route; index 0 is the fresh vehicle."""
 
-    __slots__ = ("nodes", "A", "SS", "DEP", "B", "LOAD", "PS",
+    __slots__ = ("nodes", "A", "SS", "DEP", "B", "LOAD", "PS", "legs",
                  "cumE", "cumW", "cumL", "cumT", "E", "W", "L", "T", "cost")
 
     def __init__(self, nodes):
@@ -30,6 +37,7 @@ class RouteInfo:
         self.B = [1.0] * (m + 1)       # soc after stop (incl. charge)
         self.LOAD = [0] * (m + 1)
         self.PS = [None] * (m + 1)     # pickup service start of a delivery stop
+        self.legs = []                 # (wait, late, de, dt) per hop, depot return last
         self.cumE = [0.0] * (m + 1)    # running totals after stop k
         self.cumW = [0.0] * (m + 1)
         self.cumL = [0.0] * (m + 1)
@@ -55,6 +63,7 @@ class RouteCtx:
         hop, n = self.env.hop, self.env.n
         u, tau, b, load = 0, 0.0, 1.0, 0
         ss_of = {}                      # pickup node -> service start
+        legs = info.legs
         E = W = L = T = 0.0
         for k, w_node in enumerate(nodes, start=1):
             if w_node == 0:
@@ -64,6 +73,7 @@ class RouteCtx:
             if res is None:
                 return None
             ss, dep, b, load, wait, late, de, dt = res
+            legs.append(res[4:])
             if w_node <= n:
                 ss_of[w_node] = ss
             E += de
@@ -84,6 +94,7 @@ class RouteCtx:
         leg = self.env.home(u, b, load)
         if leg is None:
             return None
+        legs.append((0.0, 0.0) + leg)
         E += leg[0]
         T += leg[1]
         info.E, info.W, info.L, info.T = E, W, L, T
@@ -93,6 +104,18 @@ class RouteCtx:
     def route_cost(self, nodes):
         info = self.simulate(nodes)
         return info.cost if info is not None else float("inf")
+
+    def plan_objective(self, infos):
+        """Objective J of a plan from its routes' infos. The totals add up
+        hop by hop in replay's order, so J equals replay's bit for bit."""
+        tot = EpisodeState()
+        for info in infos:
+            for wait, late, de, dt in info.legs:
+                tot.wait_sec += wait
+                tot.late_sec += late
+                tot.energy_kwh += de
+                tot.travel_sec += dt
+        return self.env.objective(tot)
 
     # -- insertion search -----------------------------------------------------
 
@@ -107,8 +130,6 @@ class RouteCtx:
         Pickups re-timed by the insertion are looked up in a per-
         candidate override map, all others in info.PS.
         """
-        if info is None:
-            return
         hop, home, n = self.env.hop, self.env.home, self.env.n
         p = 1 + req
         d = 1 + n + req
@@ -224,23 +245,11 @@ def remove_requests(plan, ctx, req_ids):
     pool = set(req_ids)
     out = []
     for route in plan:
-        kept = []
-        for node in route:
-            r = None
-            if 1 <= node <= n:
-                r = node - 1
-            elif node <= 2 * n and node > n:
-                r = node - 1 - n
-            if r is not None and r in drop:
-                continue
-            kept.append(node)
-        kept = _clean_chargers(kept, ctx)
+        # (node - 1) % n is the request of a pickup or a delivery node
+        kept = _clean_chargers([nd for nd in route if not
+                                (1 <= nd <= 2 * n and (nd - 1) % n in drop)], ctx)
         while kept and ctx.simulate(kept) is None:
-            victim = None
-            for node in reversed(kept):
-                if 1 <= node <= n:
-                    victim = node - 1
-                    break
+            victim = next((nd - 1 for nd in reversed(kept) if 1 <= nd <= n), None)
             if victim is None:
                 kept = []
                 break

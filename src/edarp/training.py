@@ -125,8 +125,7 @@ def reinforce_update(policy, opt, instances, rng, k_p, grad_clip):
             rewards = []
             for a0 in starts:
                 state, lp, _ = rollout_episode(policy, env, tape, rng=rng,
-                                               first_action=a0, enc=enc,
-                                               feats=feats)
+                                               first_action=a0, enc=enc)
                 rewards.append(env.solution(state).reward)
                 lps.append(ad.reshape(tape, lp, (1,)))
             adv = pomo_advantages(rewards)

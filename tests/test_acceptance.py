@@ -127,8 +127,7 @@ def test_alns_dominates_greedy_at_ten_requests():
         inst = generate_instance(10, fleet=FleetParams(vehicles=2),
                                  seed=40_000 + i)
         g = greedy_solve(inst)
-        a, stats = alns_solve(inst, iterations=10_000, seed=i,
-                              return_stats=True)
+        a, stats = alns_solve(inst, iterations=10_000, seed=i)
         best_trace = [h[1] for h in stats.history]
         assert all(b2 <= b1 for b1, b2 in zip(best_trace, best_trace[1:]))
         g_mean.append(g.reward)
@@ -176,7 +175,7 @@ def _numeric_grad(build, tensors, i, h=1e-6):
 
 def _check(build, tensors):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     tape = Tape()
     tape.backward(build(tape, *tensors))
     worst = 0.0
@@ -277,7 +276,7 @@ def test_gradients_match_finite_differences():
                                         rng=np.random.default_rng(1000 + s))
         tape, lp = _forced_logprob(policy, inst, actions)
         tape.backward(lp)
-        tensors = policy.parameters()
+        tensors = list(policy.params.values())
         g = np.concatenate([(t.grad if t.grad is not None
                              else np.zeros_like(t.data)).ravel()
                             for t in tensors])
@@ -430,7 +429,7 @@ def test_discounted_time_weights_raise_load_factor():
             inst = generate_instance(12, fleet=FleetParams(vehicles=4,
                                                            capacity=3),
                                      seed=120_000 + i, weights=w)
-            sol = alns_solve(inst, iterations=600, seed=i)
+            sol, _ = alns_solve(inst, iterations=600, seed=i)
             lf[name].append(sol.metrics["load_factor"])
     mp, mf = float(np.mean(lf["pool"])), float(np.mean(lf["flat"]))
     dt = time.time() - t0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from edarp import (Env, OperatorWeights, RouteCtx, alns_solve,
+from edarp import (Env, FleetParams, OperatorWeights, RouteCtx, alns_solve,
                    exact_solve, generate_instance, greedy_solve,
                    shaw_relatedness)
 from edarp.alns import (W_MIN, random_removal, rtr_accept, rtr_tolerance,
@@ -89,7 +89,7 @@ def test_shaw_relatedness_shape():
 
 
 def test_zero_iterations_equals_greedy(small_instance):
-    sol = alns_solve(small_instance, iterations=0)
+    sol, _ = alns_solve(small_instance, iterations=0)
     base = greedy_solve(small_instance)
     assert sol.reward == base.reward
     assert sol.vehicle_routes() == base.vehicle_routes()
@@ -101,7 +101,7 @@ def test_reaches_oracle_on_tiny_instances():
         inst = generate_instance(2, charger_count=1, seed=seed)
         best, optimal = exact_solve(inst)
         assert optimal
-        sol = alns_solve(inst, iterations=500, seed=seed)
+        sol, _ = alns_solve(inst, iterations=500, seed=seed)
         assert sol.reward <= best.reward + 1e-9
         if sol.reward >= best.reward - 1e-9:
             hits += 1
@@ -110,27 +110,52 @@ def test_reaches_oracle_on_tiny_instances():
 
 def test_best_cost_monotone_and_beats_greedy():
     inst = generate_instance(10, charger_count=2, seed=321)
-    sol, stats = alns_solve(inst, iterations=2000, seed=7,
-                            return_stats=True)
+    sol, stats = alns_solve(inst, iterations=2000, seed=7)
     base = greedy_solve(inst)
     assert sol.reward >= base.reward - 1e-9
     best_trace = [row[1] for row in stats.history]
     assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(best_trace, best_trace[1:]))
-    assert stats.iterations == 2000
+    assert len(stats.history) == 2000
     assert best_trace[-1] == pytest.approx(-sol.reward, abs=1e-9)
+
+
+@pytest.mark.parametrize("n, iterations, tight", [(40, 40, False),
+                                                  (10, 200, True)])
+def test_route_price_matches_replay(request, n, iterations, tight):
+    """The route-model price of the best plan is what replaying it scores,
+    also when greedy's start plan holds routes the route model rejects."""
+    fleet = request.getfixturevalue("tight_fleet") if tight else FleetParams()
+    inst = generate_instance(n, charger_count=2, fleet=fleet, seed=404)
+    ctx = RouteCtx(Env(inst))
+    start = plan_from_solution(greedy_solve(inst), inst.fleet.vehicles)
+    assert any(ctx.simulate(r) is None for r in start)
+    sol, stats = alns_solve(inst, iterations=iterations, seed=5)
+    assert stats.new_best > 0           # the best plan is a priced candidate
+    assert stats.history[-1][1] == -sol.reward      # exact: summed in replay's order
+
+
+def test_repeated_charger_is_judged_by_replay(tight_fleet):
+    """Greedy's escape moves can visit one charger twice, which the route
+    model cannot see; replay prices or refuses such candidates."""
+    inst = generate_instance(6, charger_count=2, fleet=tight_fleet, seed=1176)
+    plan = plan_from_solution(greedy_solve(inst), inst.fleet.vehicles)
+    stations = [nd for route in plan for nd in route if nd > 2 * inst.n]
+    assert len(stations) > len(set(stations))
+    sol, stats = alns_solve(inst, iterations=100, seed=1176)
+    assert stats.replay_failures > 0 and stats.new_best > 0
+    assert stats.history[-1][1] == -sol.reward
 
 
 def test_deterministic_given_seed():
     inst = generate_instance(6, charger_count=1, seed=55)
-    a = alns_solve(inst, iterations=300, seed=11)
-    b = alns_solve(inst, iterations=300, seed=11)
+    a, _ = alns_solve(inst, iterations=300, seed=11)
+    b, _ = alns_solve(inst, iterations=300, seed=11)
     assert a.reward == b.reward
     assert a.vehicle_routes() == b.vehicle_routes()
 
 
 def test_telemetry_file_shape(small_instance):
-    _, stats = alns_solve(small_instance, iterations=50, seed=3,
-                          return_stats=True)
+    _, stats = alns_solve(small_instance, iterations=50, seed=3)
     rows = stats.history
     assert len(rows) == 50
     assert [r[0] for r in rows] == list(range(50))

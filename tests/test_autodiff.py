@@ -25,7 +25,7 @@ def numeric_grad(build, tensors, i, h=1e-6):
 
 def check_grads(build, tensors):
     for t in tensors:
-        t.zero_grad()
+        t.grad = None
     tape = Tape()
     loss = build(tape, *tensors)
     tape.backward(loss)

@@ -207,6 +207,25 @@ def test_solve_missing_and_malformed_instance(tmp_path, capsys):
     assert "initialSoc" in capsys.readouterr().err
 
 
+def test_data_error_leaves_no_output_dir(tmp_path, capsys):
+    """A solve or eval that fails on its instances writes nothing."""
+    out = tmp_path / "newdir"
+    assert run("solve", str(tmp_path / "missing.json"), "--solver", "greedy",
+               "--out", str(out)) == 3
+    assert not out.exists()
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_bytes(save_policy(Policy(PolicyConfig(d_h=16, heads=2, layers=1))))
+    inst_dir = gen_dir(tmp_path, count=1)
+    doc = json.loads((inst_dir / "instance_0000.json").read_text())
+    doc["schema"] = "not-an-instance"
+    (inst_dir / "instance_0000.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("eval", "--checkpoint", str(ckpt),
+               "--instances", str(inst_dir), "--out", str(out)) == 3
+    assert "schema" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_jobs_parallel_matches_serial(tmp_path):
     out = gen_dir(tmp_path, count=3, n=2, seed=2)
     insts = sorted(str(p) for p in out.glob("instance_*.json"))
@@ -279,7 +298,7 @@ def test_train_rejects_k_p_one(tmp_path):
 
 
 CURRICULUM = dict(TINY_TRAIN, curriculum=[2, 3], epochs_per_stage=1)
-del CURRICULUM["n"]
+del CURRICULUM["n"], CURRICULUM["epochs"]    # the curriculum sets both
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -313,6 +332,8 @@ del CURRICULUM["n"]
     (dict(CURRICULUM, curriculum=[]), "curriculum"),
     (dict(CURRICULUM, epochs_per_stage=0), "epochs_per_stage"),
     (CURRICULUM, "--resume"),       # a curriculum restarts its optimizer
+    (dict(CURRICULUM, n=5), "n"),                # each stage sets its size
+    (dict(CURRICULUM, epochs=7), "epochs"),      # epochs_per_stage overrides it
 ])
 def test_train_rejects_bad_config_value_by_name(tmp_path, capsys, doc, key):
     argv = ["train", "--config", str(write_config(tmp_path, doc))]

@@ -184,7 +184,7 @@ def test_sampled_rollout_on_mask_and_logprob_sign(small_instance):
         assert float(lp.data) <= 1e-12
         assert len(actions) == state.steps
         tape.backward(lp)           # the whole trajectory stays differentiable
-        assert any(t.grad is not None for t in policy.parameters())
+        assert any(t.grad is not None for t in policy.params.values())
 
 
 def test_forced_first_action_validated(small_instance):

@@ -138,8 +138,7 @@ def test_update_invariant_to_trajectory_order_within_instance():
         lps, rewards = [], []
         for a0 in order:
             state, lp, _ = rollout_episode(policy, env, tape, greedy=True,
-                                           first_action=a0, enc=enc,
-                                           feats=feats)
+                                           first_action=a0, enc=enc)
             rewards.append(env.solution(state).reward)
             lps.append(ad.reshape(tape, lp, (1,)))
         adv = pomo_advantages(rewards)
