@@ -272,7 +272,7 @@ def alns_solve(inst, iterations=5000, seed=0):
             else:
                 ids = worst_removal(cand_plan, ctx, q)
             # repairs every route, also the greedy routes the route model rejects
-            cand_plan, _ = remove_requests(cand_plan, ctx, ids)
+            cand_plan = remove_requests(cand_plan, ctx, ids)
             changed = sorted(i for i in range(len(plan))
                              if cand_plan[i] != plan[i])
             pruned = prune_chargers([cand_plan[i] for i in changed], ctx)

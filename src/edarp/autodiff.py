@@ -267,14 +267,15 @@ def masked_softmax(tape, x, mask):
     mask is a boolean array broadcastable to x, True meaning blocked.
     Rows with every entry blocked come out all-zero.
     """
-    mask = np.broadcast_to(mask, x.data.shape)
-    neg = np.where(mask, -np.inf, x.data)
-    mx = neg.max(axis=-1, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    p = np.exp(neg - mx)
-    p[mask] = 0.0
+    # one temporary, worked in place; blocked entries exp to exactly 0
+    p = np.where(np.broadcast_to(mask, x.data.shape), -np.inf, x.data)
+    mx = p.max(axis=-1, keepdims=True)
+    p -= np.where(np.isfinite(mx), mx, 0.0)
+    np.exp(p, out=p)
     tot = p.sum(axis=-1, keepdims=True)
-    p = np.divide(p, tot, out=np.zeros_like(p), where=tot > 0.0)
+    ok = tot > 0.0
+    np.divide(p, tot, out=p, where=ok)
+    p[~ok[..., 0]] = 0.0             # an all-blocked or non-finite row
     out = Tensor(p)
     if tape is not None:
         def back():

@@ -33,7 +33,8 @@ from . import __version__
 from .alns import alns_solve
 from .environment import NoiseConfig, save_solution
 from .greedy import greedy_solve
-from .instance import FleetParams, InstanceFormatError, generate_instance, load, save, validate
+from .instance import (FleetParams, InstanceFormatError, generate_instance, load,
+                       normalize_features, save, validate)
 from .oracle import SearchLimitError, exact_solve
 from .policy import (PolicyConfig, load_policy, multistart_rollout, require,
                      save_policy)
@@ -108,7 +109,7 @@ def _load_instance(path):
 
 
 def _read_checkpoint(path):
-    """(bytes, policy, optimizer state) of a checkpoint file.
+    """(policy, optimizer state) of a checkpoint file.
 
     A missing, unreadable or malformed file is a DataError.
     """
@@ -120,7 +121,7 @@ def _read_checkpoint(path):
         policy, opt_state = load_policy(data)
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"cannot load checkpoint {p}: {e}") from e
-    return data, policy, opt_state
+    return policy, opt_state
 
 
 def _metrics_row(path, solver, seed, sol, wall):
@@ -201,8 +202,7 @@ def _solve_one(task):
         if opts["telemetry"]:
             history = stats.history
     else:
-        policy, _ = load_policy(opts["checkpoint"])
-        sol = multistart_rollout(policy, inst, k_p=opts["multistart"])
+        sol = multistart_rollout(opts["policy"], inst, k_p=opts["multistart"])
     wall = time.time() - t0
     if not np.isfinite(sol.reward) or not np.isfinite(sol.objective):
         raise NumericalError(f"non-finite objective for {path}")
@@ -224,14 +224,14 @@ def cmd_solve(args):
             stray.append(f"--{flag} applies only to --solver {owner}")
     if stray:
         raise UsageError("; ".join(stray))
-    ckpt_bytes = None
+    policy = None
     if args.solver == "neural":
         if not args.checkpoint:
             raise UsageError("--checkpoint is required with --solver neural")
-        ckpt_bytes, _, _ = _read_checkpoint(args.checkpoint)
+        policy, _ = _read_checkpoint(args.checkpoint)
     t0 = time.time()
     opts = {flag: getattr(args, flag) for flag in SOLVER_FLAGS}
-    opts["checkpoint"] = ckpt_bytes
+    opts["policy"] = policy
     tasks = [(path, args.solver, _stream_seed(args.seed, 2, i), opts)
              for i, path in enumerate(args.instances)]
 
@@ -332,7 +332,7 @@ def cmd_train(args):
         if curriculum:
             raise UsageError("--resume applies only to a config without "
                              "curriculum: stages restart their optimizer")
-        _, policy, opt_state = _read_checkpoint(args.resume)
+        policy, opt_state = _read_checkpoint(args.resume)
         hc = policy.config
         for name, want in (("d_h", pol_cfg.d_h), ("heads", pol_cfg.heads),
                            ("layers", pol_cfg.layers)):
@@ -379,21 +379,25 @@ def cmd_train(args):
 # -- eval -----------------------------------------------------------------------
 
 def _eval_one(task):
-    path, ckpt_bytes, scale, replicas, seed, multistart = task
+    """(path, [(solution, wall seconds)] per replica). The replicas share
+    one encoding, and the first replica's wall includes it."""
+    path, policy, scale, replicas, seed, multistart = task
     inst = _load_instance(path)
-    policy, _ = load_policy(ckpt_bytes)
+    t0 = time.time()
+    enc = policy.encode(None, normalize_features(inst))
     rows = []
     for r in range(replicas):
         noise = NoiseConfig.make(scale, _stream_seed(seed, 3, r))
-        t0 = time.time()
-        sol = multistart_rollout(policy, inst, k_p=multistart, noise=noise)
-        wall = time.time() - t0
-        rows.append((sol, wall))
+        sol = multistart_rollout(policy, inst, k_p=multistart, noise=noise,
+                                 enc=enc)
+        t1 = time.time()
+        rows.append((sol, t1 - t0))
+        t0 = t1
     return path, rows
 
 
 def cmd_eval(args):
-    ckpt_bytes, _, _ = _read_checkpoint(args.checkpoint)
+    policy, _ = _read_checkpoint(args.checkpoint)
     inst_dir = Path(args.instances)
     paths = sorted(inst_dir.glob("instance_*.json")) if inst_dir.is_dir() \
         else [inst_dir]
@@ -401,7 +405,7 @@ def cmd_eval(args):
         raise DataError(f"no instances found under {args.instances}")
     t0 = time.time()
 
-    tasks = [(p, ckpt_bytes, args.stochastic, args.replicas,
+    tasks = [(p, policy, args.stochastic, args.replicas,
               _stream_seed(args.seed, 4, i), args.multistart)
              for i, p in enumerate(paths)]
     if args.jobs > 1 and len(tasks) > 1:

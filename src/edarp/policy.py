@@ -308,16 +308,19 @@ def greedy_rollout(policy, inst):
     return env.solution(state)
 
 
-def multistart_rollout(policy, inst, k_p=8, noise=None):
+def multistart_rollout(policy, inst, k_p=8, noise=None, enc=None):
     """Best of several greedy decodes, one per distinct first pickup.
 
     The unforced decode is always one of the candidates, so the result
     is never worse than greedy_rollout; forcing each feasible first
     pickup mirrors the multi-start scheme the policy is trained under.
+    enc is inst's untaped encoding when the caller already has it; noise
+    never changes the features, so one encoding serves every start and
+    every noise draw. Without it the call encodes inst itself.
     """
     env = Env(inst)
-    feats = normalize_features(inst)
-    enc = policy.encode(None, feats)
+    if enc is None:
+        enc = policy.encode(None, normalize_features(inst))
     m = env.mask(env.reset())
     starts = [None] + [j for j in range(1, 1 + env.n) if m[j]][:k_p]
     best = None

@@ -237,12 +237,12 @@ def remove_requests(plan, ctx, req_ids):
     another charger) are dropped. If a shortened route turns infeasible
     in spite of that, which the asymmetric matrices allow when a bypass
     edge is slower than the detour it replaced, requests are stripped
-    from its tail until it simulates cleanly; everything stripped joins
-    the returned removal pool.
+    from its tail until it simulates cleanly. Returns the new plan only:
+    the removal pool is every request served_requests no longer finds
+    on it.
     """
     n = ctx.env.n
     drop = set(req_ids)
-    pool = set(req_ids)
     out = []
     for route in plan:
         # (node - 1) % n is the request of a pickup or a delivery node
@@ -256,9 +256,8 @@ def remove_requests(plan, ctx, req_ids):
             kept = [nd for nd in kept
                     if nd != 1 + victim and nd != 1 + n + victim]
             kept = _clean_chargers(kept, ctx)
-            pool.add(victim)
         out.append(kept)
-    return out, sorted(pool)
+    return out
 
 
 def _clean_chargers(route, ctx):

@@ -180,6 +180,35 @@ def test_masked_softmax_forward_contract(rng):
     assert np.allclose(flat, 0.2, atol=1e-15)
 
 
+def reference_masked_softmax(x, mask):
+    """The out-of-place formula masked_softmax replaced."""
+    mask = np.broadcast_to(mask, x.shape)
+    neg = np.where(mask, -np.inf, x)
+    mx = neg.max(axis=-1, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    p = np.exp(neg - mx)
+    p[mask] = 0.0
+    tot = p.sum(axis=-1, keepdims=True)
+    return np.divide(p, tot, out=np.zeros_like(p), where=tot > 0.0)
+
+
+def test_masked_softmax_in_place_matches_reference(rng):
+    v = 6
+    dup = np.zeros((v, v, 2 * v), dtype=bool)    # the encoder's joint mask
+    for i in range(v):
+        dup[i, :, v + i] = True
+    blocked_rows = rng.random((v, 2 * v)) < 0.5
+    blocked_rows[[0, 3]] = True                   # every entry blocked
+    cases = [(rng.standard_normal((v, v, 2 * v)) * 4.0, dup),
+             (rng.standard_normal((v, 2 * v)) * 4.0, blocked_rows),
+             (rng.standard_normal(2 * v), np.zeros(2 * v, dtype=bool))]
+    for x, mask in cases:
+        before = x.copy()
+        got = ad.masked_softmax(None, Tensor(x), mask).data
+        assert got.tobytes() == reference_masked_softmax(x, mask).tobytes()
+        assert x.tobytes() == before.tobytes()    # input left untouched
+
+
 def test_masked_softmax_shift_invariance(rng):
     x = rng.standard_normal((2, 5))
     mask = np.zeros((2, 5), dtype=bool)

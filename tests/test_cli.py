@@ -7,6 +7,7 @@ import pytest
 
 from edarp import Policy, PolicyConfig, cli, save_policy
 from edarp.cli import METRICS_COLUMNS, main
+from edarp.policy import multistart_rollout
 
 TINY_TRAIN = {"n": 2, "epochs": 1, "steps_per_epoch": 1, "batch": 2,
               "k_p": 2, "lr": 1e-3, "seed": 0, "val_size": 2,
@@ -414,6 +415,47 @@ def test_eval_noise_objective_not_below_deterministic(tmp_path):
     # policy may still route differently, so compare energy via objective
     # on average rather than per replica
     assert np.mean([float(r[4]) for r in nz]) >= det_obj - 1e-6
+
+
+def test_eval_encodes_each_instance_and_parses_checkpoint_once(tmp_path, monkeypatch):
+    inst_dir = gen_dir(tmp_path, count=2, n=3, seed=8)
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(save_policy(Policy(PolicyConfig(d_h=16, heads=2, layers=1))))
+    calls = {"encode": 0, "load_policy": 0}
+    encode, load_policy = Policy.encode, cli.load_policy
+
+    def counted_encode(self, tape, feats):
+        calls["encode"] += 1
+        return encode(self, tape, feats)
+
+    def counted_load(data):
+        calls["load_policy"] += 1
+        return load_policy(data)
+
+    monkeypatch.setattr(Policy, "encode", counted_encode)
+    monkeypatch.setattr(cli, "load_policy", counted_load)
+    argv = ["eval", "--checkpoint", str(ck), "--instances", str(inst_dir),
+            "--stochastic", "0.1", "--replicas", "3"]
+    assert run(*argv, "--out", str(tmp_path / "shared")) == 0
+    assert calls == {"encode": 2, "load_policy": 1}
+    # pool workers get the parsed policy, not the checkpoint bytes
+    assert run(*argv, "--jobs", "2", "--out", str(tmp_path / "jobs")) == 0
+
+    # reference: every replica encodes for itself
+    calls["encode"] = 0
+    monkeypatch.setattr(cli, "multistart_rollout",
+                        lambda policy, inst, k_p, noise, enc:
+                        multistart_rollout(policy, inst, k_p=k_p, noise=noise))
+    assert run(*argv, "--out", str(tmp_path / "own")) == 0
+    assert calls["encode"] == 2 + 2 * 3
+    skip = METRICS_COLUMNS.index("wall_s")
+    want = [r[:skip] for r in read_csv(tmp_path / "shared" / "eval_metrics.csv")]
+    assert len(want) == 1 + 2 * 3
+    for other in ("own", "jobs"):
+        got = read_csv(tmp_path / other / "eval_metrics.csv")
+        assert [r[:skip] for r in got] == want
+        assert ((tmp_path / other / "eval_summary.csv").read_bytes()
+                == (tmp_path / "shared" / "eval_summary.csv").read_bytes())
 
 
 def test_eval_missing_checkpoint(tmp_path):

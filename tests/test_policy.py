@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from edarp import (Env, Policy, PolicyConfig, Tape, Tensor, generate_instance,
-                   greedy_rollout, load_policy, multistart_rollout,
-                   rollout_episode, save_policy)
+from edarp import (Env, NoiseConfig, Policy, PolicyConfig, Tape, Tensor,
+                   generate_instance, greedy_rollout, load_policy,
+                   multistart_rollout, rollout_episode, save_policy)
 from edarp.instance import FeatureTensors, normalize_features
 from edarp.policy import clipped_logits, state_scalars, visited_array
 
@@ -212,6 +212,21 @@ def test_multistart_never_worse_than_greedy():
         g = greedy_rollout(policy, inst)
         ms = multistart_rollout(policy, inst, k_p=4)
         assert ms.reward >= g.reward - 1e-12
+
+
+def test_multistart_shared_encoding_is_exact():
+    # noise changes transitions, never features: one encoding serves
+    # every noise draw, and leaves each result exactly as it was
+    policy = Policy(CFG)
+    inst = generate_instance(5, charger_count=1, seed=31)
+    shared = policy.encode(None, normalize_features(inst))
+    for seed in range(4):
+        own = multistart_rollout(policy, inst, k_p=4,
+                                 noise=NoiseConfig.make(0.2, seed))
+        got = multistart_rollout(policy, inst, k_p=4,
+                                 noise=NoiseConfig.make(0.2, seed), enc=shared)
+        assert got.reward == own.reward
+        assert got.routes == own.routes
 
 
 def test_state_scalars_ranges(small_instance):

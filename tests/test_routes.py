@@ -145,10 +145,19 @@ def test_remove_requests_preserves_request_multiset():
         plan = plan_from_solution(greedy_solve(inst), env.K)
         before = served_requests(plan, env.n)
         targets = before[: max(1, len(before) // 2)]
-        out, pool = remove_requests(plan, ctx, targets)
+        out = remove_requests(plan, ctx, targets)
         after = served_requests(out, env.n)
-        assert sorted(after + pool) == sorted(set(before) | set(targets))
-        assert not set(after) & set(pool)
+        # the removal pool is what the plan no longer serves
+        assert set(after) <= set(before)
+        assert not set(targets) & set(after)
+        nodes = [nd for route in out for nd in route]
+        for r in range(env.n):
+            ends = (1 + r, 1 + env.n + r)
+            if r in after:       # both nodes, once each, on one route
+                assert [nodes.count(nd) for nd in ends] == [1, 1]
+                assert any(set(ends) <= set(route) for route in out)
+            else:                # gone entirely, delivery too
+                assert not set(ends) & set(nodes)
         for route in out:
             if route:
                 assert ctx.simulate(route) is not None
@@ -165,9 +174,10 @@ def test_remove_requests_drops_stranded_chargers():
             break
     else:
         pytest.fail("no seed produced the fixture route")
-    out, pool = remove_requests([route, []], ctx, [0])
+    out = remove_requests([route, []], ctx, [0])
     assert out[0] == [2, 2 + env.n]      # leading charger dropped
-    assert pool == [0]
+    removed = set(served_requests([route], env.n)) - set(served_requests(out, env.n))
+    assert removed == {0}
     assert ctx.simulate(out[0]) is not None
 
 
