@@ -44,8 +44,9 @@ class Tape:
 
 def _accum(t, g):
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g + 0.0        # a fresh array, bit-equal to zeros + g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g, shape):
@@ -206,7 +207,9 @@ def concat(tape, parts, axis):
 
 
 def take(tape, a, idx):
-    """Pick one slice along the first axis."""
+    """Gather a[idx] for an integer or integer-array index (a tuple of
+    arrays indexes several axes). Repeated indices accumulate their
+    gradients; a plain `grad[idx] += g` would keep only one of them."""
     out = Tensor(a.data[idx])
     if tape is not None:
         def back():
@@ -214,7 +217,7 @@ def take(tape, a, idx):
                 return
             if a.grad is None:
                 a.grad = np.zeros_like(a.data)
-            a.grad[idx] += out.grad
+            np.add.at(a.grad, idx, out.grad)
         tape.record(back)
     return out
 

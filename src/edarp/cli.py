@@ -38,7 +38,8 @@ from .instance import (FleetParams, InstanceFormatError, generate_instance, load
 from .oracle import SearchLimitError, exact_solve
 from .policy import (PolicyConfig, load_policy, multistart_rollout, require,
                      save_policy)
-from .training import CURRICULUM_SIZES, TrainConfig, curriculum_train, train
+from .training import (CURRICULUM_SIZES, TrainConfig, check_opt_state,
+                       curriculum_train, train)
 
 SCHEMA_MANIFEST = "edarp-manifest/1"
 
@@ -340,8 +341,11 @@ def cmd_train(args):
                 raise UsageError(
                     f"config {name}={want} conflicts with checkpoint "
                     f"{name}={getattr(hc, name)}")
-        if opt_state and "epoch" in opt_state:
-            start_epoch = int(opt_state["epoch"])
+        if opt_state is not None:
+            try:
+                start_epoch = check_opt_state(opt_state, policy.params)
+            except ValueError as e:
+                raise DataError(f"checkpoint {args.resume}: {e}") from e
         inputs.append(Path(args.resume))
 
     out = Path(args.out)

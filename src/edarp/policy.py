@@ -67,14 +67,17 @@ class PolicyConfig:
 
 
 class EncodedGraph:
-    """Per-instance tensors reused across every decode step."""
+    """Per-instance tensors reused across every decode step: node
+    embeddings, decoder keys, the depot and graph-mean context terms
+    (each (1, d)) and the normalized energy rows."""
 
-    __slots__ = ("Z", "zbar", "keys", "eps_norm")
+    __slots__ = ("Z", "keys", "depot_ctx", "graph_ctx", "eps_norm")
 
-    def __init__(self, Z, zbar, keys, eps_norm):
+    def __init__(self, Z, keys, depot_ctx, graph_ctx, eps_norm):
         self.Z = Z
-        self.zbar = zbar
         self.keys = keys
+        self.depot_ctx = depot_ctx
+        self.graph_ctx = graph_ctx
         self.eps_norm = eps_norm
 
 
@@ -188,50 +191,58 @@ class Policy:
         ht = ad.transpose(tape, h, (1, 0, 2))
         z = ad.tsum(tape, ad.mul(tape, ht, ad.reshape(tape, omega, (v, v, 1))),
                     axis=1)
-        zbar = ad.tmean(tape, z, axis=0)
-        keys = ad.matmul(tape, z, p["dec_key"])
-        return EncodedGraph(z, zbar, keys, feats.edge[:, :, 2])
+        zbar = ad.reshape(tape, ad.tmean(tape, z, axis=0), (1, cfg.d_h))
+        return EncodedGraph(
+            z, ad.matmul(tape, z, p["dec_key"]),
+            ad.matmul(tape, ad.narrow(tape, z, 0, 0, 1), p["ctx_depot"]),
+            ad.matmul(tape, zbar, p["ctx_graph"]), feats.edge[:, :, 2])
 
     # -- decoder ---------------------------------------------------------------
 
     def decode_step(self, tape, enc, node, load_frac, soc, time_frac,
                     feasible, visited):
-        """Action distribution for one state; exact zeros off-mask.
+        """Action distributions for a batch of k states; exact zeros off-mask.
 
-        feasible is the boolean action mask from the simulator, visited
-        the boolean visited-node array; both contribute mean-embedding
-        context terms that are zero vectors while their set is empty.
+        node and the three scalars hold one entry per state, feasible (the
+        simulator's boolean action mask) and visited (the boolean
+        visited-node array) one row each, and the result is (k, V). A
+        scalar node with 1-D masks scores one state and returns (V,). The
+        visited and masked sets contribute mean-embedding context terms,
+        zero vectors in the rows whose set is empty.
         """
         cfg = self.config
         p = self.params
-        d = cfg.d_h
-        v = enc.Z.data.shape[0]
-        blocked = ~np.asarray(feasible, dtype=bool)
+        node = np.asarray(node, dtype=np.intp)
+        single = node.ndim == 0
+        node = node.reshape(-1)
+        k = len(node)
+        blocked = ~np.asarray(feasible, dtype=bool).reshape(k, -1)
+        visited = np.asarray(visited, dtype=bool).reshape(k, -1)
 
-        def project(vec, w):
-            return ad.reshape(tape, ad.matmul(tape, ad.reshape(tape, vec, (1, d)), w), (d,))
+        def mean_term(select, w):
+            sel = select / np.maximum(select.sum(axis=1, keepdims=True), 1)
+            return ad.matmul(tape, ad.matmul(tape, Tensor(sel), enc.Z), w)
 
-        def mean_of(select):
-            sel = select.astype(float) / select.sum()
-            return ad.reshape(tape, ad.matmul(tape, Tensor(sel[None, :]), enc.Z), (d,))
-
-        c = project(ad.take(tape, enc.Z, int(node)), p["ctx_curr"])
-        c = ad.add(tape, c, project(ad.take(tape, enc.Z, 0), p["ctx_depot"]))
-        c = ad.add(tape, c, project(enc.zbar, p["ctx_graph"]))
+        # the terms are added one at a time in this order: regrouping
+        # them changes the context's last bits, and seeded outputs with it
+        c = ad.matmul(tape, ad.take(tape, enc.Z, node), p["ctx_curr"])
+        c = ad.add(tape, c, enc.depot_ctx)
+        c = ad.add(tape, c, enc.graph_ctx)
         if visited.any():
-            c = ad.add(tape, c, project(mean_of(np.asarray(visited, bool)),
-                                        p["ctx_visited"]))
+            c = ad.add(tape, c, mean_term(visited, p["ctx_visited"]))
         if blocked.any():
-            c = ad.add(tape, c, project(mean_of(blocked), p["ctx_mask"]))
-        c = ad.add(tape, c, ad.scale(tape, p["ctx_load"], float(load_frac)))
-        c = ad.add(tape, c, ad.scale(tape, p["ctx_soc"], float(soc)))
-        c = ad.add(tape, c, ad.scale(tape, p["ctx_time"], float(time_frac)))
+            c = ad.add(tape, c, mean_term(blocked, p["ctx_mask"]))
+        for name, x in (("ctx_load", load_frac), ("ctx_soc", soc),
+                        ("ctx_time", time_frac)):
+            x = Tensor(np.asarray(x, dtype=np.float64).reshape(k, 1))
+            c = ad.add(tape, c, ad.mul(tape, x, p[name]))
 
-        u = ad.reshape(tape, ad.matmul(tape, enc.keys, ad.reshape(tape, c, (d, 1))), (v,))
-        u = ad.scale(tape, u, 1.0 / np.sqrt(d))
-        u = ad.add(tape, u, Tensor(-cfg.lam * enc.eps_norm[int(node)]))
+        u = ad.matmul(tape, enc.keys, ad.transpose(tape, c, (1, 0)))
+        u = ad.scale(tape, ad.transpose(tape, u, (1, 0)), 1.0 / np.sqrt(cfg.d_h))
+        u = ad.add(tape, u, Tensor(-cfg.lam * enc.eps_norm[node]))
         u = clipped_logits(tape, u, cfg.kappa)
-        return ad.masked_softmax(tape, u, blocked)
+        probs = ad.masked_softmax(tape, u, blocked)
+        return ad.reshape(tape, probs, (-1,)) if single else probs
 
 
 def clipped_logits(tape, u, kappa):
@@ -260,45 +271,70 @@ def visited_array(env, state):
     return out
 
 
-def rollout_episode(policy, env, tape, rng=None, greedy=False,
-                    first_action=None, noise=None, enc=None):
-    """Run one full episode under the policy.
+def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=None,
+                    noise=None, enc=None):
+    """Run one episode per start under the policy, in lock-step.
 
-    enc is the instance's encoding when the caller already has it;
-    without it the episode encodes env.inst itself. Returns (state,
-    log_prob_sum, actions); log_prob_sum is a tape tensor covering
-    every sampled step including a forced first action.
+    Each entry of starts is a forced first action, or None to let the
+    policy pick it. Every start keeps its own EpisodeState; the live ones
+    share one batched decode_step per step, and a start leaves the batch
+    once its episode ends. Steps go in start order, and sampling draws
+    one uniform per sampled row per step in that order. enc is the
+    instance's encoding when the caller already has it; without it the
+    call encodes env.inst itself.
+
+    Returns (states, log_prob_sums, actions): a state and an action list
+    per start, and a (k,) tape tensor of log-prob sums that cover every
+    step including a forced first action. Without starts it runs one
+    unforced episode and returns that episode's state, scalar log-prob
+    sum and action list.
     """
+    if starts is None:
+        states, lp, actions = rollout_episode(policy, env, tape, rng, greedy,
+                                              [None], noise, enc)
+        return states[0], ad.reshape(tape, lp, ()), actions[0]
     if enc is None:
         enc = policy.encode(tape, normalize_features(env.inst))
-    state = env.reset()
-    logps = []
-    actions = []
+    states = [env.reset() for _ in starts]
+    actions = [[] for _ in starts]
+    picked, owners = [], []      # per step: chosen probabilities, their starts
+    live = list(range(len(starts)))
     step = 0
-    while not state.terminal:
-        m = env.mask(state)
-        load, soc, tfrac = state_scalars(env, state)
-        probs = policy.decode_step(tape, enc, state.node, load, soc, tfrac, m,
-                                   visited_array(env, state))
-        if step == 0 and first_action is not None:
-            a = int(first_action)
-            if not m[a]:
-                raise ValueError("forced first action is masked")
-        elif greedy:
-            a = int(np.argmax(probs.data))
-        else:
-            cum = np.cumsum(probs.data)
-            x = rng.random() * cum[-1]
-            a = int(np.searchsorted(cum, x, side="right"))
-            a = min(a, len(m) - 1)
-            while not m[a]:           # numerical guard; p(masked) is exactly 0
-                a = (a + 1) % len(m)
-        logps.append(ad.reshape(tape, ad.log(tape, ad.take(tape, probs, a)), (1,)))
-        env.step(state, a, noise=noise, mask=m)
-        actions.append(a)
+    while live:
+        masks = [env.mask(states[i]) for i in live]
+        load, soc, tfrac = zip(*(state_scalars(env, states[i]) for i in live))
+        probs = policy.decode_step(
+            tape, enc, [states[i].node for i in live], load, soc, tfrac, masks,
+            [visited_array(env, states[i]) for i in live])
+        forced = [step == 0 and starts[i] is not None for i in live]
+        if not greedy:
+            draws = iter(rng.random(forced.count(False)))
+        chosen = []
+        for row, (i, m) in enumerate(zip(live, masks)):
+            if forced[row]:
+                a = int(starts[i])
+                if not m[a]:
+                    raise ValueError("forced first action is masked")
+            elif greedy:
+                a = int(np.argmax(probs.data[row]))
+            else:
+                cum = np.cumsum(probs.data[row])
+                a = int(np.searchsorted(cum, next(draws) * cum[-1], side="right"))
+                a = min(a, len(m) - 1)
+                while not m[a]:       # numerical guard; p(masked) is exactly 0
+                    a = (a + 1) % len(m)
+            env.step(states[i], a, noise=noise, mask=m)
+            actions[i].append(a)
+            chosen.append(a)
+        picked.append(ad.take(tape, probs, (np.arange(len(live)), chosen)))
+        owners += live
+        live = [i for i in live if not states[i].terminal]
         step += 1
-    lp = ad.tsum(tape, ad.concat(tape, logps, 0))
-    return state, lp, actions
+    logp = ad.reshape(tape, ad.log(tape, ad.concat(tape, picked, 0)), (-1, 1))
+    owner_of = np.zeros((len(starts), len(owners)))
+    owner_of[owners, np.arange(len(owners))] = 1.0
+    sums = ad.matmul(tape, Tensor(owner_of), logp)
+    return states, ad.reshape(tape, sums, (len(starts),)), actions
 
 
 def greedy_rollout(policy, inst):
@@ -324,10 +360,11 @@ def multistart_rollout(policy, inst, k_p=8, noise=None, enc=None):
     m = env.mask(env.reset())
     starts = [None] + [j for j in range(1, 1 + env.n) if m[j]][:k_p]
     best = None
+    # one start per call: noise draws follow each episode in turn
     for a0 in starts:
-        state, _, _ = rollout_episode(policy, env, None, greedy=True,
-                                      first_action=a0, noise=noise, enc=enc)
-        sol = env.solution(state)
+        states, _, _ = rollout_episode(policy, env, None, greedy=True,
+                                       starts=[a0], noise=noise, enc=enc)
+        sol = env.solution(states[0])
         if best is None or sol.reward > best.reward:
             best = sol
     return best
@@ -367,6 +404,8 @@ def load_policy(data):
         arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         if arr.shape != pol.params[k].data.shape:
             raise ValueError(f"shape mismatch for {k!r}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite weights in {k!r}")
         pol.params[k].data = arr
     missing = sorted(set(pol.params) - set(doc["params"]))
     if missing:

@@ -1,15 +1,16 @@
 """Policy-gradient training with shared-baseline multi-start rollouts.
 
 Each instance in a batch is rolled out from several distinct forced
-first pickups; the mean episode reward of that group is its baseline,
-so advantages sum to zero per group by construction. Gradients
-accumulate instance by instance (one tape each, keeping peak memory at
-a single graph) and a clipped Adam step applies once per batch.
-Training on one size hands its best checkpoint to the next size in the
-curriculum, which must stay within a relative band of its zero-shot
-score to count as a transfer.
+first pickups, decoded in lock-step as one batch; the mean episode
+reward of that group is its baseline, so advantages sum to zero per
+group by construction. Gradients accumulate instance by instance (one
+tape each, keeping peak memory at a single graph) and a clipped Adam
+step applies once per batch. Training on one size hands its best
+weights to the next size in the curriculum, which must stay within a
+relative band of its zero-shot score to count as a transfer.
 """
 
+import copy
 import time
 from dataclasses import dataclass, field
 
@@ -18,8 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .environment import Env
 from .instance import generate_instance, normalize_features
-from .policy import (Policy, PolicyConfig, greedy_rollout, load_policy,
-                     require, rollout_episode, save_policy)
+from .policy import (Policy, PolicyConfig, greedy_rollout, require,
+                     rollout_episode, save_policy)
 
 CURRICULUM_SIZES = [8, 10, 12, 14, 17, 21]
 PASS_BAND = 0.05            # a stage may end this far (relative) below its zero-shot
@@ -64,6 +65,36 @@ class Adam:
         for k in self.m:
             self.m[k] = np.array(st["m"][k]).reshape(self.m[k].shape)
             self.v[k] = np.array(st["v"][k]).reshape(self.v[k].shape)
+
+
+def check_opt_state(st, params):
+    """Epoch count of a checkpoint's optimizer state, after checking that
+    st has the form Adam.state writes for `params`: a step count t, a
+    finite moment list of each parameter's size under m and v (v never
+    negative) and an optional epoch count. Raises ValueError otherwise."""
+    if not isinstance(st, dict):
+        raise ValueError(f"optState must be an object, got {type(st).__name__}")
+    require("optState t", st.get("t"), 0, integer=True)
+    epoch = st.get("epoch", 0)
+    require("optState epoch", epoch, 0, integer=True)
+    for name in ("m", "v"):
+        moments = st.get(name)
+        if not isinstance(moments, dict) or set(moments) != set(params):
+            raise ValueError(f"optState {name} must map every parameter name "
+                             "to its moment list")
+        for k, p in params.items():
+            try:
+                arr = np.array(moments[k], dtype=np.float64)
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"optState {name}[{k!r}]: {e}") from e
+            if arr.shape != (p.data.size,):
+                raise ValueError(f"optState {name}[{k!r}] must be a list of "
+                                 f"{p.data.size} numbers")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"optState {name}[{k!r}] holds a non-finite value")
+            if name == "v" and (arr < 0).any():
+                raise ValueError(f"optState v[{k!r}] holds a negative value")
+    return epoch
 
 
 def clip_grad_norm(params, max_norm):
@@ -121,15 +152,10 @@ def reinforce_update(policy, opt, instances, rng, k_p, grad_clip):
             tape = ad.Tape()
             enc = policy.encode(tape, feats)
             starts = pomo_starts(env, k_p)
-            lps = []
-            rewards = []
-            for a0 in starts:
-                state, lp, _ = rollout_episode(policy, env, tape, rng=rng,
-                                               first_action=a0, enc=enc)
-                rewards.append(env.solution(state).reward)
-                lps.append(ad.reshape(tape, lp, (1,)))
-            adv = pomo_advantages(rewards)
-            weighted = ad.mul(tape, ad.concat(tape, lps, 0), ad.Tensor(adv))
+            states, lps, _ = rollout_episode(policy, env, tape, rng=rng,
+                                             starts=starts, enc=enc)
+            adv = pomo_advantages([env.solution(s).reward for s in states])
+            weighted = ad.mul(tape, lps, ad.Tensor(adv))
             loss = ad.scale(tape, ad.tsum(tape, weighted),
                             -1.0 / (len(starts) * len(instances)))
             tape.backward(loss)
@@ -185,8 +211,13 @@ class TrainConfig:
 class TrainReport:
     rows: list = field(default_factory=list)   # dicts, one per epoch
     best_val: float = -np.inf
-    best_checkpoint: bytes = b""
+    best_policy: Policy = None                 # a copy of the best weights
     final_checkpoint: bytes = b""
+
+    @property
+    def best_checkpoint(self):
+        """The best policy's checkpoint bytes, serialized on each access."""
+        return save_policy(self.best_policy)
 
     def to_csv(self):
         head = ["epoch", "trainLoss", "valReward", "valCompletion",
@@ -246,7 +277,7 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
                             "grad_norm": float("nan"),
                             "seconds": time.time() - t0})
     report.best_val = v0
-    report.best_checkpoint = save_policy(policy)
+    report.best_policy = copy.deepcopy(policy)
 
     inst_seed = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, cfg.n, 23, start_epoch]))
@@ -269,7 +300,7 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
                             "seconds": time.time() - t0})
         if vr >= report.best_val:
             report.best_val = vr
-            report.best_checkpoint = save_policy(policy)
+            report.best_policy = copy.deepcopy(policy)
     final_state = opt.state()
     final_state["epoch"] = start_epoch + cfg.epochs
     report.final_checkpoint = save_policy(policy, opt_state=final_state)
@@ -301,5 +332,5 @@ def curriculum_train(stage_cfgs, policy=None, policy_config=None):
         best = report.best_val
         passed = best >= zero - PASS_BAND * abs(zero)
         results.append(StageResult(cfg.n, zero, best, passed))
-        policy, _ = load_policy(report.best_checkpoint)
+        policy = report.best_policy
     return policy, results

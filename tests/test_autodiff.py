@@ -253,6 +253,33 @@ def test_backward_rejects_non_scalar_and_non_finite():
         tape.backward(nan)
 
 
+def test_gradcheck_take_repeated_rows_and_pairs(rng):
+    # repeated indices must each add their gradient; a plain
+    # `grad[idx] += g` keeps only the last write per row
+    w = Tensor(rng.standard_normal((4, 3)))
+    rows = np.array([2, 0, 2, 2, 3])
+    check_grads(lambda tp, w: ad.tsum(tp, ad.tanh(
+        tp, ad.take(tp, w, rows))), [w])
+    pairs = (np.array([0, 1, 1, 3]), [2, 0, 0, 2])
+    check_grads(lambda tp, w: ad.tsum(tp, ad.tanh(
+        tp, ad.take(tp, w, pairs))), [w])
+    w.grad = None
+    tape = Tape()
+    tape.backward(ad.tsum(tape, ad.take(tape, w, rows)))
+    assert w.grad[:, 0].tolist() == [1.0, 0.0, 3.0, 1.0]
+
+
+def test_first_gradient_is_a_fresh_array(rng):
+    # the first _accum stores g + 0.0: a copy, with -0.0 read as 0.0
+    # just as zeros + g would give
+    a = Tensor(rng.standard_normal((3,)))
+    tape = Tape()
+    out = ad.reshape(tape, a, (3,))
+    tape.backward(ad.tsum(tape, ad.scale(tape, out, -0.0)))
+    assert not np.shares_memory(a.grad, out.grad)
+    assert np.signbit(a.grad).tolist() == [False] * 3
+
+
 def test_grad_accumulates_across_uses(rng):
     a = Tensor(rng.standard_normal((4,)))
     tape = Tape()

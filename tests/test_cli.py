@@ -371,6 +371,75 @@ def test_train_resume_rejects_architecture_mismatch(tmp_path, capsys):
     assert "d_h" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def final_checkpoint(tmp_path_factory):
+    """The parsed checkpoint_final.json of a TINY_TRAIN run."""
+    tmp = tmp_path_factory.mktemp("trained")
+    out = tmp / "run"
+    assert run("train", "--config", str(write_config(tmp, TINY_TRAIN)),
+               "--out", str(out)) == 0
+    return json.loads((out / "checkpoint_final.json").read_text())
+
+
+def _drop_m(st):
+    del st["m"]
+
+
+def _truncate_v(st):
+    st["v"]["embed_b"].pop()
+
+
+def _nan_m(st):
+    st["m"]["ctx_curr"][3] = float("nan")
+
+
+def _negative_v(st):
+    st["v"]["ctx_soc"][0] = -1.0
+
+
+def _float_epoch(st):
+    st["epoch"] = 1.5
+
+
+@pytest.mark.parametrize("spoil", [_drop_m, _truncate_v, _nan_m, _negative_v,
+                                   _float_epoch, None])
+def test_train_resume_rejects_malformed_opt_state(tmp_path, capsys,
+                                                  final_checkpoint, spoil):
+    doc = json.loads(json.dumps(final_checkpoint))
+    if spoil is None:
+        doc["optState"] = [1, 2]              # not an object
+    else:
+        spoil(doc["optState"])
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("train", "--config", str(write_config(tmp_path, TINY_TRAIN)),
+               "--resume", str(ckpt), "--out", str(out)) == 3
+    assert "optState" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["solve", "eval", "train"])
+def test_nonfinite_checkpoint_weights_exit_3(tmp_path, capsys,
+                                            final_checkpoint, command, bad):
+    doc = json.loads(json.dumps(final_checkpoint))
+    doc["params"]["ctx_curr"]["data"][5] = bad
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    inst_dir = gen_dir(tmp_path, count=1)
+    argv = {"solve": ["solve", str(inst_dir / "instance_0000.json"),
+                      "--solver", "neural", "--checkpoint", str(ckpt)],
+            "eval": ["eval", "--checkpoint", str(ckpt),
+                     "--instances", str(inst_dir)],
+            "train": ["train", "--config", str(write_config(tmp_path, TINY_TRAIN)),
+                      "--resume", str(ckpt)]}[command]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 3
+    assert "non-finite weights in 'ctx_curr'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_deterministic_replicas_identical(tmp_path):
     cfg = write_config(tmp_path, TINY_TRAIN)
     run_dir = tmp_path / "run"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from edarp import autodiff as ad
 from edarp import (Env, NoiseConfig, Policy, PolicyConfig, Tape, Tensor,
                    generate_instance, greedy_rollout, load_policy,
                    multistart_rollout, rollout_episode, save_policy)
@@ -192,7 +193,7 @@ def test_forced_first_action_validated(small_instance):
     env = Env(small_instance)
     charger = env.chargers[0]       # blocked from the depot
     with pytest.raises(ValueError, match="masked"):
-        rollout_episode(policy, env, None, greedy=True, first_action=charger)
+        rollout_episode(policy, env, None, greedy=True, starts=[charger])
 
 
 def test_forced_first_action_respected(small_instance):
@@ -201,8 +202,161 @@ def test_forced_first_action_respected(small_instance):
     m = env.mask(env.reset())
     pickups = [j for j in range(1, 1 + env.n) if m[j]]
     _, _, actions = rollout_episode(policy, env, None, greedy=True,
-                                    first_action=pickups[-1])
-    assert actions[0] == pickups[-1]
+                                    starts=[pickups[-1], None])
+    assert actions[0][0] == pickups[-1]
+    assert actions[1] == rollout_episode(policy, env, None, greedy=True)[2]
+
+
+def forced_logprobs(policy, inst, tape, enc, actions):
+    """(k,) log-prob sums of k action lists, decoding one state per call."""
+    env = Env(inst)
+    sums = []
+    for acts in actions:
+        s = env.reset()
+        terms = []
+        for a in acts:
+            m = env.mask(s)
+            load, soc, tfrac = state_scalars(env, s)
+            p = policy.decode_step(tape, enc, s.node, load, soc, tfrac, m,
+                                   visited_array(env, s))
+            terms.append(ad.reshape(tape, ad.log(tape, ad.take(tape, p, a)),
+                                    (1,)))
+            env.step(s, a, mask=m)
+        assert s.terminal
+        sums.append(ad.reshape(tape, ad.tsum(tape, ad.concat(tape, terms, 0)),
+                               (1,)))
+    return ad.concat(tape, sums, 0)
+
+
+def test_lockstep_matches_one_start_decoding():
+    # a batch of starts decoded in lock-step gives each start the
+    # actions and log-prob sum it gets alone
+    policy = Policy(PolicyConfig(d_h=16, heads=2, layers=2, seed=4))
+    for seed in range(3):
+        inst = generate_instance(5, charger_count=1, seed=300 + seed)
+        env = Env(inst)
+        enc = policy.encode(None, normalize_features(inst))
+        m = env.mask(env.reset())
+        starts = [None] + [j for j in range(1, 1 + env.n) if m[j]]
+        states, lps, actions = rollout_episode(policy, env, None, greedy=True,
+                                               starts=starts, enc=enc)
+        assert lps.shape == (len(starts),)
+        for i, a0 in enumerate(starts):
+            s1, lp1, acts1 = rollout_episode(policy, env, None, greedy=True,
+                                             starts=[a0], enc=enc)
+            assert actions[i] == acts1[0]
+            assert states[i].steps == s1[0].steps == len(actions[i])
+            assert env.solution(states[i]).reward == env.solution(s1[0]).reward
+            assert abs(lps.data[i] - lp1.data[0]) <= 1e-12
+        _, lps, actions = rollout_episode(
+            policy, env, None, rng=np.random.default_rng(seed), starts=starts,
+            enc=enc)
+        ref = forced_logprobs(policy, inst, None, enc, actions)
+        assert np.all(np.abs(lps.data - ref.data) <= 1e-12)
+
+
+def test_lockstep_gradient_matches_one_start_decoding():
+    # the batched decoder's backward, gathers with repeated rows
+    # included, equals the backward of one-state-per-call decoding
+    policy = Policy(PolicyConfig(d_h=16, heads=2, layers=1, seed=8))
+    inst = generate_instance(4, charger_count=1, seed=41)
+    feats = normalize_features(inst)
+    env = Env(inst)
+    m = env.mask(env.reset())
+    starts = [j for j in range(1, 1 + env.n) if m[j]]
+    starts = starts + starts[:1]               # a repeated start
+    weights = Tensor(np.linspace(-1.0, 1.0, len(starts)))
+
+    def grads(tape, lps):
+        tape.backward(ad.tsum(tape, ad.mul(tape, lps, weights)))
+        out = {k: t.grad.copy() for k, t in policy.params.items()
+               if t.grad is not None}
+        policy.zero_grad()
+        return out
+
+    tape = Tape()
+    _, lps, actions = rollout_episode(policy, env, tape,
+                                      rng=np.random.default_rng(3),
+                                      starts=starts,
+                                      enc=policy.encode(tape, feats))
+    lock = grads(tape, lps)
+    tape = Tape()
+    one = grads(tape, forced_logprobs(policy, inst, tape,
+                                      policy.encode(tape, feats), actions))
+    assert set(lock) == set(one)
+    for k in lock:
+        assert np.allclose(lock[k], one[k], rtol=1e-9, atol=1e-12), k
+
+
+def reference_decode(policy, enc, node, load, soc, tfrac, feasible, visited):
+    """The one-state decoder written out row by row: the context terms
+    are added in the decoder's order, so results must match bit for bit."""
+    p = {k: t.data for k, t in policy.params.items()}
+    z = enc.Z.data
+    d = z.shape[1]
+    blocked = ~np.asarray(feasible, dtype=bool)
+
+    def project(vec, w):
+        return (vec.reshape(1, d) @ w).reshape(d)
+
+    def mean_of(select):
+        return ((select.astype(float) / select.sum())[None, :] @ z).reshape(d)
+
+    c = project(z[node], p["ctx_curr"]) + project(z[0], p["ctx_depot"])
+    c = c + project(z.mean(axis=0), p["ctx_graph"])
+    if visited.any():
+        c = c + project(mean_of(visited), p["ctx_visited"])
+    if blocked.any():
+        c = c + project(mean_of(blocked), p["ctx_mask"])
+    c = c + p["ctx_load"] * load
+    c = c + p["ctx_soc"] * soc
+    c = c + p["ctx_time"] * tfrac
+    u = (enc.keys.data @ c.reshape(d, 1)).reshape(-1) * (1.0 / np.sqrt(d))
+    u = u + -policy.config.lam * enc.eps_norm[node]
+    u = clipped_logits(None, Tensor(u), policy.config.kappa)
+    return ad.masked_softmax(None, u, blocked).data
+
+
+def test_single_state_decode_is_bit_exact_to_reference():
+    policy = Policy(PolicyConfig(d_h=32, heads=4, layers=1, seed=2))
+    inst = generate_instance(6, charger_count=2, seed=19)
+    env = Env(inst)
+    enc = policy.encode(None, normalize_features(inst))
+    rng = np.random.default_rng(1)
+    s = env.reset()
+    while not s.terminal:
+        m = env.mask(s)
+        row = (s.node, *state_scalars(env, s), m, visited_array(env, s))
+        want = reference_decode(policy, enc, *row)
+        assert np.array_equal(policy.decode_step(None, enc, *row).data, want)
+        batch_of_one = policy.decode_step(None, enc, *([x] for x in row))
+        assert np.array_equal(batch_of_one.data, want[None, :])
+        env.step(s, int(rng.choice(np.flatnonzero(m))))
+
+
+def test_batched_decode_rows_match_single_calls():
+    policy = Policy(CFG)
+    inst = generate_instance(4, charger_count=2, seed=17)
+    env = Env(inst)
+    enc = policy.encode(None, normalize_features(inst))
+    rng = np.random.default_rng(5)
+    states = []
+    for walk in range(5):
+        s = env.reset()
+        for _ in range(walk):
+            if s.terminal:
+                break
+            env.step(s, int(rng.choice(np.flatnonzero(env.mask(s)))))
+        if not s.terminal:
+            states.append(s)
+    rows = [(s.node, *state_scalars(env, s), env.mask(s), visited_array(env, s))
+            for s in states]
+    batch = policy.decode_step(None, enc, *map(list, zip(*rows))).data
+    assert batch.shape == (len(states), env.num_nodes)
+    for got, row in zip(batch, rows):
+        want = policy.decode_step(None, enc, *row).data
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        assert np.array_equal(got == 0.0, ~np.asarray(row[4]))
 
 
 def test_multistart_never_worse_than_greedy():

@@ -135,15 +135,11 @@ def test_update_invariant_to_trajectory_order_within_instance():
         policy.zero_grad()
         tape = Tape()
         enc = policy.encode(tape, feats)
-        lps, rewards = [], []
-        for a0 in order:
-            state, lp, _ = rollout_episode(policy, env, tape, greedy=True,
-                                           first_action=a0, enc=enc)
-            rewards.append(env.solution(state).reward)
-            lps.append(ad.reshape(tape, lp, (1,)))
-        adv = pomo_advantages(rewards)
-        loss = ad.scale(tape, ad.tsum(tape, ad.mul(
-            tape, ad.concat(tape, lps, 0), Tensor(adv))), -1.0 / len(order))
+        states, lps, _ = rollout_episode(policy, env, tape, greedy=True,
+                                         starts=order, enc=enc)
+        adv = pomo_advantages([env.solution(s).reward for s in states])
+        loss = ad.scale(tape, ad.tsum(tape, ad.mul(tape, lps, Tensor(adv))),
+                        -1.0 / len(order))
         tape.backward(loss)
         return {k: t.grad.copy() for k, t in policy.params.items()
                 if t.grad is not None}
