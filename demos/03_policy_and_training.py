@@ -9,8 +9,7 @@ validation reward move, and decode with multiple starts.
 import numpy as np
 
 from edarp import (PolicyConfig, TrainConfig, generate_instance,
-                   greedy_rollout, greedy_solve, load_policy,
-                   multistart_rollout, train)
+                   greedy_rollout, greedy_solve, multistart_rollout, train)
 
 # A deliberately small run: two-layer encoder, a few hundred instances
 # drawn on the fly. Every epoch greedy-decodes a fixed validation set.
@@ -22,9 +21,9 @@ for row in report.rows:
     print(f"epoch {row['epoch']}: val reward {row['val_reward']:8.3f}  "
           f"completion {row['val_completion']:5.1f}%")
 
-# The best-so-far weights are kept as checkpoint bytes; reload them and
-# compare against the greedy heuristic on fresh instances.
-best, _ = load_policy(report.best_checkpoint)
+# The report keeps a copy of the best-so-far weights; compare them
+# against the greedy heuristic on fresh instances.
+best = report.best_policy
 beat = 0
 for i in range(20):
     inst = generate_instance(4, seed=900_000 + i)

@@ -14,7 +14,9 @@ curriculum overrides (n; epochs beside epochs_per_stage), train
 --resume with a curriculum, an --asymmetry at which no instance can be
 built, and an exact search whose --limit runs out before any complete
 trajectory; 3 data error, including a missing, unreadable or malformed
-instance, config or checkpoint file; 4 numerical failure.
+instance, config or checkpoint file (a checkpoint's weights and its
+optimizer state, optState, are checked by every command that reads
+it); 4 numerical failure.
 """
 
 import argparse
@@ -38,8 +40,7 @@ from .instance import (FleetParams, InstanceFormatError, generate_instance, load
 from .oracle import SearchLimitError, exact_solve
 from .policy import (PolicyConfig, load_policy, multistart_rollout, require,
                      save_policy)
-from .training import (CURRICULUM_SIZES, TrainConfig, check_opt_state,
-                       curriculum_train, train)
+from .training import CURRICULUM_SIZES, TrainConfig, curriculum_train, train
 
 SCHEMA_MANIFEST = "edarp-manifest/1"
 
@@ -117,12 +118,20 @@ def _read_checkpoint(path):
     p = Path(path)
     if not p.is_file():
         raise DataError(f"checkpoint not found: {p}")
-    data = p.read_bytes()
     try:
-        policy, opt_state = load_policy(data)
+        return load_policy(p.read_bytes())
     except (ValueError, KeyError, TypeError) as e:
         raise DataError(f"cannot load checkpoint {p}: {e}") from e
-    return policy, opt_state
+
+
+def _run_tasks(fn, tasks, jobs):
+    """[fn(task) for task in tasks], spread over a pool of `jobs` worker
+    processes when there is more than one job and more than one task."""
+    if jobs > 1 and len(tasks) > 1:
+        import multiprocessing as mp
+        with mp.Pool(jobs) as pool:
+            return pool.map(fn, tasks)
+    return [fn(t) for t in tasks]
 
 
 def _metrics_row(path, solver, seed, sol, wall):
@@ -236,12 +245,7 @@ def cmd_solve(args):
     tasks = [(path, args.solver, _stream_seed(args.seed, 2, i), opts)
              for i, path in enumerate(args.instances)]
 
-    if args.jobs > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-        with mp.Pool(args.jobs) as pool:
-            results = pool.map(_solve_one, tasks)
-    else:
-        results = [_solve_one(t) for t in tasks]
+    results = _run_tasks(_solve_one, tasks, args.jobs)
 
     # the output directory appears only once every instance has loaded
     out = Path(args.out)
@@ -328,7 +332,6 @@ def cmd_train(args):
 
     policy = None
     opt_state = None
-    start_epoch = 0
     if args.resume:
         if curriculum:
             raise UsageError("--resume applies only to a config without "
@@ -341,11 +344,6 @@ def cmd_train(args):
                 raise UsageError(
                     f"config {name}={want} conflicts with checkpoint "
                     f"{name}={getattr(hc, name)}")
-        if opt_state is not None:
-            try:
-                start_epoch = check_opt_state(opt_state, policy.params)
-            except ValueError as e:
-                raise DataError(f"checkpoint {args.resume}: {e}") from e
         inputs.append(Path(args.resume))
 
     out = Path(args.out)
@@ -364,11 +362,12 @@ def cmd_train(args):
     else:
         policy, report = train(train_cfgs[0], policy=policy,
                                policy_config=pol_cfg, opt_state=opt_state,
-                               start_epoch=start_epoch)
+                               start_epoch=opt_state["epoch"] if opt_state else 0)
+        # one checkpoint's bytes at a time: each is written before the next is built
         best_path = out / "checkpoint_best.json"
-        best_path.write_bytes(report.best_checkpoint)
+        best_path.write_bytes(save_policy(report.best_policy))
         final_path = out / "checkpoint_final.json"
-        final_path.write_bytes(report.final_checkpoint)
+        final_path.write_bytes(save_policy(policy, report.opt, report.epoch))
         log_path = out / "train_report.csv"
         log_path.write_text(report.to_csv())
         outputs.extend([best_path, final_path, log_path])
@@ -412,12 +411,7 @@ def cmd_eval(args):
     tasks = [(p, policy, args.stochastic, args.replicas,
               _stream_seed(args.seed, 4, i), args.multistart)
              for i, p in enumerate(paths)]
-    if args.jobs > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-        with mp.Pool(args.jobs) as pool:
-            results = pool.map(_eval_one, tasks)
-    else:
-        results = [_eval_one(t) for t in tasks]
+    results = _run_tasks(_eval_one, tasks, args.jobs)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -145,6 +145,12 @@ DELIVERY_SLACK = 600.0
 DEMAND_EVERY = 900.0        # seconds of window-open range per request
 
 
+def depot_unreachable(energy, fleet):
+    """Whether some node's energy into the depot exceeds the battery share
+    above the safety reserve; the simulator relies on it never doing so."""
+    return float(energy[:, 0].max()) / fleet.battery_kwh > 1.0 - fleet.soc_reserve
+
+
 def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
                       weights=None):
     """Sample a random instance, deterministic in all arguments.
@@ -212,9 +218,7 @@ def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
         nodes.append(Node(j, KIND_CHARGER, float(xy[j, 0]), float(xy[j, 1]),
                           0.0, HORIZON, CHARGER_SERVICE_TIME, 0))
 
-    # every node must be able to reach the depot on the safety reserve
-    worst = float(energy[:, 0].max())
-    if worst / fleet.battery_kwh > 1.0 - fleet.soc_reserve:
+    if depot_unreachable(energy, fleet):
         raise ValueError("battery too small: depot unreachable from some node")
 
     return Instance(nodes, EdgeMatrices(time, dist, energy), requests,
@@ -304,11 +308,9 @@ def validate(inst):
     if inst.horizon <= 0:
         out.append(Violation("horizon", -1, "horizon must be positive"))
 
-    # the simulator relies on the depot being reachable on the reserve from anywhere
-    if inst.edges.energy.shape == (v, v) and f.battery_kwh > 0:
-        worst = float(inst.edges.energy[:, 0].max())
-        if worst / f.battery_kwh > 1.0 - f.soc_reserve:
-            out.append(Violation("energy", -1, "depot unreachable on reserve from some node"))
+    if (inst.edges.energy.shape == (v, v) and f.battery_kwh > 0
+            and depot_unreachable(inst.edges.energy, f)):
+        out.append(Violation("energy", -1, "depot unreachable on reserve from some node"))
     return out
 
 

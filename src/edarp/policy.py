@@ -372,7 +372,10 @@ def multistart_rollout(policy, inst, k_p=8, noise=None, enc=None):
 
 # -- checkpoints ---------------------------------------------------------------
 
-def save_policy(policy, opt_state=None):
+def save_policy(policy, opt=None, epoch=0):
+    """Checkpoint bytes: the policy's header and weights and, given its
+    Adam optimizer, an optState of the step count, both moment sets and
+    the epochs done. No other module knows this layout."""
     cfg = policy.config
     doc = {
         "schema": SCHEMA_POLICY,
@@ -383,12 +386,36 @@ def save_policy(policy, opt_state=None):
                        "data": t.data.ravel().tolist()}
                    for k, t in policy.params.items()},
     }
-    if opt_state is not None:
-        doc["optState"] = opt_state
+    if opt is not None:
+        doc["optState"] = {
+            "t": opt.t,
+            "m": {k: a.ravel().tolist() for k, a in opt.m.items()},
+            "v": {k: a.ravel().tolist() for k, a in opt.v.items()},
+            "epoch": epoch}
     return (json.dumps(doc) + "\n").encode()
 
 
+def _param_array(label, values, shape, nonneg=False):
+    """values, a flat list, as an array of `shape`; ValueError naming label
+    unless it holds one finite number per entry, none negative if nonneg."""
+    try:
+        arr = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{label}: {e}") from e
+    size = math.prod(shape)
+    if arr.shape != (size,):
+        raise ValueError(f"{label} must be a list of {size} numbers")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"non-finite {label}")
+    if nonneg and (arr < 0).any():
+        raise ValueError(f"negative {label}")
+    return arr.reshape(shape)
+
+
 def load_policy(data):
+    """(policy, optimizer state) of checkpoint bytes or text, after
+    checking every array in it. The state is None or a dict of t, epoch
+    and the moments m and v as arrays shaped like the parameters."""
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA_POLICY:
@@ -398,16 +425,35 @@ def load_policy(data):
                        ffn_mult=h["ffnMult"], lam=h["lambda"],
                        kappa=h["kappa"], seed=h.get("seed", 0))
     pol = Policy(cfg)
-    for k, entry in doc["params"].items():
+    params = doc["params"]
+    if not isinstance(params, dict):
+        raise ValueError(f"params must be an object, got {type(params).__name__}")
+    for k, entry in params.items():
         if k not in pol.params:
             raise ValueError(f"unknown parameter {k!r} in checkpoint")
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != pol.params[k].data.shape:
+        shape = pol.params[k].data.shape
+        if entry["shape"] != list(shape):
             raise ValueError(f"shape mismatch for {k!r}")
-        if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite weights in {k!r}")
-        pol.params[k].data = arr
-    missing = sorted(set(pol.params) - set(doc["params"]))
+        pol.params[k].data = _param_array(f"weights in {k!r}", entry["data"], shape)
+    missing = sorted(set(pol.params) - set(params))
     if missing:
         raise ValueError(f"checkpoint lacks parameters {missing}")
-    return pol, doc.get("optState")
+
+    st = doc.get("optState")
+    if st is None:
+        return pol, None
+    if not isinstance(st, dict):
+        raise ValueError(f"optState must be an object, got {type(st).__name__}")
+    opt_state = {"t": st.get("t"), "epoch": st.get("epoch", 0)}
+    require("optState t", opt_state["t"], 0, integer=True)
+    require("optState epoch", opt_state["epoch"], 0, integer=True)
+    for name in ("m", "v"):
+        moments = st.get(name)
+        if not isinstance(moments, dict) or set(moments) != set(pol.params):
+            raise ValueError(f"optState {name} must map every parameter name "
+                             "to its moment list")
+        opt_state[name] = {
+            k: _param_array(f"optState {name}[{k!r}]", moments[k],
+                            p.data.shape, nonneg=name == "v")
+            for k, p in pol.params.items()}
+    return pol, opt_state

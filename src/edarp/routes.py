@@ -25,14 +25,12 @@ from .environment import EpisodeState
 class RouteInfo:
     """Per-stop timeline of one simulated route; index 0 is the fresh vehicle."""
 
-    __slots__ = ("nodes", "A", "SS", "DEP", "B", "LOAD", "PS", "legs",
+    __slots__ = ("nodes", "DEP", "B", "LOAD", "PS", "legs",
                  "cumE", "cumW", "cumL", "cumT", "E", "W", "L", "T", "cost")
 
     def __init__(self, nodes):
         m = len(nodes)
         self.nodes = nodes
-        self.A = [0.0] * (m + 1)       # arrival at stop k
-        self.SS = [0.0] * (m + 1)      # service start
         self.DEP = [0.0] * (m + 1)     # clock after service
         self.B = [1.0] * (m + 1)       # soc after stop (incl. charge)
         self.LOAD = [0] * (m + 1)
@@ -80,8 +78,6 @@ class RouteCtx:
             W += wait
             L += late
             T += dt
-            info.A[k] = tau + dt
-            info.SS[k] = ss
             info.DEP[k] = dep
             info.B[k] = b
             info.LOAD[k] = load

@@ -7,7 +7,8 @@ group by construction. Gradients accumulate instance by instance (one
 tape each, keeping peak memory at a single graph) and a clipped Adam
 step applies once per batch. Training on one size hands its best
 weights to the next size in the curriculum, which must stay within a
-relative band of its zero-shot score to count as a transfer.
+relative band of its zero-shot score to count as a transfer. Training
+builds no checkpoint bytes; callers write what it returns with save_policy.
 """
 
 import copy
@@ -20,7 +21,7 @@ from . import autodiff as ad
 from .environment import Env
 from .instance import generate_instance, normalize_features
 from .policy import (Policy, PolicyConfig, greedy_rollout, require,
-                     rollout_episode, save_policy)
+                     rollout_episode)
 
 CURRICULUM_SIZES = [8, 10, 12, 14, 17, 21]
 PASS_BAND = 0.05            # a stage may end this far (relative) below its zero-shot
@@ -55,46 +56,12 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
-    def state(self):
-        return {"t": self.t,
-                "m": {k: a.ravel().tolist() for k, a in self.m.items()},
-                "v": {k: a.ravel().tolist() for k, a in self.v.items()}}
-
     def load_state(self, st):
+        """Continue from the optimizer state load_policy returns."""
         self.t = st["t"]
         for k in self.m:
-            self.m[k] = np.array(st["m"][k]).reshape(self.m[k].shape)
-            self.v[k] = np.array(st["v"][k]).reshape(self.v[k].shape)
-
-
-def check_opt_state(st, params):
-    """Epoch count of a checkpoint's optimizer state, after checking that
-    st has the form Adam.state writes for `params`: a step count t, a
-    finite moment list of each parameter's size under m and v (v never
-    negative) and an optional epoch count. Raises ValueError otherwise."""
-    if not isinstance(st, dict):
-        raise ValueError(f"optState must be an object, got {type(st).__name__}")
-    require("optState t", st.get("t"), 0, integer=True)
-    epoch = st.get("epoch", 0)
-    require("optState epoch", epoch, 0, integer=True)
-    for name in ("m", "v"):
-        moments = st.get(name)
-        if not isinstance(moments, dict) or set(moments) != set(params):
-            raise ValueError(f"optState {name} must map every parameter name "
-                             "to its moment list")
-        for k, p in params.items():
-            try:
-                arr = np.array(moments[k], dtype=np.float64)
-            except (TypeError, ValueError) as e:
-                raise ValueError(f"optState {name}[{k!r}]: {e}") from e
-            if arr.shape != (p.data.size,):
-                raise ValueError(f"optState {name}[{k!r}] must be a list of "
-                                 f"{p.data.size} numbers")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"optState {name}[{k!r}] holds a non-finite value")
-            if name == "v" and (arr < 0).any():
-                raise ValueError(f"optState v[{k!r}] holds a negative value")
-    return epoch
+            self.m[k][...] = st["m"][k]
+            self.v[k][...] = st["v"][k]
 
 
 def clip_grad_norm(params, max_norm):
@@ -212,12 +179,8 @@ class TrainReport:
     rows: list = field(default_factory=list)   # dicts, one per epoch
     best_val: float = -np.inf
     best_policy: Policy = None                 # a copy of the best weights
-    final_checkpoint: bytes = b""
-
-    @property
-    def best_checkpoint(self):
-        """The best policy's checkpoint bytes, serialized on each access."""
-        return save_policy(self.best_policy)
+    opt: Adam = None                           # the optimizer, as training left it
+    epoch: int = 0                             # epochs done, resumed ones included
 
     def to_csv(self):
         head = ["epoch", "trainLoss", "valReward", "valCompletion",
@@ -257,6 +220,8 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
 
     Resuming passes the checkpoint's optimizer state and the number of
     epochs already done, so epoch numbering continues seamlessly.
+    The report keeps the best weights, the optimizer and the epoch
+    count, which save_policy needs for the best and final checkpoints.
     """
     if policy is None:
         policy = Policy(policy_config or PolicyConfig(seed=cfg.seed))
@@ -267,17 +232,16 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
     rng = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, cfg.n, 17, start_epoch]))
     val = validation_set(cfg)
-    report = TrainReport()
 
     t0 = time.time()
     v0, c0 = validate(policy, val)
+    report = TrainReport(best_val=v0, best_policy=copy.deepcopy(policy),
+                         opt=opt, epoch=start_epoch + cfg.epochs)
     if start_epoch == 0 and cfg.epochs > 0:
         report.rows.append({"epoch": 0, "val_reward": v0, "val_completion": c0,
                             "train_loss": float("nan"),
                             "grad_norm": float("nan"),
                             "seconds": time.time() - t0})
-    report.best_val = v0
-    report.best_policy = copy.deepcopy(policy)
 
     inst_seed = np.random.default_rng(
         np.random.SeedSequence([cfg.seed, cfg.n, 23, start_epoch]))
@@ -301,9 +265,6 @@ def train(cfg, policy=None, policy_config=None, opt_state=None,
         if vr >= report.best_val:
             report.best_val = vr
             report.best_policy = copy.deepcopy(policy)
-    final_state = opt.state()
-    final_state["epoch"] = start_epoch + cfg.epochs
-    report.final_checkpoint = save_policy(policy, opt_state=final_state)
     return policy, report
 
 

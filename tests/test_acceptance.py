@@ -16,9 +16,8 @@ from edarp.greedy import greedy_solve
 from edarp.instance import (CostWeights, FleetParams, generate_instance,
                             normalize_features)
 from edarp.oracle import enumerate_rewards, exact_solve
-from edarp.policy import (Policy, PolicyConfig, load_policy,
-                          multistart_rollout, rollout_episode, state_scalars,
-                          visited_array)
+from edarp.policy import (Policy, PolicyConfig, multistart_rollout,
+                          rollout_episode, state_scalars, visited_array)
 from edarp.training import (CURRICULUM_SIZES, TrainConfig, pomo_advantages,
                             train, validation_set)
 from edarp.training import validate as validate_policy
@@ -352,7 +351,7 @@ def test_trained_policy_beats_greedy_and_nears_oracle():
                       lr=1e-3, seed=0, val_size=32)
     _, rep = train(cfg, policy_config=PolicyConfig(d_h=32, heads=4, layers=2,
                                                    seed=0))
-    best, _ = load_policy(rep.best_checkpoint)
+    best = rep.best_policy
     t_train = time.time() - t0
 
     wins = 0
@@ -409,7 +408,7 @@ def test_curriculum_transfers_across_sizes():
         policy, rep = train(cfg, policy=policy)
         final = rep.rows[-1]["val_reward"]
         stages.append((size, zero, final, final >= zero - 0.05 * abs(zero)))
-        policy, _ = load_policy(rep.best_checkpoint)
+        policy = rep.best_policy
     dt = time.time() - t0
     ok = all(s[3] for s in stages)
     trace = "  ".join(f"n={s}: {z:.1f}->{f:.1f}" for s, z, f, _ in stages)

@@ -177,6 +177,12 @@ def test_solve_neural_requires_checkpoint(tmp_path, capsys):
     (None, "checkpoint not found"),
     ("{not json", "cannot load checkpoint"),
     ("[1, 2]", "cannot load checkpoint"),
+    pytest.param(json.dumps({"schema": "edarp-policy/1",
+                             "header": {"dH": 16, "heads": 2, "layers": 1,
+                                        "ffnMult": 4, "lambda": 1.0,
+                                        "kappa": 10.0, "seed": 0},
+                             "params": [1, 2]}),
+                 "params must be an object", id="params-list"),
 ])
 @pytest.mark.parametrize("command", ["solve", "train", "eval"])
 def test_bad_checkpoint_exits_3(tmp_path, capsys, command, content, message):
@@ -401,10 +407,12 @@ def _float_epoch(st):
     st["epoch"] = 1.5
 
 
-@pytest.mark.parametrize("spoil", [_drop_m, _truncate_v, _nan_m, _negative_v,
-                                   _float_epoch, None])
-def test_train_resume_rejects_malformed_opt_state(tmp_path, capsys,
-                                                  final_checkpoint, spoil):
+SPOILS = [_drop_m, _truncate_v, _nan_m, _negative_v, _float_epoch, None]
+
+
+def write_spoiled(tmp_path, final_checkpoint, spoil):
+    """A copy of final_checkpoint with its optState spoiled; None makes
+    optState a list."""
     doc = json.loads(json.dumps(final_checkpoint))
     if spoil is None:
         doc["optState"] = [1, 2]              # not an object
@@ -412,9 +420,35 @@ def test_train_resume_rejects_malformed_opt_state(tmp_path, capsys,
         spoil(doc["optState"])
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(doc))
+    return ckpt
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
+def test_train_resume_rejects_malformed_opt_state(tmp_path, capsys,
+                                                  final_checkpoint, spoil):
+    ckpt = write_spoiled(tmp_path, final_checkpoint, spoil)
     out = tmp_path / "out"
     assert run("train", "--config", str(write_config(tmp_path, TINY_TRAIN)),
                "--resume", str(ckpt), "--out", str(out)) == 3
+    assert "optState" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil", SPOILS)
+@pytest.mark.parametrize("command", ["solve", "eval"])
+def test_neural_commands_reject_malformed_opt_state(tmp_path, capsys,
+                                                    final_checkpoint, command,
+                                                    spoil):
+    """A checkpoint field is honoured or refused: the commands that ignore
+    the optimizer state still refuse a malformed one."""
+    ckpt = write_spoiled(tmp_path, final_checkpoint, spoil)
+    inst_dir = gen_dir(tmp_path, count=1)
+    argv = {"solve": ["solve", str(inst_dir / "instance_0000.json"),
+                      "--solver", "neural", "--checkpoint", str(ckpt)],
+            "eval": ["eval", "--checkpoint", str(ckpt),
+                     "--instances", str(inst_dir)]}[command]
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 3
     assert "optState" in capsys.readouterr().err
     assert not out.exists()
 

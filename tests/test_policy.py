@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from edarp import autodiff as ad
-from edarp import (Env, NoiseConfig, Policy, PolicyConfig, Tape, Tensor,
+from edarp import (Adam, Env, NoiseConfig, Policy, PolicyConfig, Tape, Tensor,
                    generate_instance, greedy_rollout, load_policy,
                    multistart_rollout, rollout_episode, save_policy)
 from edarp.instance import FeatureTensors, normalize_features
@@ -134,9 +134,17 @@ def test_single_node_graph():
 def test_checkpoint_round_trip_bit_exact():
     policy = Policy(PolicyConfig(d_h=16, heads=2, layers=2, lam=0.7,
                                  kappa=8.0, seed=5))
-    blob = save_policy(policy, opt_state={"epoch": 3})
+    adam = Adam(policy.params)
+    for t in policy.params.values():
+        t.grad = np.sin(np.arange(t.data.size) + 1.0).reshape(t.data.shape)
+    adam.step()
+    adam.step()
+    blob = save_policy(policy, adam, epoch=3)
     back, opt = load_policy(blob)
-    assert opt == {"epoch": 3}
+    assert (opt["t"], opt["epoch"]) == (2, 3)
+    for k in policy.params:
+        assert np.array_equal(opt["m"][k], adam.m[k])
+        assert np.array_equal(opt["v"][k], adam.v[k])
     assert back.config.d_h == 16 and back.config.layers == 2
     assert back.config.lam == 0.7 and back.config.kappa == 8.0
     assert set(back.params) == set(policy.params)

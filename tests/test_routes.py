@@ -64,10 +64,9 @@ def test_simulate_matches_episode_replay(tight_fleet):
                 assert info.T == pytest.approx(sol.j_travel, abs=1e-9)
                 # per-stop timeline against the simulator's own log
                 log = sol.routes[0]
-                for k, (node, arrival, ss, soc, _) in enumerate(log[1:-1], start=1):
+                for k, (node, _, ss, soc, _) in enumerate(log[1:-1], start=1):
                     assert node == route[k - 1]
-                    assert info.A[k] == pytest.approx(arrival, abs=1e-9)
-                    assert info.SS[k] == pytest.approx(ss, abs=1e-9)
+                    assert info.DEP[k] == ss + inst.nodes[node].sigma
                     assert info.B[k] == pytest.approx(soc, abs=1e-12)
                 # without its chargers the route may run flat; with no charger
                 # left, the mask's escape move cannot serve a route stop, so

@@ -4,7 +4,8 @@ import pytest
 from edarp import (Adam, CURRICULUM_SIZES, Env, Policy, PolicyConfig, Tape,
                    Tensor, TrainConfig, TrainReport, curriculum_train,
                    generate_instance, load_policy, pomo_advantages,
-                   pomo_starts, reinforce_update, train, validation_set)
+                   pomo_starts, reinforce_update, save_policy, train,
+                   validation_set)
 from edarp import autodiff as ad
 from edarp.instance import normalize_features
 from edarp.policy import rollout_episode
@@ -61,7 +62,7 @@ def test_adam_state_round_trip():
     g1 = rng.standard_normal(4)
     p1.grad = g1.copy()
     o1.step()
-    o2.load_state(o1.state())
+    o2.load_state({"t": o1.t, "m": o1.m, "v": o1.v})
     p2.data = p1.data.copy()
     g2 = rng.standard_normal(4)
     p1.grad = g2.copy()
@@ -192,7 +193,8 @@ def test_zero_epochs_returns_initial_params_and_empty_rows():
     assert report.rows == []
     for k, saved in snapshot.items():
         assert np.array_equal(saved, out_policy.params[k].data)
-    back, opt_state = load_policy(report.final_checkpoint)
+    back, opt_state = load_policy(save_policy(out_policy, report.opt,
+                                              report.epoch))
     assert opt_state["epoch"] == 0
     for k, saved in snapshot.items():
         assert np.array_equal(saved, back.params[k].data)
@@ -219,7 +221,7 @@ def test_train_epoch_zero_row_and_best_checkpoint():
     assert report.rows[0]["epoch"] == 0
     assert np.isnan(report.rows[0]["train_loss"])
     assert [r["epoch"] for r in report.rows] == [0, 1, 2]
-    best, _ = load_policy(report.best_checkpoint)
+    best = report.best_policy
     vals = [r["val_reward"] for r in report.rows]
     assert report.best_val == max(vals)
     got, _ = validate_policy(best, validation_set(cfg))
@@ -229,14 +231,14 @@ def test_train_epoch_zero_row_and_best_checkpoint():
 def test_resume_continues_epoch_numbering():
     cfg = tiny_cfg(epochs=2)
     policy, report = train(cfg, policy_config=PolicyConfig(**TINY_POLICY))
-    back, opt_state = load_policy(report.final_checkpoint)
+    back, opt_state = load_policy(save_policy(policy, report.opt, report.epoch))
     assert opt_state["epoch"] == 2
     cfg2 = tiny_cfg(epochs=1)
     epoch_in = opt_state.pop("epoch")
-    _, r2 = train(cfg2, policy=back, opt_state=opt_state,
-                  start_epoch=epoch_in)
+    p2, r2 = train(cfg2, policy=back, opt_state=opt_state,
+                   start_epoch=epoch_in)
     assert [r["epoch"] for r in r2.rows] == [3]
-    _, opt3 = load_policy(r2.final_checkpoint)
+    _, opt3 = load_policy(save_policy(p2, r2.opt, r2.epoch))
     assert opt3["epoch"] == 3
 
 
