@@ -16,7 +16,8 @@ built, and an exact search whose --limit runs out before any complete
 trajectory; 3 data error, including a missing, unreadable or malformed
 instance, config or checkpoint file (a checkpoint's weights and its
 optimizer state, optState, are checked by every command that reads
-it); 4 numerical failure.
+it, and a weight or moment that is not base64 of the parameter's
+size is refused); 4 numerical failure.
 """
 
 import argparse

@@ -15,6 +15,7 @@ clipped logits go through a masked softmax, so infeasible nodes carry
 exactly zero probability.
 """
 
+import base64
 import json
 import math
 from numbers import Integral, Real
@@ -26,7 +27,7 @@ from .autodiff import Tensor
 from .environment import Env
 from .instance import normalize_features
 
-SCHEMA_POLICY = "edarp-policy/1"
+SCHEMA_POLICY = "edarp-policy/2"
 
 NODE_FEATS = 10
 EDGE_FEATS = 3
@@ -373,49 +374,64 @@ def multistart_rollout(policy, inst, k_p=8, noise=None, enc=None):
 # -- checkpoints ---------------------------------------------------------------
 
 def save_policy(policy, opt=None, epoch=0):
-    """Checkpoint bytes: the policy's header and weights and, given its
-    Adam optimizer, an optState of the step count, both moment sets and
-    the epochs done. No other module knows this layout."""
+    """Checkpoint bytes (schema edarp-policy/2): one JSON document of the
+    policy's header and weights and, given its Adam optimizer, an optState
+    of the step count, both moment sets and the epochs done. Each array
+    is stored as base64 of its little-endian float64 bytes in C order.
+    No other module knows this layout."""
     cfg = policy.config
     doc = {
         "schema": SCHEMA_POLICY,
         "header": {"dH": cfg.d_h, "heads": cfg.heads, "layers": cfg.layers,
                    "ffnMult": cfg.ffn_mult, "lambda": cfg.lam,
                    "kappa": cfg.kappa, "seed": cfg.seed},
-        "params": {k: {"shape": list(t.data.shape),
-                       "data": t.data.ravel().tolist()}
+        "params": {k: {"shape": list(t.data.shape), "data": _pack(t.data)}
                    for k, t in policy.params.items()},
     }
     if opt is not None:
         doc["optState"] = {
             "t": opt.t,
-            "m": {k: a.ravel().tolist() for k, a in opt.m.items()},
-            "v": {k: a.ravel().tolist() for k, a in opt.v.items()},
+            "m": {k: _pack(a) for k, a in opt.m.items()},
+            "v": {k: _pack(a) for k, a in opt.v.items()},
             "epoch": epoch}
     return (json.dumps(doc) + "\n").encode()
 
 
-def _param_array(label, values, shape, nonneg=False):
-    """values, a flat list, as an array of `shape`; ValueError naming label
-    unless it holds one finite number per entry, none negative if nonneg."""
+def _pack(a):
+    """Base64 text of a's little-endian float64 bytes in C order."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode()
+
+
+def _param_array(label, text, shape, nonneg=False):
+    """text, base64 of little-endian float64 bytes, as an owned array of
+    `shape`; ValueError naming label unless it holds one finite number
+    per entry, none negative if nonneg."""
+    if not isinstance(text, str):
+        raise ValueError(f"{label} must be a base64 string, "
+                         f"got {type(text).__name__}")
     try:
-        arr = np.array(values, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise ValueError(f"{label}: {e}") from e
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:
+        raise ValueError(f"{label} is not valid base64: {e}") from e
     size = math.prod(shape)
-    if arr.shape != (size,):
-        raise ValueError(f"{label} must be a list of {size} numbers")
+    if len(raw) != 8 * size:
+        raise ValueError(f"{label} must hold {size} float64 values "
+                         f"({8 * size} bytes), got {len(raw)} bytes")
+    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite {label}")
     if nonneg and (arr < 0).any():
         raise ValueError(f"negative {label}")
-    return arr.reshape(shape)
+    return arr
 
 
 def load_policy(data):
-    """(policy, optimizer state) of checkpoint bytes or text, after
-    checking every array in it. The state is None or a dict of t, epoch
-    and the moments m and v as arrays shaped like the parameters."""
+    """(policy, optimizer state) of checkpoint bytes or text in the
+    save_policy layout, after checking every array in it. Any other
+    schema, edarp-policy/1's float lists included, is refused. The state
+    is None or a dict of t, epoch and the moments m and v as arrays
+    shaped like the parameters."""
     doc = json.loads(data.decode() if isinstance(data, (bytes, bytearray)) else data)
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != SCHEMA_POLICY:
@@ -451,7 +467,7 @@ def load_policy(data):
         moments = st.get(name)
         if not isinstance(moments, dict) or set(moments) != set(pol.params):
             raise ValueError(f"optState {name} must map every parameter name "
-                             "to its moment list")
+                             "to its moments")
         opt_state[name] = {
             k: _param_array(f"optState {name}[{k!r}]", moments[k],
                             p.data.shape, nonneg=name == "v")

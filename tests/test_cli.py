@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import re
@@ -7,7 +8,7 @@ import pytest
 
 from edarp import Policy, PolicyConfig, cli, save_policy
 from edarp.cli import METRICS_COLUMNS, main
-from edarp.policy import multistart_rollout
+from edarp.policy import SCHEMA_POLICY, multistart_rollout
 
 TINY_TRAIN = {"n": 2, "epochs": 1, "steps_per_epoch": 1, "batch": 2,
               "k_p": 2, "lr": 1e-3, "seed": 0, "val_size": 2,
@@ -177,7 +178,7 @@ def test_solve_neural_requires_checkpoint(tmp_path, capsys):
     (None, "checkpoint not found"),
     ("{not json", "cannot load checkpoint"),
     ("[1, 2]", "cannot load checkpoint"),
-    pytest.param(json.dumps({"schema": "edarp-policy/1",
+    pytest.param(json.dumps({"schema": SCHEMA_POLICY,
                              "header": {"dH": 16, "heads": 2, "layers": 1,
                                         "ffnMult": 4, "lambda": 1.0,
                                         "kappa": 10.0, "seed": 0},
@@ -387,20 +388,40 @@ def final_checkpoint(tmp_path_factory):
     return json.loads((out / "checkpoint_final.json").read_text())
 
 
+def unpack(text):
+    """The float64 array a checkpoint string holds."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def repack(holder, key, edit):
+    """Decode the packed array holder[key], apply edit to it, and store
+    what edit returns packed again."""
+    arr = np.asarray(edit(unpack(holder[key])), dtype="<f8")
+    holder[key] = base64.b64encode(arr.tobytes()).decode()
+
+
+def setting(i, value):
+    """An edit that sets entry i to value."""
+    def edit(arr):
+        arr[i] = value
+        return arr
+    return edit
+
+
 def _drop_m(st):
     del st["m"]
 
 
 def _truncate_v(st):
-    st["v"]["embed_b"].pop()
+    repack(st["v"], "embed_b", lambda a: a[:-1])
 
 
 def _nan_m(st):
-    st["m"]["ctx_curr"][3] = float("nan")
+    repack(st["m"], "ctx_curr", setting(3, float("nan")))
 
 
 def _negative_v(st):
-    st["v"]["ctx_soc"][0] = -1.0
+    repack(st["v"], "ctx_soc", setting(0, -1.0))
 
 
 def _float_epoch(st):
@@ -423,6 +444,18 @@ def write_spoiled(tmp_path, final_checkpoint, spoil):
     return ckpt
 
 
+def reader_argv(tmp_path, command, ckpt):
+    """argv of a command that reads the checkpoint ckpt, without --out."""
+    if command == "train":
+        return ["train", "--config", str(write_config(tmp_path, TINY_TRAIN)),
+                "--resume", str(ckpt)]
+    inst_dir = gen_dir(tmp_path, count=1)
+    if command == "solve":
+        return ["solve", str(inst_dir / "instance_0000.json"),
+                "--solver", "neural", "--checkpoint", str(ckpt)]
+    return ["eval", "--checkpoint", str(ckpt), "--instances", str(inst_dir)]
+
+
 @pytest.mark.parametrize("spoil", SPOILS)
 def test_train_resume_rejects_malformed_opt_state(tmp_path, capsys,
                                                   final_checkpoint, spoil):
@@ -442,13 +475,8 @@ def test_neural_commands_reject_malformed_opt_state(tmp_path, capsys,
     """A checkpoint field is honoured or refused: the commands that ignore
     the optimizer state still refuse a malformed one."""
     ckpt = write_spoiled(tmp_path, final_checkpoint, spoil)
-    inst_dir = gen_dir(tmp_path, count=1)
-    argv = {"solve": ["solve", str(inst_dir / "instance_0000.json"),
-                      "--solver", "neural", "--checkpoint", str(ckpt)],
-            "eval": ["eval", "--checkpoint", str(ckpt),
-                     "--instances", str(inst_dir)]}[command]
     out = tmp_path / "out"
-    assert run(*argv, "--out", str(out)) == 3
+    assert run(*reader_argv(tmp_path, command, ckpt), "--out", str(out)) == 3
     assert "optState" in capsys.readouterr().err
     assert not out.exists()
 
@@ -458,19 +486,66 @@ def test_neural_commands_reject_malformed_opt_state(tmp_path, capsys,
 def test_nonfinite_checkpoint_weights_exit_3(tmp_path, capsys,
                                             final_checkpoint, command, bad):
     doc = json.loads(json.dumps(final_checkpoint))
-    doc["params"]["ctx_curr"]["data"][5] = bad
+    repack(doc["params"]["ctx_curr"], "data", setting(5, bad))
     ckpt = tmp_path / "ckpt.json"
     ckpt.write_text(json.dumps(doc))
-    inst_dir = gen_dir(tmp_path, count=1)
-    argv = {"solve": ["solve", str(inst_dir / "instance_0000.json"),
-                      "--solver", "neural", "--checkpoint", str(ckpt)],
-            "eval": ["eval", "--checkpoint", str(ckpt),
-                     "--instances", str(inst_dir)],
-            "train": ["train", "--config", str(write_config(tmp_path, TINY_TRAIN)),
-                      "--resume", str(ckpt)]}[command]
     out = tmp_path / "out"
-    assert run(*argv, "--out", str(out)) == 3
+    assert run(*reader_argv(tmp_path, command, ckpt), "--out", str(out)) == 3
     assert "non-finite weights in 'ctx_curr'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _float_list(doc):
+    entry = doc["params"]["ctx_curr"]
+    entry["data"] = unpack(entry["data"]).tolist()
+
+
+def _bad_character(doc):
+    entry = doc["params"]["ctx_curr"]
+    entry["data"] = entry["data"][:8] + "*" + entry["data"][9:]
+
+
+def _one_short(doc):
+    repack(doc["params"]["ctx_curr"], "data", lambda a: a[:-1])
+
+
+def _one_long(doc):
+    repack(doc["params"]["ctx_curr"], "data", lambda a: np.append(a, 0.5))
+
+
+def _schema_1(doc):
+    """The whole document in the old layout: every array a float list."""
+    doc["schema"] = "edarp-policy/1"
+    for entry in doc["params"].values():
+        entry["data"] = unpack(entry["data"]).tolist()
+    for name in ("m", "v"):
+        moments = doc["optState"][name]
+        for k in moments:
+            moments[k] = unpack(moments[k]).tolist()
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_float_list, "weights in 'ctx_curr' must be a base64 string, got list"),
+    (_bad_character, "weights in 'ctx_curr' is not valid base64"),
+    (_one_short, "weights in 'ctx_curr' must hold 256 float64 values "
+                 "(2048 bytes), got 2040 bytes"),
+    (_one_long, "weights in 'ctx_curr' must hold 256 float64 values "
+                "(2048 bytes), got 2056 bytes"),
+    (_schema_1, "unsupported policy schema: 'edarp-policy/1'"),
+])
+@pytest.mark.parametrize("command", ["solve", "eval", "train"])
+def test_checkpoint_not_packed_float64_exits_3(tmp_path, capsys,
+                                              final_checkpoint, command,
+                                              spoil, message):
+    """Every array must be base64 of the parameter's float64 bytes; the
+    float-list layout of edarp-policy/1 is refused, not converted."""
+    doc = json.loads(json.dumps(final_checkpoint))
+    spoil(doc)
+    ckpt = tmp_path / "ckpt.json"
+    ckpt.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(*reader_argv(tmp_path, command, ckpt), "--out", str(out)) == 3
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
                    MaskViolation, Node, NoiseConfig, ReplayError, Request,
@@ -349,3 +351,29 @@ def test_rollout_invariants_small_fuzz():
             else:
                 assert s.clock >= clock_prev - 1e-9
                 clock_prev = s.clock
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), chargers=st.integers(1, 2),
+       battery=st.sampled_from([3.0, 4.0, 6.0, 10.0]),
+       reserve=st.sampled_from([0.1, 0.3, 0.5]),
+       seed=st.integers(0, 10_000), walk=st.integers(0, 2 ** 32 - 1))
+def test_tight_battery_rollouts_keep_mask_and_reserve(n, chargers, battery,
+                                                      reserve, seed, walk):
+    """On fleets whose battery binds, a random mask-guided deterministic
+    rollout always has an action to take and never steps below the
+    reserve."""
+    fleet = FleetParams(battery_kwh=battery, soc_reserve=reserve)
+    try:
+        inst = generate_instance(n, charger_count=chargers, fleet=fleet,
+                                 seed=seed)
+    except ValueError:
+        reject()                      # the generator refuses this fleet
+    env = Env(inst)
+    rng = np.random.default_rng(walk)
+    state = env.reset()
+    while not state.terminal:
+        acts = np.flatnonzero(env.mask(state))
+        assert acts.size, "empty mask before terminal"
+        env.step(state, int(rng.choice(acts)))
+        assert state.soc >= reserve - 1e-12

@@ -131,6 +131,13 @@ def test_single_node_graph():
     assert p[0] == 1.0
 
 
+MAX = 1.7976931348623157e308
+
+
+def same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 def test_checkpoint_round_trip_bit_exact():
     policy = Policy(PolicyConfig(d_h=16, heads=2, layers=2, lam=0.7,
                                  kappa=8.0, seed=5))
@@ -139,19 +146,42 @@ def test_checkpoint_round_trip_bit_exact():
         t.grad = np.sin(np.arange(t.data.size) + 1.0).reshape(t.data.shape)
     adam.step()
     adam.step()
-    blob = save_policy(policy, adam, epoch=3)
-    back, opt = load_policy(blob)
-    assert (opt["t"], opt["epoch"]) == (2, 3)
-    for k in policy.params:
-        assert np.array_equal(opt["m"][k], adam.m[k])
-        assert np.array_equal(opt["v"][k], adam.v[k])
+
+    def round_trip():
+        back, opt = load_policy(save_policy(policy, adam, epoch=3))
+        assert (opt["t"], opt["epoch"]) == (2, 3)
+        assert set(back.params) == set(policy.params)
+        for k in policy.params:
+            assert same_bits(back.params[k].data, policy.params[k].data)
+            assert back.params[k].data.flags.writeable
+            assert same_bits(opt["m"][k], adam.m[k])
+            assert same_bits(opt["v"][k], adam.v[k])
+        return back
+
+    back = round_trip()
     assert back.config.d_h == 16 and back.config.layers == 2
     assert back.config.lam == 0.7 and back.config.kappa == 8.0
-    assert set(back.params) == set(policy.params)
-    for k in policy.params:
-        assert np.array_equal(back.params[k].data, policy.params[k].data)
     inst = generate_instance(2, charger_count=1, seed=1)
     assert greedy_rollout(back, inst).reward == greedy_rollout(policy, inst).reward
+    # signed zeros, the smallest subnormal, the largest finite values and
+    # a zero second moment survive too
+    policy.params["embed_w"].data.flat[:4] = [-0.0, 5e-324, MAX, -MAX]
+    adam.m["ctx_curr"].flat[:4] = [-0.0, 5e-324, MAX, -MAX]
+    adam.v["ctx_soc"].flat[:4] = [0.0, -0.0, 5e-324, MAX]
+    round_trip()
+
+
+def test_default_checkpoint_is_packed():
+    """At most 12 bytes per stored number: base64 float64 takes 32/3,
+    decimal float lists about 22."""
+    policy = Policy(PolicyConfig())
+    adam = Adam(policy.params)
+    rng = np.random.default_rng(0)
+    for t in policy.params.values():
+        t.grad = rng.standard_normal(t.data.shape)
+    adam.step()
+    numbers = 3 * sum(t.data.size for t in policy.params.values())
+    assert len(save_policy(policy, adam, epoch=1)) <= 12 * numbers
 
 
 def test_checkpoint_rejects_bad_schema_and_shapes():
