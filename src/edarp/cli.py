@@ -445,19 +445,24 @@ def cmd_eval(args):
 # -- report ---------------------------------------------------------------------
 
 def cmd_report(args):
+    numeric = METRICS_COLUMNS[3:]
     rows = []
     for path in args.csvs:
         p = Path(path)
         if not p.is_file():
             raise DataError(f"metrics file not found: {p}")
         with open(p, newline="") as fh:
-            rd = csv.DictReader(fh)
+            rd = csv.DictReader(fh, restval="")     # a short row fails float()
             if rd.fieldnames != METRICS_COLUMNS:
                 raise DataError(f"{p} does not have the metrics column set")
-            rows.extend(rd)
+            for row in rd:
+                try:
+                    row.update((c, float(row[c])) for c in numeric)
+                except ValueError as e:
+                    raise DataError(f"{p} line {rd.line_num}: {e}") from e
+                rows.append(row)
     if not rows:
         raise DataError("no metrics rows to aggregate")
-    numeric = METRICS_COLUMNS[3:]
     by_solver = {}
     for row in rows:
         by_solver.setdefault(row["solver"], []).append(row)
@@ -467,7 +472,7 @@ def cmd_report(args):
         grp = by_solver[solver]
         line = [solver, str(len(grp))]
         for c in numeric:
-            vals = np.array([float(r[c]) for r in grp])
+            vals = np.array([r[c] for r in grp])
             line += [f"{vals.mean():.6f}", f"{vals.std():.6f}"]
         lines.append(line)
     text = "\n".join(",".join(l) for l in lines) + "\n"

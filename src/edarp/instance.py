@@ -390,6 +390,13 @@ def save(inst):
     return (json.dumps(doc, indent=1) + "\n").encode()
 
 
+def _integer(name, value):
+    """value if it is a JSON integer, never a float or bool; else TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load(data):
     """Parse instance JSON produced by save(); inverse of save on valid data."""
     if isinstance(data, bytes):
@@ -405,22 +412,26 @@ def load(data):
             f"unsupported schema {doc['schema']!r}, expected {SCHEMA_INSTANCE!r}")
     try:
         fl = doc["fleet"]
-        fleet = FleetParams(int(fl["vehicles"]), int(fl["capacity"]),
+        fleet = FleetParams(_integer("fleet.vehicles", fl["vehicles"]),
+                            _integer("fleet.capacity", fl["capacity"]),
                             float(fl["batteryKwh"]), float(fl["socReserve"]))
         initial_soc = float(fl.get("initialSoc", 1.0))
         wt = doc["weights"]
         weights = CostWeights(float(wt["energy"]), float(wt["wait"]), float(wt["late"]),
                               float(wt["complete"]), float(wt.get("travel", 0.0)),
                               float(wt.get("timeUnit", 60.0)))
-        nodes = [Node(int(nd["id"]), str(nd["kind"]), float(nd["x"]), float(nd["y"]),
-                      float(nd["a"]), float(nd["l"]), float(nd["sigma"]), int(nd["q"]))
-                 for nd in doc["nodes"]]
-        requests = [Request(int(r["id"]), int(r["pickup"]), int(r["delivery"]),
-                            float(r["maxRide"])) for r in doc["requests"]]
+        nodes = [Node(_integer(f"nodes[{i}].id", nd["id"]), str(nd["kind"]),
+                      float(nd["x"]), float(nd["y"]), float(nd["a"]), float(nd["l"]),
+                      float(nd["sigma"]), _integer(f"nodes[{i}].q", nd["q"]))
+                 for i, nd in enumerate(doc["nodes"])]
+        requests = [Request(*(_integer(f"requests[{i}].{k}", r[k])
+                              for k in ("id", "pickup", "delivery")), float(r["maxRide"]))
+                    for i, r in enumerate(doc["requests"])]
         edges = EdgeMatrices(doc["edges"]["time"], doc["edges"]["dist"],
                              doc["edges"]["energy"])
+        n = _integer("n", doc["n"])
         inst = Instance(nodes, edges, requests, fleet, weights,
-                        float(doc["horizon"]), int(doc.get("seed", 0)))
+                        float(doc["horizon"]), _integer("seed", doc.get("seed", 0)))
     except (KeyError, TypeError, ValueError) as e:
         raise InstanceFormatError(f"malformed instance field: {e}") from e
     if initial_soc != 1.0:
@@ -429,6 +440,6 @@ def load(data):
     for nd in inst.nodes:
         if nd.kind not in KINDS:
             raise InstanceFormatError(f"unknown node kind {nd.kind!r}")
-    if int(doc["n"]) != inst.n:
+    if n != inst.n:
         raise InstanceFormatError("request count does not match n")
     return inst

@@ -204,21 +204,19 @@ class Policy:
                     feasible, visited):
         """Action distributions for a batch of k states; exact zeros off-mask.
 
-        node and the three scalars hold one entry per state, feasible (the
-        simulator's boolean action mask) and visited (the boolean
-        visited-node array) one row each, and the result is (k, V). A
-        scalar node with 1-D masks scores one state and returns (V,). The
-        visited and masked sets contribute mean-embedding context terms,
-        zero vectors in the rows whose set is empty.
+        node (k,) and the three scalars (k,) hold one entry per state;
+        feasible (k, V), the simulator's boolean action masks, and visited
+        (k, V), the boolean visited-node arrays, hold one row each. The
+        result is a (k, V) tape tensor. The visited and masked sets
+        contribute mean-embedding context terms, zero vectors in the rows
+        whose set is empty.
         """
         cfg = self.config
         p = self.params
         node = np.asarray(node, dtype=np.intp)
-        single = node.ndim == 0
-        node = node.reshape(-1)
         k = len(node)
-        blocked = ~np.asarray(feasible, dtype=bool).reshape(k, -1)
-        visited = np.asarray(visited, dtype=bool).reshape(k, -1)
+        blocked = ~np.asarray(feasible, dtype=bool)
+        visited = np.asarray(visited, dtype=bool)
 
         def mean_term(select, w):
             sel = select / np.maximum(select.sum(axis=1, keepdims=True), 1)
@@ -242,8 +240,7 @@ class Policy:
         u = ad.scale(tape, ad.transpose(tape, u, (1, 0)), 1.0 / np.sqrt(cfg.d_h))
         u = ad.add(tape, u, Tensor(-cfg.lam * enc.eps_norm[node]))
         u = clipped_logits(tape, u, cfg.kappa)
-        probs = ad.masked_softmax(tape, u, blocked)
-        return ad.reshape(tape, probs, (-1,)) if single else probs
+        return ad.masked_softmax(tape, u, blocked)
 
 
 def clipped_logits(tape, u, kappa):
@@ -272,28 +269,35 @@ def visited_array(env, state):
     return out
 
 
-def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=None,
+def pomo_starts(env, k_p):
+    """Distinct forced first actions: feasible pickups in ascending order,
+    or whatever the mask allows when no pickup is feasible, so at least
+    one rollout always runs."""
+    m = env.mask(env.reset())
+    starts = [j for j in range(1, 1 + env.n) if m[j]]
+    if not starts:
+        starts = [j for j in range(len(m)) if m[j]]
+    return starts[:k_p]
+
+
+def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=(None,),
                     noise=None, enc=None):
     """Run one episode per start under the policy, in lock-step.
 
     Each entry of starts is a forced first action, or None to let the
-    policy pick it. Every start keeps its own EpisodeState; the live ones
-    share one batched decode_step per step, and a start leaves the batch
-    once its episode ends. Steps go in start order, and sampling draws
-    one uniform per sampled row per step in that order. enc is the
-    instance's encoding when the caller already has it; without it the
-    call encodes env.inst itself.
+    policy pick it; the default is one unforced episode. Every start
+    keeps its own EpisodeState; the live ones share one batched
+    decode_step per step, and a start leaves the batch once its episode
+    ends. Steps go in start order, so random draws follow step order and
+    start order within a step: sampling draws one uniform per sampled
+    row, and noise one standard normal per Env.step, both from their one
+    generator. enc is the instance's encoding when the caller already
+    has it; without it the call encodes env.inst itself.
 
     Returns (states, log_prob_sums, actions): a state and an action list
     per start, and a (k,) tape tensor of log-prob sums that cover every
-    step including a forced first action. Without starts it runs one
-    unforced episode and returns that episode's state, scalar log-prob
-    sum and action list.
+    step including a forced first action.
     """
-    if starts is None:
-        states, lp, actions = rollout_episode(policy, env, tape, rng, greedy,
-                                              [None], noise, enc)
-        return states[0], ad.reshape(tape, lp, ()), actions[0]
     if enc is None:
         enc = policy.encode(tape, normalize_features(env.inst))
     states = [env.reset() for _ in starts]
@@ -341,34 +345,25 @@ def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=None,
 def greedy_rollout(policy, inst):
     """Deterministic argmax decode; returns the finished Solution."""
     env = Env(inst)
-    state, _, _ = rollout_episode(policy, env, None, greedy=True)
-    return env.solution(state)
+    states, _, _ = rollout_episode(policy, env, None, greedy=True)
+    return env.solution(states[0])
 
 
 def multistart_rollout(policy, inst, k_p=8, noise=None, enc=None):
-    """Best of several greedy decodes, one per distinct first pickup.
-
-    The unforced decode is always one of the candidates, so the result
-    is never worse than greedy_rollout; forcing each feasible first
-    pickup mirrors the multi-start scheme the policy is trained under.
-    enc is inst's untaped encoding when the caller already has it; noise
-    never changes the features, so one encoding serves every start and
-    every noise draw. Without it the call encodes inst itself.
+    """Best of several greedy decodes, ties going to the earliest: the
+    unforced one, then one per start of pomo_starts(k_p), all decoded in
+    one lock-step rollout_episode call, whose order the noise draws
+    follow. The unforced decode makes the result never worse than
+    greedy_rollout; the forced ones mirror the multi-start scheme the
+    policy is trained under. enc is inst's untaped encoding when the
+    caller already has it; noise never changes the features, so one
+    encoding serves every start and every noise draw.
     """
     env = Env(inst)
-    if enc is None:
-        enc = policy.encode(None, normalize_features(inst))
-    m = env.mask(env.reset())
-    starts = [None] + [j for j in range(1, 1 + env.n) if m[j]][:k_p]
-    best = None
-    # one start per call: noise draws follow each episode in turn
-    for a0 in starts:
-        states, _, _ = rollout_episode(policy, env, None, greedy=True,
-                                       starts=[a0], noise=noise, enc=enc)
-        sol = env.solution(states[0])
-        if best is None or sol.reward > best.reward:
-            best = sol
-    return best
+    states, _, _ = rollout_episode(policy, env, None, greedy=True,
+                                   starts=[None] + pomo_starts(env, k_p),
+                                   noise=noise, enc=enc)
+    return max((env.solution(s) for s in states), key=lambda sol: sol.reward)
 
 
 # -- checkpoints ---------------------------------------------------------------

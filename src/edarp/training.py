@@ -20,8 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .environment import Env
 from .instance import generate_instance, normalize_features
-from .policy import (Policy, PolicyConfig, greedy_rollout, require,
-                     rollout_episode)
+from .policy import (Policy, PolicyConfig, greedy_rollout, pomo_starts,
+                     require, rollout_episode)
 
 CURRICULUM_SIZES = [8, 10, 12, 14, 17, 21]
 PASS_BAND = 0.05            # a stage may end this far (relative) below its zero-shot
@@ -76,19 +76,6 @@ def clip_grad_norm(params, max_norm):
             if p.grad is not None:
                 p.grad *= s
     return float(total)
-
-
-def pomo_starts(env, k_p):
-    """Distinct forced first actions: feasible pickups in ascending order.
-
-    Degenerate states with no feasible pickup fall back to whatever the
-    mask allows so at least one rollout always runs.
-    """
-    m = env.mask(env.reset())
-    starts = [j for j in range(1, 1 + env.n) if m[j]]
-    if not starts:
-        starts = [j for j in range(len(m)) if m[j]]
-    return starts[:k_p]
 
 
 def pomo_advantages(rewards):

@@ -239,10 +239,9 @@ def _forced_logprob(policy, inst, actions):
     for a in actions:
         m = env.mask(state)
         load, soc, tfrac = state_scalars(env, state)
-        probs = policy.decode_step(tape, enc, state.node, load, soc, tfrac,
-                                   m, visited=visited_array(env, state))
-        logps.append(ad.reshape(tape, ad.log(tape, ad.take(tape, probs, a)),
-                                (1,)))
+        probs = policy.decode_step(tape, enc, [state.node], [load], [soc],
+                                   [tfrac], [m], [visited_array(env, state)])
+        logps.append(ad.log(tape, ad.take(tape, probs, ([0], [a]))))
         env.step(state, a, mask=m)
     return tape, ad.tsum(tape, ad.concat(tape, logps, 0))
 
@@ -271,8 +270,8 @@ def test_gradients_match_finite_differences():
                                      heads=(2, 4)[s % 2], layers=1 + s % 2,
                                      seed=s))
         inst = generate_instance(2, seed=60_000 + s)
-        _, _, actions = rollout_episode(policy, Env(inst), None,
-                                        rng=np.random.default_rng(1000 + s))
+        _, _, (actions,) = rollout_episode(policy, Env(inst), None,
+                                           rng=np.random.default_rng(1000 + s))
         tape, lp = _forced_logprob(policy, inst, actions)
         tape.backward(lp)
         tensors = list(policy.params.values())
@@ -320,8 +319,9 @@ def test_decoder_distribution_contract():
         while not state.terminal and checked < 1000:
             m = env.mask(state)
             load, soc, tfrac = state_scalars(env, state)
-            p = policy.decode_step(None, enc, state.node, load, soc, tfrac,
-                                   m, visited=visited_array(env, state)).data
+            p = policy.decode_step(None, enc, [state.node], [load], [soc],
+                                   [tfrac], [m],
+                                   [visited_array(env, state)]).data[0]
             worst_sum = max(worst_sum, abs(p.sum() - 1.0))
             assert all(p[j] == 0.0 for j in range(len(m)) if not m[j])
             checked += 1

@@ -213,6 +213,18 @@ def test_solve_missing_and_malformed_instance(tmp_path, capsys):
     assert run("solve", str(bad), "--solver", "greedy",
                "--out", str(tmp_path)) == 3
     assert "initialSoc" in capsys.readouterr().err
+    # a missing or non-integer count is refused, never truncated
+    out = tmp_path / "never"
+    for edit, field in ((lambda d: d.pop("n"), "'n'"),
+                        (lambda d: d.update(n="x"), "n must be an integer"),
+                        (lambda d: d["nodes"][1].update(q=1.5), "nodes[1].q")):
+        doc = json.loads((tmp_path / "inst" / "instance_0000.json").read_text())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+        assert run("solve", str(bad), "--solver", "greedy",
+                   "--out", str(out)) == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_data_error_leaves_no_output_dir(tmp_path, capsys):
@@ -662,6 +674,22 @@ def test_report_rejects_foreign_csv(tmp_path):
     bad = tmp_path / "other.csv"
     bad.write_text("a,b,c\n1,2,3\n")
     assert run("report", str(bad)) == 3
+
+
+def test_report_rejects_malformed_rows(tmp_path, capsys):
+    out = gen_dir(tmp_path, count=1)
+    sol_dir = tmp_path / "sols"
+    assert run("solve", str(out / "instance_0000.json"), "--solver", "greedy",
+               "--out", str(sol_dir)) == 0
+    header, good = (sol_dir / "metrics.csv").read_text().splitlines()
+    fields = good.split(",")
+    bad = tmp_path / "bad.csv"
+    for row in (",".join(fields[:5] + ["fast"] + fields[6:]),   # non-numeric
+                ",".join(fields[:-2])):                          # short
+        bad.write_text(f"{header}\n{good}\n{row}\n")
+        capsys.readouterr()
+        assert run("report", str(bad)) == 3
+        assert f"{bad} line 3" in capsys.readouterr().err
 
 
 def test_usage_error_on_unknown_solver(tmp_path):

@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
                    MaskViolation, Node, NoiseConfig, ReplayError, Request,
-                   charging_power, generate_instance, load_solution, replay,
-                   sample_noise, save_solution, score_solution)
+                   charging_power, generate_instance, greedy_solve,
+                   load_solution, replay, sample_noise, save_solution,
+                   score_solution)
 
 
 def slow_mask(env, state, battery_blocks=None):
@@ -362,7 +363,7 @@ def test_tight_battery_rollouts_keep_mask_and_reserve(n, chargers, battery,
                                                       reserve, seed, walk):
     """On fleets whose battery binds, a random mask-guided deterministic
     rollout always has an action to take and never steps below the
-    reserve."""
+    reserve, not even on arrival before a charge or a vehicle reset."""
     fleet = FleetParams(battery_kwh=battery, soc_reserve=reserve)
     try:
         inst = generate_instance(n, charger_count=chargers, fleet=fleet,
@@ -375,5 +376,16 @@ def test_tight_battery_rollouts_keep_mask_and_reserve(n, chargers, battery,
     while not state.terminal:
         acts = np.flatnonzero(env.mask(state))
         assert acts.size, "empty mask before terminal"
+        used = state.vehicles_used
         env.step(state, int(rng.choice(acts)))
         assert state.soc >= reserve - 1e-12
+        # a depot return that starts a fresh vehicle logs its arrival as
+        # the last entry of the finished route
+        route = state.routes[-2 if state.vehicles_used > used else -1]
+        _, _, _, soc, charge = route[-1]
+        assert soc - charge >= reserve - 1e-12
+    # random walks seldom run out of regular moves; greedy's escapes
+    # (hundreds per few thousand tight instances) face the same check
+    for route in greedy_solve(inst).routes:
+        for _, _, _, soc, charge in route:
+            assert soc - charge >= reserve - 1e-12

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,33 @@ def test_unknown_schema_version_rejected():
             load(json.dumps(doc).encode())
     doc["fleet"]["initialSoc"] = 1.0
     assert load(json.dumps(doc).encode()) == generate_instance(2, seed=1)
+
+
+def test_integer_fields_honoured_or_refused():
+    # a count or index is a JSON integer: a float is never truncated, and
+    # a bool or a string never stands in for one
+    text = save(generate_instance(2, seed=1))
+    doc = json.loads(text)
+    del doc["n"]
+    with pytest.raises(InstanceFormatError, match="'n'"):
+        load(json.dumps(doc).encode())
+    for label, path, value in [
+            ("n", ["n"], "x"), ("seed", ["seed"], True),
+            ("fleet.vehicles", ["fleet", "vehicles"], 2.0),
+            ("fleet.capacity", ["fleet", "capacity"], "3"),
+            ("nodes[1].id", ["nodes", 1, "id"], 1.0),
+            ("nodes[1].q", ["nodes", 1, "q"], 1.5),
+            ("requests[0].id", ["requests", 0, "id"], None),
+            ("requests[0].pickup", ["requests", 0, "pickup"], 1.5),
+            ("requests[0].delivery", ["requests", 0, "delivery"], False)]:
+        doc = json.loads(text)
+        field = doc
+        for key in path[:-1]:
+            field = field[key]
+        field[path[-1]] = value
+        with pytest.raises(InstanceFormatError,
+                           match=re.escape(f"{label} must be an integer")):
+            load(json.dumps(doc).encode())
 
 
 def test_generator_rejects_bad_arguments():

@@ -6,11 +6,19 @@ import pytest
 from edarp import autodiff as ad
 from edarp import (Adam, Env, NoiseConfig, Policy, PolicyConfig, Tape, Tensor,
                    generate_instance, greedy_rollout, load_policy,
-                   multistart_rollout, rollout_episode, save_policy)
+                   multistart_rollout, pomo_starts, rollout_episode,
+                   save_policy)
 from edarp.instance import FeatureTensors, normalize_features
 from edarp.policy import clipped_logits, state_scalars, visited_array
 
 CFG = PolicyConfig(d_h=16, heads=2, layers=1, seed=0)
+
+
+def decode_one(policy, tape, enc, env, s, m):
+    """The decoder's (1, V) distribution at one state, a batch of one."""
+    load, soc, tfrac = state_scalars(env, s)
+    return policy.decode_step(tape, enc, [s.node], [load], [soc], [tfrac], [m],
+                              [visited_array(env, s)])
 
 
 def random_states(inst, policy, count, seed):
@@ -25,10 +33,8 @@ def random_states(inst, policy, count, seed):
         s = env.reset()
         while not s.terminal and seen < count:
             m = env.mask(s)
-            load, soc, tfrac = state_scalars(env, s)
-            probs = policy.decode_step(None, enc, s.node, load, soc, tfrac, m,
-                                       visited=visited_array(env, s))
-            yield probs.data, np.array(m, dtype=bool)
+            yield (decode_one(policy, None, enc, env, s, m).data[0],
+                   np.array(m, dtype=bool))
             seen += 1
             env.step(s, int(rng.choice(np.flatnonzero(m))))
 
@@ -52,9 +58,7 @@ def test_single_feasible_action_gets_probability_one():
     s.load = inst.fleet.capacity    # blocks everything; fallback leaves one
     m = env.mask(s)
     assert sum(m) == 1
-    load, soc, tfrac = state_scalars(env, s)
-    p = policy.decode_step(None, enc, s.node, load, soc, tfrac, m,
-                           visited_array(env, s)).data
+    p = decode_one(policy, None, enc, env, s, m).data[0]
     assert p[np.argmax(m)] == 1.0
     assert p.sum() == 1.0
 
@@ -73,8 +77,8 @@ def test_zeroed_policy_ranks_actions_by_energy():
     enc = policy.encode(None, feats)
     s = env.reset()
     m = env.mask(s)
-    p = policy.decode_step(None, enc, 0, 0.0, 1.0, 0.0, m,
-                           visited_array(env, s)).data
+    p = policy.decode_step(None, enc, [0], [0.0], [1.0], [0.0], [m],
+                           [visited_array(env, s)]).data[0]
     eps = enc.eps_norm[0]
     live = np.flatnonzero(m)
     for i in live:
@@ -125,10 +129,10 @@ def test_single_node_graph():
     node[0, 0] = 1.0                # depot one-hot
     edge = np.zeros((1, 1, 3))
     enc = policy.encode(None, FeatureTensors(node, edge))
-    p = policy.decode_step(None, enc, 0, 0.0, 1.0, 0.0, [True],
-                           np.zeros(1, dtype=bool)).data
-    assert p.shape == (1,)
-    assert p[0] == 1.0
+    p = policy.decode_step(None, enc, [0], [0.0], [1.0], [0.0], [[True]],
+                           np.zeros((1, 1), dtype=bool)).data
+    assert p.shape == (1, 1)
+    assert p[0, 0] == 1.0
 
 
 MAX = 1.7976931348623157e308
@@ -218,10 +222,10 @@ def test_sampled_rollout_on_mask_and_logprob_sign(small_instance):
     for seed in range(5):
         rng = np.random.default_rng(seed)
         tape = Tape()
-        state, lp, actions = rollout_episode(policy, env, tape, rng=rng)
-        assert state.terminal
-        assert float(lp.data) <= 1e-12
-        assert len(actions) == state.steps
+        states, lp, actions = rollout_episode(policy, env, tape, rng=rng)
+        assert states[0].terminal
+        assert lp.shape == (1,) and lp.data[0] <= 1e-12
+        assert len(actions[0]) == states[0].steps
         tape.backward(lp)           # the whole trajectory stays differentiable
         assert any(t.grad is not None for t in policy.params.values())
 
@@ -242,7 +246,7 @@ def test_forced_first_action_respected(small_instance):
     _, _, actions = rollout_episode(policy, env, None, greedy=True,
                                     starts=[pickups[-1], None])
     assert actions[0][0] == pickups[-1]
-    assert actions[1] == rollout_episode(policy, env, None, greedy=True)[2]
+    assert actions[1] == rollout_episode(policy, env, None, greedy=True)[2][0]
 
 
 def forced_logprobs(policy, inst, tape, enc, actions):
@@ -254,11 +258,8 @@ def forced_logprobs(policy, inst, tape, enc, actions):
         terms = []
         for a in acts:
             m = env.mask(s)
-            load, soc, tfrac = state_scalars(env, s)
-            p = policy.decode_step(tape, enc, s.node, load, soc, tfrac, m,
-                                   visited_array(env, s))
-            terms.append(ad.reshape(tape, ad.log(tape, ad.take(tape, p, a)),
-                                    (1,)))
+            p = decode_one(policy, tape, enc, env, s, m)
+            terms.append(ad.log(tape, ad.take(tape, p, ([0], [a]))))
             env.step(s, a, mask=m)
         assert s.terminal
         sums.append(ad.reshape(tape, ad.tsum(tape, ad.concat(tape, terms, 0)),
@@ -364,11 +365,10 @@ def test_single_state_decode_is_bit_exact_to_reference():
     s = env.reset()
     while not s.terminal:
         m = env.mask(s)
-        row = (s.node, *state_scalars(env, s), m, visited_array(env, s))
-        want = reference_decode(policy, enc, *row)
-        assert np.array_equal(policy.decode_step(None, enc, *row).data, want)
-        batch_of_one = policy.decode_step(None, enc, *([x] for x in row))
-        assert np.array_equal(batch_of_one.data, want[None, :])
+        want = reference_decode(policy, enc, s.node, *state_scalars(env, s),
+                                m, visited_array(env, s))
+        got = decode_one(policy, None, enc, env, s, m).data
+        assert np.array_equal(got, want[None, :])
         env.step(s, int(rng.choice(np.flatnonzero(m))))
 
 
@@ -392,7 +392,7 @@ def test_batched_decode_rows_match_single_calls():
     batch = policy.decode_step(None, enc, *map(list, zip(*rows))).data
     assert batch.shape == (len(states), env.num_nodes)
     for got, row in zip(batch, rows):
-        want = policy.decode_step(None, enc, *row).data
+        want = policy.decode_step(None, enc, *([x] for x in row)).data[0]
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
         assert np.array_equal(got == 0.0, ~np.asarray(row[4]))
 
@@ -419,6 +419,55 @@ def test_multistart_shared_encoding_is_exact():
                                  noise=NoiseConfig.make(0.2, seed), enc=shared)
         assert got.reward == own.reward
         assert got.routes == own.routes
+
+
+def one_start_per_call(policy, inst, k_p):
+    """The reference multistart: one rollout_episode call per start, the
+    best reward kept and ties going to the earliest start."""
+    env = Env(inst)
+    enc = policy.encode(None, normalize_features(inst))
+    best = None
+    for a0 in [None] + pomo_starts(env, k_p):
+        states, _, _ = rollout_episode(policy, env, None, greedy=True,
+                                       starts=[a0], enc=enc)
+        sol = env.solution(states[0])
+        if best is None or sol.reward > best.reward:
+            best = sol
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_multistart_lockstep_matches_one_start_per_call(seed):
+    policy = Policy(PolicyConfig(d_h=16, heads=2, layers=2, seed=seed))
+    for n in (2, 5, 10, 20, 40):
+        inst = generate_instance(n, charger_count=2, seed=500 + n + seed)
+        for k_p in (0, 1, 8):
+            got = multistart_rollout(policy, inst, k_p=k_p)
+            want = one_start_per_call(policy, inst, k_p)
+            assert got.reward == want.reward
+            assert got.routes == want.routes
+
+
+def test_noisy_multistart_draws_one_normal_per_step():
+    # every start's Env.step draws from the one noise generator, so a
+    # call consumes exactly one standard normal per step over all starts
+    policy = Policy(CFG)
+    for seed in range(4):
+        inst = generate_instance(6, charger_count=1, seed=60 + seed)
+        env = Env(inst)
+        states, _, _ = rollout_episode(policy, env, None, greedy=True,
+                                       starts=[None] + pomo_starts(env, 8),
+                                       noise=NoiseConfig.make(0.3, seed))
+        noise = NoiseConfig.make(0.3, seed)
+        got = multistart_rollout(policy, inst, k_p=8, noise=noise)
+        ref = np.random.default_rng(seed)
+        ref.standard_normal(sum(s.steps for s in states))
+        assert noise.rng.bit_generator.state == ref.bit_generator.state
+        best = max((env.solution(s) for s in states), key=lambda x: x.reward)
+        assert (got.reward, got.routes) == (best.reward, best.routes)
+        again = multistart_rollout(policy, inst, k_p=8,
+                                   noise=NoiseConfig.make(0.3, seed))
+        assert (again.reward, again.routes) == (got.reward, got.routes)
 
 
 def test_state_scalars_ranges(small_instance):
