@@ -100,9 +100,16 @@ def matmul(tape, a, b):
             if out.grad is None:
                 return
             ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
+            if b.data.ndim == 2 < a.data.ndim:
+                # a stack of rows against one matrix: a single GEMM over
+                # the flattened rows, not one per stack entry and a sum
+                k, m = b.data.shape
+                gb = a.data.reshape(-1, k).T @ out.grad.reshape(-1, m)
+            else:
+                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2),
+                                            out.grad), b.data.shape)
             _accum(a, _unbroadcast(ga, a.data.shape))
-            _accum(b, _unbroadcast(gb, b.data.shape))
+            _accum(b, gb)
         tape.record(back)
     return out
 
@@ -270,15 +277,8 @@ def masked_softmax(tape, x, mask):
     mask is a boolean array broadcastable to x, True meaning blocked.
     Rows with every entry blocked come out all-zero.
     """
-    # one temporary, worked in place; blocked entries exp to exactly 0
-    p = np.where(np.broadcast_to(mask, x.data.shape), -np.inf, x.data)
-    mx = p.max(axis=-1, keepdims=True)
-    p -= np.where(np.isfinite(mx), mx, 0.0)
-    np.exp(p, out=p)
-    tot = p.sum(axis=-1, keepdims=True)
-    ok = tot > 0.0
-    np.divide(p, tot, out=p, where=ok)
-    p[~ok[..., 0]] = 0.0             # an all-blocked or non-finite row
+    p = x.data.copy()
+    _masked_softmax_in_place(p, mask)
     out = Tensor(p)
     if tape is not None:
         def back():
@@ -289,6 +289,109 @@ def masked_softmax(tape, x, mask):
             _accum(x, p * (g - dot))
         tape.record(back)
     return out
+
+
+def _masked_softmax_in_place(p, mask):
+    """masked_softmax's forward, overwriting the scores p with the weights."""
+    np.copyto(p, -np.inf, where=mask)   # blocked entries exp to exactly 0
+    mx = p.max(axis=-1, keepdims=True)
+    p -= np.where(np.isfinite(mx), mx, 0.0)
+    np.exp(p, out=p)
+    tot = p.sum(axis=-1, keepdims=True)
+    ok = tot > 0.0
+    np.divide(p, tot, out=p, where=ok)
+    p[~ok[..., 0]] = 0.0             # an all-blocked or non-finite row
+
+
+def edge_attention(tape, qkv, heads, mask):
+    """Multi-head attention of each directed edge over the edges leaving
+    its source and the edges entering its target.
+
+    qkv is (V, V, 3 * heads * dk): every edge's queries, then its keys,
+    then its values, head h taking columns h*dk:(h+1)*dk of each third.
+    Edge (i, j) scores q(i,j).k(i,m) / sqrt(dk) against the edges (i, m)
+    and q(i,j).k(m,j) / sqrt(dk) against the edges (m, j): one joint row
+    of 2V scores that masked_softmax's rule turns into weights, mask
+    being broadcastable to (V, V, 2V) and True meaning blocked. Head h's
+    output, columns h*dk:(h+1)*dk of the (V, V, heads * dk) result, is
+    the weighted sum of the matching values.
+
+    The heads run one at a time on contiguous copies of their q, k and
+    v, so the largest temporary is one head's (V, V, 2V) scores; the
+    backward keeps only each head's weights.
+    """
+    data = qkv.data
+    v = data.shape[0]
+    dk = data.shape[-1] // (3 * heads)
+    if dk < 1 or data.shape != (v, v, 3 * heads * dk):
+        raise ValueError(f"qkv of shape {data.shape} is not (V, V, 3*{heads}*dk)")
+    scale = 1.0 / np.sqrt(dk)
+
+    def cols(a, h):
+        """Head h's query, key and value columns of a qkv-shaped array."""
+        return [a[..., c + h * dk:c + (h + 1) * dk]
+                for c in range(0, 3 * heads * dk, heads * dk)]
+
+    out = np.empty((v, v, heads * dk))
+    probs = []
+    p = None
+    for h in range(heads):
+        q, k, val = map(np.ascontiguousarray, cols(data, h))
+        if p is None or tape is not None:
+            p = np.empty((v, v, 2 * v))
+        _edge_scores(q, k, p)
+        p *= scale
+        _masked_softmax_in_place(p, mask)
+        out[..., h * dk:(h + 1) * dk] = _edge_sums(p, val)
+        if tape is not None:
+            probs.append(p)
+    result = Tensor(out)
+    if tape is not None:
+        def back():
+            if result.grad is None:
+                return
+            g = np.empty_like(data)
+            for h, p in enumerate(probs):
+                q, k, val = map(np.ascontiguousarray, cols(data, h))
+                go = np.ascontiguousarray(result.grad[..., h * dk:(h + 1) * dk])
+                gq, gk, gv = cols(g, h)
+                gv[...] = _edge_sums(p, go, adjoint=True)
+                gs = _edge_scores(go, val, np.empty_like(p))
+                gs -= (gs * p).sum(axis=-1, keepdims=True)   # softmax backward
+                gs *= p
+                gs *= scale
+                gq[...] = _edge_sums(gs, k)
+                gk[...] = _edge_sums(gs, q, adjoint=True)
+            _accum(qkv, g)
+        tape.record(back)
+    return result
+
+
+def _edge_scores(q, k, out):
+    """Fill out (V, V, 2V) with the joint products of edge (i, j)'s row
+    of q: out(i,j,m) = q(i,j).k(i,m) and out(i,j,V+m) = q(i,j).k(m,j)."""
+    v = q.shape[0]
+    np.matmul(q, k.transpose(0, 2, 1), out=out[:, :, :v])
+    # the edges entering j, computed j-major
+    np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0),
+              out=out[:, :, v:].transpose(1, 0, 2))
+    return out
+
+
+def _edge_sums(w, x, adjoint=False):
+    """Sum the per-edge rows x (V, V, d) under the joint weights w
+    (V, V, 2V): out(i,j) = sum_m w(i,j,m) x(i,m) + w(i,j,V+m) x(m,j).
+    adjoint gives the transposed map, whose (i,m) entry is
+    sum_j w(i,j,m) x(i,j) + sum_j w(j,m,V+i) x(j,m)."""
+    v = w.shape[0]
+    src, tgt = w[:, :, :v], w[:, :, v:]
+    if adjoint:
+        return (np.matmul(src.transpose(0, 2, 1), x)
+                + np.matmul(tgt.transpose(1, 2, 0),
+                            x.transpose(1, 0, 2)).transpose(1, 0, 2))
+    return (np.matmul(src, x)
+            + np.matmul(tgt.transpose(1, 0, 2),
+                        x.transpose(1, 0, 2)).transpose(1, 0, 2))
 
 
 def params_init(rng, shape, fan):

@@ -456,10 +456,17 @@ def cmd_report(args):
             if rd.fieldnames != METRICS_COLUMNS:
                 raise DataError(f"{p} does not have the metrics column set")
             for row in rd:
+                where = f"{p} line {rd.line_num}"
+                if None in row:                     # DictReader's key for extras
+                    raise DataError(f"{where}: {len(METRICS_COLUMNS) + len(row[None])} "
+                                    f"fields, the header has {len(METRICS_COLUMNS)}")
                 try:
                     row.update((c, float(row[c])) for c in numeric)
                 except ValueError as e:
-                    raise DataError(f"{p} line {rd.line_num}: {e}") from e
+                    raise DataError(f"{where}: {e}") from e
+                bad = [c for c in numeric if not math.isfinite(row[c])]
+                if bad:
+                    raise DataError(f"{where}: non-finite {bad[0]} {row[bad[0]]}")
                 rows.append(row)
     if not rows:
         raise DataError("no metrics rows to aggregate")

@@ -454,7 +454,12 @@ def load_solution(data):
     routes = [[(s["node"], s["arrival"], s["serviceStart"], s["soc"], s["chargeDelta"])
                for s in log] for log in doc["routes"]]
     cost = doc["cost"]
+    for field, holder, key in (("cost.travel", cost, "travel"),
+                               ("metrics.charge_visits", doc["metrics"], "charge_visits"),
+                               ("instanceSeedOrHash", doc, "instanceSeedOrHash")):
+        if key not in holder:
+            raise ValueError(f"solution lacks {field}")
     return Solution(routes, doc["served"], cost["energy"], cost["wait"],
-                    cost["late"], cost.get("travel", 0.0), doc["metrics"].get("charge_visits", 0),
+                    cost["late"], cost["travel"], doc["metrics"]["charge_visits"],
                     cost["objective"], cost["reward"], doc["metrics"],
-                    instance_seed=doc.get("instanceSeedOrHash", 0))
+                    instance_seed=doc["instanceSeedOrHash"])

@@ -148,34 +148,14 @@ class Policy:
         combined = Tensor(np.concatenate([feats.edge, node_part], axis=-1))
         h = ad.add(tape, ad.matmul(tape, combined, p["embed_w"]), p["embed_b"])
         dup = _dup_mask(v)
-        dk = cfg.d_h // cfg.heads
-        inv_sqrt_dk = 1.0 / np.sqrt(dk)
 
         for l in range(cfg.layers):
-            heads = []
-            for hd in range(cfg.heads):
-                q = ad.matmul(tape, h, p[f"l{l}h{hd}_q"])
-                k = ad.matmul(tape, h, p[f"l{l}h{hd}_k"])
-                vv = ad.matmul(tape, h, p[f"l{l}h{hd}_v"])
-                # edges leaving i: q(i,j) . k(i,m)
-                src = ad.matmul(tape, q, ad.transpose(tape, k, (0, 2, 1)))
-                # edges entering j: q(i,j) . k(m,j), organized j-major
-                qt = ad.transpose(tape, q, (1, 0, 2))
-                kt = ad.transpose(tape, k, (1, 0, 2))
-                tgt = ad.matmul(tape, qt, ad.transpose(tape, kt, (0, 2, 1)))
-                tgt = ad.transpose(tape, tgt, (1, 0, 2))
-                scores = ad.scale(tape, ad.concat(tape, [src, tgt], -1),
-                                  inv_sqrt_dk)
-                attn = ad.masked_softmax(tape, scores, dup)
-                a_src = ad.narrow(tape, attn, 2, 0, v)
-                a_tgt = ad.narrow(tape, attn, 2, v, v)
-                out_src = ad.matmul(tape, a_src, vv)
-                vt = ad.transpose(tape, vv, (1, 0, 2))
-                at = ad.transpose(tape, a_tgt, (1, 0, 2))
-                out_tgt = ad.transpose(tape, ad.matmul(tape, at, vt), (1, 0, 2))
-                heads.append(ad.add(tape, out_src, out_tgt))
-            mha = ad.add(tape, ad.matmul(tape, ad.concat(tape, heads, -1),
-                                         p[f"l{l}_wo"]), p[f"l{l}_bo"])
+            w_qkv = ad.concat(tape, [p[f"l{l}h{hd}_{part}"] for part in "qkv"
+                                     for hd in range(cfg.heads)], -1)
+            heads = ad.edge_attention(tape, ad.matmul(tape, h, w_qkv),
+                                      cfg.heads, dup)
+            mha = ad.add(tape, ad.matmul(tape, heads, p[f"l{l}_wo"]),
+                         p[f"l{l}_bo"])
             h1 = ad.layer_norm(tape, ad.add(tape, h, mha),
                                p[f"l{l}_ln1_g"], p[f"l{l}_ln1_b"])
             ffn = ad.relu(tape, ad.add(tape, ad.matmul(tape, h1, p[f"l{l}_ffn1_w"]),

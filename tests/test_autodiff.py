@@ -140,6 +140,90 @@ def test_gradcheck_masked_softmax(rng):
     check_grads(build, [x])
 
 
+def dup_mask(v):
+    """The encoder's joint mask: edge (i, j)'s second appearance blocked."""
+    m = np.zeros((v, v, 2 * v), dtype=bool)
+    for i in range(v):
+        m[i, :, v + i] = True
+    return m
+
+
+def test_gradcheck_edge_attention(rng):
+    v, heads, dk = 3, 2, 2
+    qkv = Tensor(rng.standard_normal((v, v, 3 * heads * dk)))
+    w = rng.standard_normal((v, v, heads * dk))
+
+    def build(tp, qkv):
+        out = ad.edge_attention(tp, qkv, heads, dup_mask(v))
+        return ad.tsum(tp, ad.mul(tp, out, Tensor(w)))
+
+    check_grads(build, [qkv])
+
+
+def reference_edge_attention(tp, qkv, heads, mask):
+    """edge_attention as the per-head composition of taped ops it fused."""
+    v = qkv.shape[0]
+    dk = qkv.shape[-1] // (3 * heads)
+    outs = []
+    for h in range(heads):
+        q, k, vv = (ad.narrow(tp, qkv, 2, c * heads * dk + h * dk, dk)
+                    for c in range(3))
+        src = ad.matmul(tp, q, ad.transpose(tp, k, (0, 2, 1)))
+        qt = ad.transpose(tp, q, (1, 0, 2))
+        kt = ad.transpose(tp, k, (1, 0, 2))
+        tgt = ad.matmul(tp, qt, ad.transpose(tp, kt, (0, 2, 1)))
+        tgt = ad.transpose(tp, tgt, (1, 0, 2))
+        scores = ad.scale(tp, ad.concat(tp, [src, tgt], -1), 1.0 / np.sqrt(dk))
+        attn = ad.masked_softmax(tp, scores, mask)
+        out_src = ad.matmul(tp, ad.narrow(tp, attn, 2, 0, v), vv)
+        at = ad.transpose(tp, ad.narrow(tp, attn, 2, v, v), (1, 0, 2))
+        vt = ad.transpose(tp, vv, (1, 0, 2))
+        out_tgt = ad.transpose(tp, ad.matmul(tp, at, vt), (1, 0, 2))
+        outs.append(ad.add(tp, out_src, out_tgt))
+    return ad.concat(tp, outs, -1)
+
+
+@pytest.mark.parametrize("v, heads, dk", [(5, 2, 3), (12, 4, 16)])
+def test_edge_attention_matches_per_head_reference(rng, v, heads, dk):
+    blocked = rng.random((v, v, 2 * v)) < 0.4
+    blocked[1, 2] = True                       # a row with every entry blocked
+    for mask in (dup_mask(v), blocked):
+        x = rng.standard_normal((v, v, 3 * heads * dk)) * 2.0
+        w = Tensor(rng.standard_normal((v, v, heads * dk)))
+        results = []
+        for op in (ad.edge_attention, reference_edge_attention):
+            qkv = Tensor(x)
+            tape = Tape()
+            out = op(tape, qkv, heads, mask)
+            tape.backward(ad.tsum(tape, ad.mul(tape, out, w)))
+            assert op(None, Tensor(x), heads, mask).data.tobytes() == \
+                out.data.tobytes()
+            results.append((out.data.tobytes(), qkv.grad))
+        (fused, g_fused), (ref, g_ref) = results
+        assert fused == ref
+        assert np.abs(g_fused - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+
+
+def test_edge_attention_single_node_graph(rng):
+    # V = 1: the one live entry of each row is the edge itself, so each
+    # head returns its value and no gradient reaches q or k
+    heads, dk = 2, 3
+    qkv = Tensor(rng.standard_normal((1, 1, 3 * heads * dk)))
+    w = rng.standard_normal((1, 1, heads * dk))
+    tape = Tape()
+    out = ad.edge_attention(tape, qkv, heads, dup_mask(1))
+    assert out.data.tobytes() == qkv.data[..., 2 * heads * dk:].tobytes()
+    tape.backward(ad.tsum(tape, ad.mul(tape, out, Tensor(w))))
+    assert np.all(qkv.grad[..., :2 * heads * dk] == 0.0)
+    assert np.array_equal(qkv.grad[..., 2 * heads * dk:], w)
+
+
+def test_edge_attention_rejects_bad_width(rng):
+    with pytest.raises(ValueError):
+        ad.edge_attention(None, Tensor(rng.standard_normal((2, 2, 10))), 2,
+                          dup_mask(2))
+
+
 def test_gradcheck_composed_network(rng):
     # tiny version of the policy compute pattern: affine, norm,
     # nonlinearity, attention-style softmax, log-likelihood
@@ -194,9 +278,7 @@ def reference_masked_softmax(x, mask):
 
 def test_masked_softmax_in_place_matches_reference(rng):
     v = 6
-    dup = np.zeros((v, v, 2 * v), dtype=bool)    # the encoder's joint mask
-    for i in range(v):
-        dup[i, :, v + i] = True
+    dup = dup_mask(v)
     blocked_rows = rng.random((v, 2 * v)) < 0.5
     blocked_rows[[0, 3]] = True                   # every entry blocked
     cases = [(rng.standard_normal((v, v, 2 * v)) * 4.0, dup),

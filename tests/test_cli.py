@@ -676,20 +676,36 @@ def test_report_rejects_foreign_csv(tmp_path):
     assert run("report", str(bad)) == 3
 
 
-def test_report_rejects_malformed_rows(tmp_path, capsys):
+def assert_report_rejects(tmp_path, capsys, *edits):
+    """For each edit, run report on a greedy metrics CSV whose second row
+    is edit(fields of the first): it must exit 3 naming the file and line."""
     out = gen_dir(tmp_path, count=1)
     sol_dir = tmp_path / "sols"
     assert run("solve", str(out / "instance_0000.json"), "--solver", "greedy",
                "--out", str(sol_dir)) == 0
     header, good = (sol_dir / "metrics.csv").read_text().splitlines()
-    fields = good.split(",")
     bad = tmp_path / "bad.csv"
-    for row in (",".join(fields[:5] + ["fast"] + fields[6:]),   # non-numeric
-                ",".join(fields[:-2])):                          # short
-        bad.write_text(f"{header}\n{good}\n{row}\n")
+    for edit in edits:
+        bad.write_text(f"{header}\n{good}\n{','.join(edit(good.split(',')))}\n")
         capsys.readouterr()
         assert run("report", str(bad)) == 3
         assert f"{bad} line 3" in capsys.readouterr().err
+
+
+def test_report_rejects_malformed_rows(tmp_path, capsys):
+    assert_report_rejects(tmp_path, capsys,
+                          lambda f: f[:5] + ["fast"] + f[6:],   # non-numeric
+                          lambda f: f[:-2])                      # short
+
+
+def test_report_rejects_row_with_extra_fields(tmp_path, capsys):
+    assert_report_rejects(tmp_path, capsys, lambda f: f + ["99", "junk"])
+
+
+def test_report_rejects_non_finite_cells(tmp_path, capsys):
+    assert_report_rejects(tmp_path, capsys,
+                          *(lambda f, c=cell: f[:3] + [c] + f[4:]
+                            for cell in ("nan", "inf", "-inf")))
 
 
 def test_usage_error_on_unknown_solver(tmp_path):

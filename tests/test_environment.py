@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings
@@ -324,6 +326,16 @@ def test_solution_round_trip(small_instance):
     back = load_solution(save_solution(sol))
     assert back.reward == pytest.approx(sol.reward, abs=1e-12)
     assert back.routes == sol.routes
+
+
+def test_load_solution_refuses_missing_fields(small_instance):
+    blob = save_solution(greedy_solve(small_instance))
+    for field in ("cost.travel", "metrics.charge_visits", "instanceSeedOrHash"):
+        doc = json.loads(blob)
+        *outer, key = field.split(".")
+        del (doc[outer[0]] if outer else doc)[key]
+        with pytest.raises(ValueError, match=field):
+            load_solution(json.dumps(doc))
 
 
 def test_rollout_invariants_small_fuzz():

@@ -9,7 +9,8 @@ from edarp import (Adam, Env, NoiseConfig, Policy, PolicyConfig, Tape, Tensor,
                    multistart_rollout, pomo_starts, rollout_episode,
                    save_policy)
 from edarp.instance import FeatureTensors, normalize_features
-from edarp.policy import clipped_logits, state_scalars, visited_array
+from edarp.policy import (NODE_FEATS, EncodedGraph, clipped_logits,
+                          state_scalars, visited_array)
 
 CFG = PolicyConfig(d_h=16, heads=2, layers=1, seed=0)
 
@@ -133,6 +134,96 @@ def test_single_node_graph():
                            np.zeros((1, 1), dtype=bool)).data
     assert p.shape == (1, 1)
     assert p[0, 0] == 1.0
+
+
+def reference_encode(policy, tape, feats):
+    """Policy.encode with a projection, a score and a value sum per head:
+    the per-head composition of taped ops that ad.edge_attention fused."""
+    cfg, p = policy.config, policy.params
+    v = feats.node.shape[0]
+    node_part = np.broadcast_to(feats.node[None, :, :], (v, v, NODE_FEATS))
+    combined = Tensor(np.concatenate([feats.edge, node_part], axis=-1))
+    h = ad.add(tape, ad.matmul(tape, combined, p["embed_w"]), p["embed_b"])
+    dup = np.zeros((v, v, 2 * v), dtype=bool)
+    for i in range(v):
+        dup[i, :, v + i] = True
+    dk = cfg.d_h // cfg.heads
+    for l in range(cfg.layers):
+        heads = []
+        for hd in range(cfg.heads):
+            q, k, vv = (ad.matmul(tape, h, p[f"l{l}h{hd}_{part}"])
+                        for part in "qkv")
+            src = ad.matmul(tape, q, ad.transpose(tape, k, (0, 2, 1)))
+            qt = ad.transpose(tape, q, (1, 0, 2))
+            kt = ad.transpose(tape, k, (1, 0, 2))
+            tgt = ad.matmul(tape, qt, ad.transpose(tape, kt, (0, 2, 1)))
+            tgt = ad.transpose(tape, tgt, (1, 0, 2))
+            scores = ad.scale(tape, ad.concat(tape, [src, tgt], -1),
+                              1.0 / np.sqrt(dk))
+            attn = ad.masked_softmax(tape, scores, dup)
+            out_src = ad.matmul(tape, ad.narrow(tape, attn, 2, 0, v), vv)
+            at = ad.transpose(tape, ad.narrow(tape, attn, 2, v, v), (1, 0, 2))
+            vt = ad.transpose(tape, vv, (1, 0, 2))
+            out_tgt = ad.transpose(tape, ad.matmul(tape, at, vt), (1, 0, 2))
+            heads.append(ad.add(tape, out_src, out_tgt))
+        mha = ad.add(tape, ad.matmul(tape, ad.concat(tape, heads, -1),
+                                     p[f"l{l}_wo"]), p[f"l{l}_bo"])
+        h1 = ad.layer_norm(tape, ad.add(tape, h, mha),
+                           p[f"l{l}_ln1_g"], p[f"l{l}_ln1_b"])
+        ffn = ad.relu(tape, ad.add(tape, ad.matmul(tape, h1, p[f"l{l}_ffn1_w"]),
+                                   p[f"l{l}_ffn1_b"]))
+        ffn = ad.add(tape, ad.matmul(tape, ffn, p[f"l{l}_ffn2_w"]),
+                     p[f"l{l}_ffn2_b"])
+        h = ad.layer_norm(tape, ad.add(tape, h1, ffn),
+                          p[f"l{l}_ln2_g"], p[f"l{l}_ln2_b"])
+    s = ad.add(tape, ad.matmul(tape, h, p["agg_w"]), p["agg_b"])
+    s = ad.transpose(tape, ad.reshape(tape, s, (v, v)), (1, 0))
+    omega = ad.masked_softmax(tape, s, np.zeros((v, v), dtype=bool))
+    ht = ad.transpose(tape, h, (1, 0, 2))
+    z = ad.tsum(tape, ad.mul(tape, ht, ad.reshape(tape, omega, (v, v, 1))),
+                axis=1)
+    zbar = ad.reshape(tape, ad.tmean(tape, z, axis=0), (1, cfg.d_h))
+    return EncodedGraph(
+        z, ad.matmul(tape, z, p["dec_key"]),
+        ad.matmul(tape, ad.narrow(tape, z, 0, 0, 1), p["ctx_depot"]),
+        ad.matmul(tape, zbar, p["ctx_graph"]), feats.edge[:, :, 2])
+
+
+@pytest.mark.parametrize("cfg, n", [(CFG, 5), (PolicyConfig(seed=3), 10)])
+def test_encode_matches_per_head_reference(cfg, n):
+    # outputs bit for bit, taped and untaped; weight gradients are summed
+    # in another order, so they agree to a float64 rounding tolerance
+    policy = Policy(cfg)
+    feats = normalize_features(generate_instance(n, charger_count=2, seed=n))
+    runs = []
+    for encode in (policy.encode,
+                   lambda tape, f: reference_encode(policy, tape, f)):
+        policy.zero_grad()
+        tape = Tape()
+        outs = [(e.Z, e.keys, e.depot_ctx, e.graph_ctx)
+                for e in (encode(tape, feats), encode(None, feats))]
+        assert [t.data.tobytes() for t in outs[0]] == \
+            [t.data.tobytes() for t in outs[1]]
+        rng = np.random.default_rng(n)
+        loss = ad.tsum(tape, ad.concat(tape, [
+            ad.reshape(tape, ad.mul(tape, t, Tensor(rng.standard_normal(t.shape))),
+                       (-1,)) for t in outs[0]], 0))
+        tape.backward(loss)
+        runs.append(([t.data.tobytes() for t in outs[0]],
+                     {k: t.grad for k, t in policy.params.items()
+                      if t.grad is not None}))
+    (fused, g_fused), (ref, g_ref) = runs
+    assert fused == ref
+    assert g_fused.keys() == g_ref.keys()
+    for k, g in g_ref.items():
+        assert np.abs(g_fused[k] - g).max() <= 1e-12 * np.abs(g).max(), k
+
+
+def test_encode_records_one_attention_op_per_layer():
+    tape = Tape()
+    Policy(PolicyConfig(seed=0)).encode(
+        tape, normalize_features(generate_instance(10, charger_count=2, seed=0)))
+    assert len(tape._ops) <= 80
 
 
 MAX = 1.7976931348623157e308
