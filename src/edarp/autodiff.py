@@ -1,7 +1,11 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
 Deliberately small: exactly the float64 operations the attention policy
-needs, recorded on an explicit tape. Passing tape=None runs any op in
+needs, recorded on an explicit tape. Each op computes its forward and
+records its output with a gradient rule, a function of the output's
+gradient g that accumulates into the inputs' grads
+(Tape.record(out, rule)). Tape.backward runs the rules in reverse order,
+skipping any output no gradient reached. Passing tape=None runs any op in
 inference mode with no recording. Gradients accumulate into Tensor.grad
 slots, so one tape can back-propagate a whole batch at once.
 """
@@ -24,13 +28,19 @@ class Tensor:
 
 
 class Tape:
-    """Ordered record of backward closures."""
+    """Ordered record of (output, gradient rule) pairs.
+
+    backward sweeps the record in reverse and calls each rule with the
+    gradient that has reached its output. An output no gradient reached
+    is skipped: its rule never runs and its inputs' grads stay as they
+    were, None if nothing else feeds them.
+    """
 
     def __init__(self):
         self._ops = []
 
-    def record(self, fn):
-        self._ops.append(fn)
+    def record(self, out, rule):
+        self._ops.append((out, rule))
 
     def backward(self, loss):
         if loss.data.size != 1:
@@ -38,8 +48,17 @@ class Tape:
         if not np.isfinite(loss.data):
             raise FloatingPointError("non-finite loss")
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._ops):
-            fn()
+        for out, rule in reversed(self._ops):
+            if out.grad is not None:
+                rule(out.grad)
+
+
+def _op(tape, data, rule):
+    """Tensor(data), with rule(g) recorded as its gradient rule on tape."""
+    out = Tensor(data)
+    if tape is not None:
+        tape.record(out, rule)
+    return out
 
 
 def _accum(t, g):
@@ -59,191 +78,98 @@ def _unbroadcast(g, shape):
 
 
 def add(tape, a, b):
-    out = Tensor(a.data + b.data)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, _unbroadcast(out.grad, a.data.shape))
-            _accum(b, _unbroadcast(out.grad, b.data.shape))
-        tape.record(back)
-    return out
+    def rule(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, _unbroadcast(g, b.data.shape))
+    return _op(tape, a.data + b.data, rule)
 
 
 def mul(tape, a, b):
-    out = Tensor(a.data * b.data)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accum(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        tape.record(back)
-    return out
+    def rule(g):
+        _accum(a, _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+    return _op(tape, a.data * b.data, rule)
 
 
 def scale(tape, a, s):
-    out = Tensor(a.data * s)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * s)
-        tape.record(back)
-    return out
+    return _op(tape, a.data * s, lambda g: _accum(a, g * s))
 
 
 def matmul(tape, a, b):
-    out = Tensor(np.matmul(a.data, b.data))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-            if b.data.ndim == 2 < a.data.ndim:
-                # a stack of rows against one matrix: a single GEMM over
-                # the flattened rows, not one per stack entry and a sum
-                k, m = b.data.shape
-                gb = a.data.reshape(-1, k).T @ out.grad.reshape(-1, m)
-            else:
-                gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2),
-                                            out.grad), b.data.shape)
-            _accum(a, _unbroadcast(ga, a.data.shape))
-            _accum(b, gb)
-        tape.record(back)
-    return out
+    def rule(g):
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        if b.data.ndim == 2 < a.data.ndim:
+            # a stack of rows against one matrix: a single GEMM over
+            # the flattened rows, not one per stack entry and a sum
+            k, m = b.data.shape
+            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+        else:
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                              b.data.shape)
+        _accum(a, _unbroadcast(ga, a.data.shape))
+        _accum(b, gb)
+    return _op(tape, np.matmul(a.data, b.data), rule)
 
 
 def relu(tape, a):
-    out = Tensor(np.maximum(a.data, 0.0))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * (a.data > 0.0))
-        tape.record(back)
-    return out
+    return _op(tape, np.maximum(a.data, 0.0),
+               lambda g: _accum(a, g * (a.data > 0.0)))
 
 
 def tanh(tape, a):
-    out = Tensor(np.tanh(a.data))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, out.grad * (1.0 - out.data * out.data))
-        tape.record(back)
-    return out
+    y = np.tanh(a.data)
+    return _op(tape, y, lambda g: _accum(a, g * (1.0 - y * y)))
 
 
 def log(tape, a):
-    out = Tensor(np.log(a.data))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, out.grad / a.data)
-        tape.record(back)
-    return out
+    return _op(tape, np.log(a.data), lambda g: _accum(a, g / a.data))
 
 
 def tsum(tape, a, axis=None):
-    out = Tensor(a.data.sum(axis=axis))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g, a.data.shape).copy())
-        tape.record(back)
-    return out
+    def rule(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g, a.data.shape))
+    return _op(tape, a.data.sum(axis=axis), rule)
 
 
 def tmean(tape, a, axis=None):
     n = a.data.size if axis is None else a.data.shape[axis]
-    out = Tensor(a.data.mean(axis=axis))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            g = out.grad
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            _accum(a, np.broadcast_to(g / n, a.data.shape).copy())
-        tape.record(back)
-    return out
+
+    def rule(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        _accum(a, np.broadcast_to(g / n, a.data.shape))
+    return _op(tape, a.data.mean(axis=axis), rule)
 
 
 def transpose(tape, a, axes):
-    out = Tensor(a.data.transpose(axes))
-    if tape is not None:
-        inv = np.argsort(axes)
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, out.grad.transpose(inv))
-        tape.record(back)
-    return out
+    return _op(tape, a.data.transpose(axes),
+               lambda g: _accum(a, g.transpose(np.argsort(axes))))
 
 
 def reshape(tape, a, shape):
-    out = Tensor(a.data.reshape(shape))
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            _accum(a, out.grad.reshape(a.data.shape))
-        tape.record(back)
-    return out
+    return _op(tape, a.data.reshape(shape),
+               lambda g: _accum(a, g.reshape(a.data.shape)))
 
 
 def concat(tape, parts, axis):
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    if tape is not None:
-        sizes = [p.data.shape[axis] for p in parts]
-        splits = np.cumsum(sizes)[:-1]
-        def back():
-            if out.grad is None:
-                return
-            for p, g in zip(parts, np.split(out.grad, splits, axis=axis)):
-                _accum(p, g)
-        tape.record(back)
-    return out
+    def rule(g):
+        splits = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+        for p, gp in zip(parts, np.split(g, splits, axis=axis)):
+            _accum(p, gp)
+    return _op(tape, np.concatenate([p.data for p in parts], axis=axis), rule)
 
 
 def take(tape, a, idx):
-    """Gather a[idx] for an integer or integer-array index (a tuple of
-    arrays indexes several axes). Repeated indices accumulate their
+    """Gather a[idx] for an integer, integer-array or slice index (a
+    tuple indexes several axes). Repeated indices accumulate their
     gradients; a plain `grad[idx] += g` would keep only one of them."""
-    out = Tensor(a.data[idx])
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            np.add.at(a.grad, idx, out.grad)
-        tape.record(back)
-    return out
-
-
-def narrow(tape, a, axis, start, length):
-    """Contiguous slice along one axis."""
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out = Tensor(a.data[sl])
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            a.grad[sl] += out.grad
-        tape.record(back)
-    return out
+    def rule(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        np.add.at(a.grad, idx, g)
+    return _op(tape, a.data[idx], rule)
 
 
 def layer_norm(tape, x, gain, bias):
@@ -254,21 +180,17 @@ def layer_norm(tape, x, gain, bias):
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            red = tuple(range(out.grad.ndim - 1))
-            _accum(gain, (out.grad * xhat).sum(axis=red))
-            _accum(bias, out.grad.sum(axis=red))
-            dxh = out.grad * gain.data
-            gx = (inv / n) * (n * dxh
-                              - dxh.sum(axis=-1, keepdims=True)
-                              - xhat * (dxh * xhat).sum(axis=-1, keepdims=True))
-            _accum(x, gx)
-        tape.record(back)
-    return out
+
+    def rule(g):
+        red = tuple(range(g.ndim - 1))
+        _accum(gain, (g * xhat).sum(axis=red))
+        _accum(bias, g.sum(axis=red))
+        dxh = g * gain.data
+        gx = (inv / n) * (n * dxh
+                          - dxh.sum(axis=-1, keepdims=True)
+                          - xhat * (dxh * xhat).sum(axis=-1, keepdims=True))
+        _accum(x, gx)
+    return _op(tape, xhat * gain.data + bias.data, rule)
 
 
 def masked_softmax(tape, x, mask):
@@ -279,16 +201,8 @@ def masked_softmax(tape, x, mask):
     """
     p = x.data.copy()
     _masked_softmax_in_place(p, mask)
-    out = Tensor(p)
-    if tape is not None:
-        def back():
-            if out.grad is None:
-                return
-            g = out.grad
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            _accum(x, p * (g - dot))
-        tape.record(back)
-    return out
+    return _op(tape, p, lambda g: _accum(
+        x, p * (g - (g * p).sum(axis=-1, keepdims=True))))
 
 
 def _masked_softmax_in_place(p, mask):
@@ -345,26 +259,22 @@ def edge_attention(tape, qkv, heads, mask):
         out[..., h * dk:(h + 1) * dk] = _edge_sums(p, val)
         if tape is not None:
             probs.append(p)
-    result = Tensor(out)
-    if tape is not None:
-        def back():
-            if result.grad is None:
-                return
-            g = np.empty_like(data)
-            for h, p in enumerate(probs):
-                q, k, val = map(np.ascontiguousarray, cols(data, h))
-                go = np.ascontiguousarray(result.grad[..., h * dk:(h + 1) * dk])
-                gq, gk, gv = cols(g, h)
-                gv[...] = _edge_sums(p, go, adjoint=True)
-                gs = _edge_scores(go, val, np.empty_like(p))
-                gs -= (gs * p).sum(axis=-1, keepdims=True)   # softmax backward
-                gs *= p
-                gs *= scale
-                gq[...] = _edge_sums(gs, k)
-                gk[...] = _edge_sums(gs, q, adjoint=True)
-            _accum(qkv, g)
-        tape.record(back)
-    return result
+
+    def rule(g):
+        gqkv = np.empty_like(data)
+        for h, p in enumerate(probs):
+            q, k, val = map(np.ascontiguousarray, cols(data, h))
+            go = np.ascontiguousarray(g[..., h * dk:(h + 1) * dk])
+            gq, gk, gv = cols(gqkv, h)
+            gv[...] = _edge_sums(p, go, adjoint=True)
+            gs = _edge_scores(go, val, np.empty_like(p))
+            gs -= (gs * p).sum(axis=-1, keepdims=True)   # softmax backward
+            gs *= p
+            gs *= scale
+            gq[...] = _edge_sums(gs, k)
+            gk[...] = _edge_sums(gs, q, adjoint=True)
+        _accum(qkv, gqkv)
+    return _op(tape, out, rule)
 
 
 def _edge_scores(q, k, out):

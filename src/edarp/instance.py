@@ -12,6 +12,7 @@ cost weights are arguments.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,6 +247,21 @@ def validate(inst):
         out.append(Violation("nodes", -1, "fewer nodes than 1 + 2n"))
         return out
 
+    # a NaN fails every comparison and an infinity passes the range checks
+    # below, so either would silently switch a rule off: refuse them first
+    w = inst.weights
+    numbers = [(f"nodes[{j}].{k}", j, getattr(nd, k)) for j, nd in enumerate(inst.nodes)
+               for k in ("x", "y", "a", "l", "sigma")]
+    numbers += [(f"requests[{i}].maxRide", r.id, r.max_ride)
+                for i, r in enumerate(inst.requests)]
+    numbers += [("fleet.batteryKwh", -1, inst.fleet.battery_kwh),
+                ("horizon", -1, inst.horizon), ("weights.timeUnit", -1, w.time_unit)]
+    numbers += [("weights." + k, -1, getattr(w, k))
+                for k in ("energy", "wait", "late", "complete", "travel")]
+    for name, where, value in numbers:
+        if not math.isfinite(value):
+            out.append(Violation(name, where, f"{name} must be finite, got {value}"))
+
     for j, nd in enumerate(inst.nodes):
         if nd.id != j:
             out.append(Violation("id", j, f"node id {nd.id} out of order"))
@@ -299,7 +315,6 @@ def validate(inst):
         out.append(Violation("batteryKwh", -1, "battery capacity must be positive"))
     if not 0.0 <= f.soc_reserve < 1.0:
         out.append(Violation("socReserve", -1, "reserve must lie in [0, 1)"))
-    w = inst.weights
     for wname in ("energy", "wait", "late", "complete", "travel"):
         if getattr(w, wname) < 0:
             out.append(Violation("weights." + wname, -1, "negative weight"))

@@ -175,7 +175,7 @@ class Policy:
         zbar = ad.reshape(tape, ad.tmean(tape, z, axis=0), (1, cfg.d_h))
         return EncodedGraph(
             z, ad.matmul(tape, z, p["dec_key"]),
-            ad.matmul(tape, ad.narrow(tape, z, 0, 0, 1), p["ctx_depot"]),
+            ad.matmul(tape, ad.take(tape, z, np.s_[:1]), p["ctx_depot"]),
             ad.matmul(tape, zbar, p["ctx_graph"]), feats.edge[:, :, 2])
 
     # -- decoder ---------------------------------------------------------------
@@ -414,7 +414,7 @@ def load_policy(data):
     h = doc["header"]
     cfg = PolicyConfig(d_h=h["dH"], heads=h["heads"], layers=h["layers"],
                        ffn_mult=h["ffnMult"], lam=h["lambda"],
-                       kappa=h["kappa"], seed=h.get("seed", 0))
+                       kappa=h["kappa"], seed=h["seed"])
     pol = Policy(cfg)
     params = doc["params"]
     if not isinstance(params, dict):
@@ -435,7 +435,7 @@ def load_policy(data):
         return pol, None
     if not isinstance(st, dict):
         raise ValueError(f"optState must be an object, got {type(st).__name__}")
-    opt_state = {"t": st.get("t"), "epoch": st.get("epoch", 0)}
+    opt_state = {"t": st.get("t"), "epoch": st.get("epoch")}
     require("optState t", opt_state["t"], 0, integer=True)
     require("optState epoch", opt_state["epoch"], 0, integer=True)
     for name in ("m", "v"):

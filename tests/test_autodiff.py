@@ -108,7 +108,7 @@ def test_gradcheck_reshape_transpose_concat_narrow_take(rng):
         [c, d])
     e = Tensor(rng.standard_normal((4, 3)))
     check_grads(lambda tp, e: ad.tsum(tp, ad.mul(
-        tp, ad.narrow(tp, e, 0, 1, 2), ad.narrow(tp, e, 0, 1, 2))), [e])
+        tp, ad.take(tp, e, np.s_[1:3]), ad.take(tp, e, np.s_[1:3]))), [e])
     f = Tensor(rng.standard_normal((4, 3)))
     check_grads(lambda tp, f: ad.tsum(tp, ad.mul(
         tp, ad.take(tp, f, 2), ad.take(tp, f, 2))), [f])
@@ -166,8 +166,8 @@ def reference_edge_attention(tp, qkv, heads, mask):
     dk = qkv.shape[-1] // (3 * heads)
     outs = []
     for h in range(heads):
-        q, k, vv = (ad.narrow(tp, qkv, 2, c * heads * dk + h * dk, dk)
-                    for c in range(3))
+        q, k, vv = (ad.take(tp, qkv, np.s_[..., c + h * dk:c + (h + 1) * dk])
+                    for c in range(0, 3 * heads * dk, heads * dk))
         src = ad.matmul(tp, q, ad.transpose(tp, k, (0, 2, 1)))
         qt = ad.transpose(tp, q, (1, 0, 2))
         kt = ad.transpose(tp, k, (1, 0, 2))
@@ -175,8 +175,8 @@ def reference_edge_attention(tp, qkv, heads, mask):
         tgt = ad.transpose(tp, tgt, (1, 0, 2))
         scores = ad.scale(tp, ad.concat(tp, [src, tgt], -1), 1.0 / np.sqrt(dk))
         attn = ad.masked_softmax(tp, scores, mask)
-        out_src = ad.matmul(tp, ad.narrow(tp, attn, 2, 0, v), vv)
-        at = ad.transpose(tp, ad.narrow(tp, attn, 2, v, v), (1, 0, 2))
+        out_src = ad.matmul(tp, ad.take(tp, attn, np.s_[..., :v]), vv)
+        at = ad.transpose(tp, ad.take(tp, attn, np.s_[..., v:]), (1, 0, 2))
         vt = ad.transpose(tp, vv, (1, 0, 2))
         out_tgt = ad.transpose(tp, ad.matmul(tp, at, vt), (1, 0, 2))
         outs.append(ad.add(tp, out_src, out_tgt))
@@ -368,6 +368,32 @@ def test_grad_accumulates_across_uses(rng):
     loss = ad.add(tape, ad.tsum(tape, ad.mul(tape, a, a)), ad.tsum(tape, a))
     tape.backward(loss)
     assert np.allclose(a.grad, 2.0 * a.data + 1.0, atol=1e-12)
+
+
+def test_backward_skips_ops_no_gradient_reaches(rng):
+    # Tape.backward runs a rule only once a gradient has reached its
+    # output: dead ops leave their inputs' grads at None, a dead op that
+    # feeds another dead op included, and the live branch's gradients are
+    # those of a tape that never held the dead ops
+    x, w = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+    cd = rng.standard_normal((3, 2))
+
+    def never(g):
+        raise AssertionError("the rule of an output no gradient reached ran")
+
+    grads = []
+    for with_dead in (False, True):
+        a, b, c = Tensor(x), Tensor(w), Tensor(cd)
+        tape = Tape()
+        h = ad.matmul(tape, a, b)
+        if with_dead:
+            tape.record(Tensor(np.zeros(2)), never)
+            feeder = ad.mul(tape, c, Tensor(cd))
+            dead = ad.tanh(tape, ad.add(tape, feeder, h))
+        tape.backward(ad.tsum(tape, ad.mul(tape, h, h)))
+        grads.append((a.grad.tobytes(), b.grad.tobytes()))
+    assert grads[0] == grads[1]
+    assert c.grad is None and feeder.grad is None and dead.grad is None
 
 
 def test_inference_mode_records_nothing(rng):

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from edarp import Policy, PolicyConfig, cli, save_policy
+from edarp import Policy, PolicyConfig, cli, generate_instance, save, save_policy
 from edarp.cli import METRICS_COLUMNS, main
 from edarp.policy import SCHEMA_POLICY, multistart_rollout
 
@@ -174,6 +174,12 @@ def test_solve_neural_requires_checkpoint(tmp_path, capsys):
                "--checkpoint", str(tmp_path / "missing.json")) == 3
 
 
+def _checkpoint_without_seed():
+    doc = json.loads(save_policy(Policy(PolicyConfig(d_h=16, heads=2, layers=1))))
+    del doc["header"]["seed"]
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("content, message", [
     (None, "checkpoint not found"),
     ("{not json", "cannot load checkpoint"),
@@ -184,6 +190,7 @@ def test_solve_neural_requires_checkpoint(tmp_path, capsys):
                                         "kappa": 10.0, "seed": 0},
                              "params": [1, 2]}),
                  "params must be an object", id="params-list"),
+    pytest.param(_checkpoint_without_seed(), "'seed'", id="header-without-seed"),
 ])
 @pytest.mark.parametrize("command", ["solve", "train", "eval"])
 def test_bad_checkpoint_exits_3(tmp_path, capsys, command, content, message):
@@ -225,6 +232,40 @@ def test_solve_missing_and_malformed_instance(tmp_path, capsys):
                    "--out", str(out)) == 3
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+
+def set_field(doc, field, value):
+    """Set the entry of an instance document that field, named the way
+    instance.validate names it (e.g. "nodes[2].x"), points to."""
+    *path, last = re.findall(r"\w+", field)
+    for key in path:
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    doc[int(last) if isinstance(doc, list) else last] = value
+
+
+NON_FINITE_FIELDS = ["nodes[2].x", "nodes[2].y", "nodes[1].a", "nodes[1].l",
+                     "nodes[3].sigma", "requests[0].maxRide", "fleet.batteryKwh",
+                     "horizon"] + [f"weights.{k}" for k in (
+                         "energy", "wait", "late", "complete", "travel", "timeUnit")]
+
+
+@pytest.mark.parametrize("field, bad", [
+    *[(field, float("nan")) for field in NON_FINITE_FIELDS],
+    ("requests[0].maxRide", float("inf")),
+    ("fleet.batteryKwh", float("inf")),
+    ("weights.late", float("inf")),
+    ("horizon", float("-inf")),
+])
+def test_solve_refuses_non_finite_instance_field(tmp_path, capsys, field, bad):
+    """A NaN or infinite number would switch its rule off silently."""
+    doc = json.loads(save(generate_instance(6, seed=3)))
+    set_field(doc, field, bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("solve", str(path), "--solver", "greedy", "--out", str(out)) == 3
+    assert f"{field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_data_error_leaves_no_output_dir(tmp_path, capsys):
@@ -440,7 +481,12 @@ def _float_epoch(st):
     st["epoch"] = 1.5
 
 
-SPOILS = [_drop_m, _truncate_v, _nan_m, _negative_v, _float_epoch, None]
+def _drop_epoch(st):
+    del st["epoch"]
+
+
+SPOILS = [_drop_m, _truncate_v, _nan_m, _negative_v, _float_epoch, _drop_epoch,
+          None]
 
 
 def write_spoiled(tmp_path, final_checkpoint, spoil):

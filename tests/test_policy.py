@@ -161,8 +161,9 @@ def reference_encode(policy, tape, feats):
             scores = ad.scale(tape, ad.concat(tape, [src, tgt], -1),
                               1.0 / np.sqrt(dk))
             attn = ad.masked_softmax(tape, scores, dup)
-            out_src = ad.matmul(tape, ad.narrow(tape, attn, 2, 0, v), vv)
-            at = ad.transpose(tape, ad.narrow(tape, attn, 2, v, v), (1, 0, 2))
+            out_src = ad.matmul(tape, ad.take(tape, attn, np.s_[..., :v]), vv)
+            at = ad.transpose(tape, ad.take(tape, attn, np.s_[..., v:]),
+                              (1, 0, 2))
             vt = ad.transpose(tape, vv, (1, 0, 2))
             out_tgt = ad.transpose(tape, ad.matmul(tape, at, vt), (1, 0, 2))
             heads.append(ad.add(tape, out_src, out_tgt))
@@ -185,7 +186,7 @@ def reference_encode(policy, tape, feats):
     zbar = ad.reshape(tape, ad.tmean(tape, z, axis=0), (1, cfg.d_h))
     return EncodedGraph(
         z, ad.matmul(tape, z, p["dec_key"]),
-        ad.matmul(tape, ad.narrow(tape, z, 0, 0, 1), p["ctx_depot"]),
+        ad.matmul(tape, ad.take(tape, z, np.s_[:1]), p["ctx_depot"]),
         ad.matmul(tape, zbar, p["ctx_graph"]), feats.edge[:, :, 2])
 
 
