@@ -8,6 +8,22 @@ gradient g that accumulates into the inputs' grads
 skipping any output no gradient reached. Passing tape=None runs any op in
 inference mode with no recording. Gradients accumulate into Tensor.grad
 slots, so one tape can back-propagate a whole batch at once.
+
+linear(x, w, b) is a dense layer, x @ w + b, as one op. Its forward
+keeps numpy's stacked matmul, one GEMM per leading entry of a (V, V, k)
+input: one GEMM over the flattened rows can sum in another order and
+change the forward's last bits. Its backward, like matmul's for a stack
+of rows against one matrix, takes both products as one GEMM each over
+the flattened rows.
+
+The first gradient to reach a tensor becomes its grad, and later ones
+are added into it in place. An array a rule has just made (the
+products of matmul and linear, the input gradients of layer_norm,
+edge_attention, relu, tanh and masked_softmax) is stored without a copy
+(_accum_owned). The pass-through rules (add, reshape, transpose,
+concat, tsum, tmean) hand on their output's gradient or a view of it,
+which _accum copies, and take scatters into a zero array of its own,
+so no two grads ever share memory.
 """
 
 import numpy as np
@@ -68,6 +84,15 @@ def _accum(t, g):
         t.grad += g
 
 
+def _accum_owned(t, g):
+    """_accum for an array the rule has just made and holds nowhere else:
+    a first gradient is stored as it is, without a copy."""
+    if t.grad is None:
+        t.grad = g
+    else:
+        t.grad += g
+
+
 def _unbroadcast(g, shape):
     while g.ndim > len(shape):
         g = g.sum(axis=0)
@@ -95,30 +120,47 @@ def scale(tape, a, s):
     return _op(tape, a.data * s, lambda g: _accum(a, g * s))
 
 
+def _row_stack_grads(x, w, g):
+    """(gx, gw) of x @ w for a stack of rows x against one matrix w: a
+    single GEMM each over the flattened rows, not one per stack entry."""
+    k, m = w.shape
+    g2 = g.reshape(-1, m)
+    return (g2 @ w.T).reshape(x.shape), x.reshape(-1, k).T @ g2
+
+
 def matmul(tape, a, b):
     def rule(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        if b.data.ndim == 2 < a.data.ndim:
-            # a stack of rows against one matrix: a single GEMM over
-            # the flattened rows, not one per stack entry and a sum
-            k, m = b.data.shape
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, m)
+        if b.data.ndim == 2:
+            ga, gb = _row_stack_grads(a.data, b.data, g)
         else:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                              a.data.shape)
             gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
                               b.data.shape)
-        _accum(a, _unbroadcast(ga, a.data.shape))
-        _accum(b, gb)
+        _accum_owned(a, ga)
+        _accum_owned(b, gb)
     return _op(tape, np.matmul(a.data, b.data), rule)
+
+
+def linear(tape, x, w, b):
+    """x @ w + b for a 2-D weight w and a bias b broadcast over its rows,
+    its forward bit-equal to add(matmul(x, w), b)."""
+    def rule(g):
+        _accum(b, _unbroadcast(g, b.data.shape))
+        gx, gw = _row_stack_grads(x.data, w.data, g)
+        _accum_owned(x, gx)
+        _accum_owned(w, gw)
+    return _op(tape, np.matmul(x.data, w.data) + b.data, rule)
 
 
 def relu(tape, a):
     return _op(tape, np.maximum(a.data, 0.0),
-               lambda g: _accum(a, g * (a.data > 0.0)))
+               lambda g: _accum_owned(a, g * (a.data > 0.0)))
 
 
 def tanh(tape, a):
     y = np.tanh(a.data)
-    return _op(tape, y, lambda g: _accum(a, g * (1.0 - y * y)))
+    return _op(tape, y, lambda g: _accum_owned(a, g * (1.0 - y * y)))
 
 
 def log(tape, a):
@@ -189,7 +231,7 @@ def layer_norm(tape, x, gain, bias):
         gx = (inv / n) * (n * dxh
                           - dxh.sum(axis=-1, keepdims=True)
                           - xhat * (dxh * xhat).sum(axis=-1, keepdims=True))
-        _accum(x, gx)
+        _accum_owned(x, gx)
     return _op(tape, xhat * gain.data + bias.data, rule)
 
 
@@ -201,7 +243,7 @@ def masked_softmax(tape, x, mask):
     """
     p = x.data.copy()
     _masked_softmax_in_place(p, mask)
-    return _op(tape, p, lambda g: _accum(
+    return _op(tape, p, lambda g: _accum_owned(
         x, p * (g - (g * p).sum(axis=-1, keepdims=True))))
 
 
@@ -273,7 +315,7 @@ def edge_attention(tape, qkv, heads, mask):
             gs *= scale
             gq[...] = _edge_sums(gs, k)
             gk[...] = _edge_sums(gs, q, adjoint=True)
-        _accum(qkv, gqkv)
+        _accum_owned(qkv, gqkv)
     return _op(tape, out, rule)
 
 

@@ -5,7 +5,9 @@ artifact-producing run writes exactly one manifest JSON recording the
 command, its full configuration, the seed, the tool version, input
 hashes, output paths, and wall time. All randomness derives from the
 single --seed through labeled seed sequences, so reruns reproduce
-artifacts byte for byte. --jobs parallelizes across instances only.
+artifacts byte for byte. --jobs parallelizes across instances only,
+over spawned worker processes pinned to one BLAS thread each; the solve
+and eval manifests record that count as poolBlasThreads.
 
 Exit codes: 0 success; 2 usage, including a numeric flag out of its
 range, a solve flag that another solver reads (SOLVER_FLAGS), a train
@@ -25,6 +27,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import fields
@@ -44,6 +47,12 @@ from .policy import (PolicyConfig, load_policy, multistart_rollout, require,
 from .training import CURRICULUM_SIZES, TrainConfig, curriculum_train, train
 
 SCHEMA_MANIFEST = "edarp-manifest/1"
+
+# the BLAS thread count of each --jobs worker, and the variables that set
+# it: the workers already share out the CPUs, and BLAS threads on top of
+# them only contend for the same cores
+POOL_BLAS_THREADS = 1
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 METRICS_COLUMNS = ["instance", "solver", "seed", "reward", "objective",
                    "completion_pct", "vehicles", "load_factor",
@@ -76,7 +85,8 @@ def _config_echo(args):
     return {k: v for k, v in vars(args).items() if k != "fn"}
 
 
-def _write_manifest(out_dir, command, config, seed, inputs, outputs, wall):
+def _write_manifest(out_dir, command, config, seed, inputs, outputs, wall,
+                    extra=None):
     doc = {
         "schema": SCHEMA_MANIFEST,
         "command": command,
@@ -86,6 +96,7 @@ def _write_manifest(out_dir, command, config, seed, inputs, outputs, wall):
         "inputHashes": {str(p): _sha256(p) for p in inputs},
         "outputPaths": [str(p) for p in outputs],
         "wallSeconds": wall,
+        **(extra or {}),
     }
     path = Path(out_dir) / f"manifest_{command}.json"
     path.write_text(json.dumps(doc, indent=1) + "\n")
@@ -107,7 +118,8 @@ def _load_instance(path):
         raise DataError(str(e)) from e
     problems = validate(inst)
     if problems:
-        raise DataError(f"invalid instance {p}: {problems[0].message}")
+        raise DataError(f"invalid instance {p}: "
+                        + "; ".join(v.message for v in problems))
     return inst
 
 
@@ -126,13 +138,31 @@ def _read_checkpoint(path):
 
 
 def _run_tasks(fn, tasks, jobs):
-    """[fn(task) for task in tasks], spread over a pool of `jobs` worker
-    processes when there is more than one job and more than one task."""
-    if jobs > 1 and len(tasks) > 1:
-        import multiprocessing as mp
-        with mp.Pool(jobs) as pool:
-            return pool.map(fn, tasks)
-    return [fn(t) for t in tasks]
+    """([fn(task) for task in tasks], manifest fields of the run).
+
+    With more than one job and more than one task the tasks are spread
+    over a pool of `jobs` worker processes, each pinned to
+    POOL_BLAS_THREADS BLAS threads. BLAS reads its thread variables when
+    numpy loads, so the workers are spawned, not forked, from an
+    environment that sets them; the parent's own environment is restored
+    afterwards. poolBlasThreads is None when the tasks ran in this
+    process, under whatever the environment says.
+    """
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks], {"poolBlasThreads": None}
+    import multiprocessing as mp
+    saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, str(POOL_BLAS_THREADS)))
+    try:
+        with mp.get_context("spawn").Pool(jobs) as pool:
+            results = pool.map(fn, tasks)
+    finally:
+        for k, value in saved.items():
+            if value is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = value
+    return results, {"poolBlasThreads": POOL_BLAS_THREADS}
 
 
 def _metrics_row(path, solver, seed, sol, wall):
@@ -246,7 +276,7 @@ def cmd_solve(args):
     tasks = [(path, args.solver, _stream_seed(args.seed, 2, i), opts)
              for i, path in enumerate(args.instances)]
 
-    results = _run_tasks(_solve_one, tasks, args.jobs)
+    results, pool_fields = _run_tasks(_solve_one, tasks, args.jobs)
 
     # the output directory appears only once every instance has loaded
     out = Path(args.out)
@@ -267,7 +297,7 @@ def cmd_solve(args):
     _append_metrics(metrics_path, rows)
     outputs.append(metrics_path)
     _write_manifest(out, "solve", _config_echo(args), args.seed,
-                    list(args.instances), outputs, time.time() - t0)
+                    list(args.instances), outputs, time.time() - t0, pool_fields)
     for row in rows:
         print(f"{row[0]}: reward {row[3]} completion {row[5]}%")
     return 0
@@ -412,7 +442,7 @@ def cmd_eval(args):
     tasks = [(p, policy, args.stochastic, args.replicas,
               _stream_seed(args.seed, 4, i), args.multistart)
              for i, p in enumerate(paths)]
-    results = _run_tasks(_eval_one, tasks, args.jobs)
+    results, pool_fields = _run_tasks(_eval_one, tasks, args.jobs)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -436,7 +466,7 @@ def cmd_eval(args):
     _write_manifest(out, "eval", _config_echo(args),
                     args.seed, [Path(args.checkpoint), *paths],
                     [metrics_path, summary_path],
-                    time.time() - t0)
+                    time.time() - t0, pool_fields)
     print(f"evaluated {len(paths)} instances x {args.replicas} replicas; "
           f"mean reward {agg[:, 0].mean():.3f} +/- {agg[:, 0].std():.3f}")
     return 0

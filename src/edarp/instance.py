@@ -234,17 +234,23 @@ class Violation:
 
 
 def validate(inst):
-    """Check every structural invariant; returns a list of Violations."""
+    """Check every structural invariant; returns a list of Violations,
+    each message naming its field as the instance JSON does
+    (e.g. "nodes[4].sigma must be >= 0, got -5.0")."""
     out = []
     n = inst.n
     v = inst.num_nodes
 
     if v < 1 or inst.nodes[0].kind != KIND_DEPOT:
-        out.append(Violation("kind", 0, "node 0 must be the depot"))
-    if sum(1 for nd in inst.nodes if nd.kind == KIND_DEPOT) != 1:
-        out.append(Violation("kind", -1, "exactly one depot required"))
+        got = inst.nodes[0].kind if v else "no node"
+        out.append(Violation("kind", 0, f"nodes[0].kind must be {KIND_DEPOT}, got {got}"))
+    depots = sum(1 for nd in inst.nodes if nd.kind == KIND_DEPOT)
+    if depots != 1:
+        out.append(Violation("kind", -1, f"nodes must hold exactly one {KIND_DEPOT}, "
+                                         f"got {depots}"))
     if v < 1 + 2 * n:
-        out.append(Violation("nodes", -1, "fewer nodes than 1 + 2n"))
+        out.append(Violation("nodes", -1, f"nodes holds {v} entries, fewer than "
+                                          f"1 + 2n = {1 + 2 * n}"))
         return out
 
     # a NaN fails every comparison and an infinity passes the range checks
@@ -263,69 +269,85 @@ def validate(inst):
             out.append(Violation(name, where, f"{name} must be finite, got {value}"))
 
     for j, nd in enumerate(inst.nodes):
+        at = f"nodes[{j}]"
         if nd.id != j:
-            out.append(Violation("id", j, f"node id {nd.id} out of order"))
+            out.append(Violation("id", j, f"{at}.id must be {j}, got {nd.id}"))
         expected = (KIND_DEPOT if j == 0 else
                     KIND_PICKUP if j <= n else
                     KIND_DELIVERY if j <= 2 * n else
                     KIND_CHARGER)
         if nd.kind != expected:
-            out.append(Violation("kind", j, f"expected {expected}, got {nd.kind}"))
+            out.append(Violation("kind", j, f"{at}.kind must be {expected}, got {nd.kind}"))
         if nd.a > nd.l:
-            out.append(Violation("window", j, f"window closes before it opens ({nd.a} > {nd.l})"))
+            out.append(Violation("window", j, f"{at}.l {nd.l} is before {at}.a {nd.a}: "
+                                              "the window closes before it opens"))
         if nd.sigma < 0:
-            out.append(Violation("sigma", j, "negative service time"))
+            out.append(Violation("sigma", j, f"{at}.sigma must be >= 0, got {nd.sigma}"))
         if nd.kind == KIND_PICKUP and nd.q <= 0:
-            out.append(Violation("q", j, "pickup load change must be positive"))
+            out.append(Violation("q", j, f"{at}.q must be > 0 at a pickup, got {nd.q}"))
         if nd.kind == KIND_DELIVERY:
             twin = inst.nodes[j - n]
             if nd.q >= 0:
-                out.append(Violation("q", j, "delivery load change must be negative"))
+                out.append(Violation("q", j, f"{at}.q must be < 0 at a delivery, "
+                                             f"got {nd.q}"))
             elif nd.q != -twin.q:
-                out.append(Violation("q", j, "delivery must undo its pickup's load change"))
+                out.append(Violation("q", j, f"{at}.q must undo nodes[{j - n}].q "
+                                             f"{twin.q}, got {nd.q}"))
         if nd.kind in (KIND_DEPOT, KIND_CHARGER) and nd.q != 0:
-            out.append(Violation("q", j, "depot and chargers carry no load change"))
+            out.append(Violation("q", j, f"{at}.q must be 0 at a {nd.kind}, got {nd.q}"))
 
-    for r in inst.requests:
+    for i, r in enumerate(inst.requests):
+        at = f"requests[{i}]"
         if r.pickup != 1 + r.id or r.delivery != 1 + n + r.id:
-            out.append(Violation("request", r.id, "pickup/delivery indices break node ordering"))
+            out.append(Violation("request", r.id, (
+                f"{at}.pickup and .delivery must be {1 + r.id} and {1 + n + r.id} "
+                f"for id {r.id}, got {r.pickup} and {r.delivery}")))
             continue
-        if r.max_ride < inst.edges.time[r.pickup, r.delivery]:
-            out.append(Violation("maxRide", r.id, "ride limit below direct travel time"))
+        direct = inst.edges.time[r.pickup, r.delivery]
+        if r.max_ride < direct:
+            out.append(Violation("maxRide", r.id, (
+                f"{at}.maxRide {r.max_ride} is below the direct travel time "
+                f"{direct} from nodes[{r.pickup}] to nodes[{r.delivery}]")))
 
     for name in ("time", "dist", "energy"):
         m = getattr(inst.edges, name)
+        at = f"edges.{name}"
         if m.shape != (v, v):
-            out.append(Violation(name, -1, f"matrix shape {m.shape} != ({v}, {v})"))
+            out.append(Violation(name, -1, f"{at} has shape {m.shape}, expected ({v}, {v})"))
             continue
         if not np.all(np.isfinite(m)):
-            out.append(Violation(name, -1, "non-finite entries"))
+            i, j = np.argwhere(~np.isfinite(m))[0]
+            out.append(Violation(name, int(i), f"{at}[{i}][{j}] must be finite, "
+                                               f"got {m[i, j]}"))
         if (m < 0).any():
-            row = int(np.argwhere(m < 0)[0][0])
-            out.append(Violation(name, row, "negative entries"))
-        if np.abs(np.diagonal(m)).max(initial=0.0) != 0.0:
-            out.append(Violation(name, -1, "nonzero diagonal"))
+            i, j = np.argwhere(m < 0)[0]
+            out.append(Violation(name, int(i), f"{at}[{i}][{j}] must be >= 0, "
+                                               f"got {m[i, j]}"))
+        diag = np.flatnonzero(np.diagonal(m) != 0.0)
+        if diag.size:
+            i = diag[0]
+            out.append(Violation(name, -1, f"{at}[{i}][{i}] must be 0, got {m[i, i]}"))
 
     f = inst.fleet
-    if f.vehicles < 1:
-        out.append(Violation("vehicles", -1, "need at least one vehicle"))
-    if f.capacity < 1:
-        out.append(Violation("capacity", -1, "capacity below one"))
-    if f.battery_kwh <= 0:
-        out.append(Violation("batteryKwh", -1, "battery capacity must be positive"))
-    if not 0.0 <= f.soc_reserve < 1.0:
-        out.append(Violation("socReserve", -1, "reserve must lie in [0, 1)"))
-    for wname in ("energy", "wait", "late", "complete", "travel"):
-        if getattr(w, wname) < 0:
-            out.append(Violation("weights." + wname, -1, "negative weight"))
-    if w.time_unit <= 0:
-        out.append(Violation("weights.timeUnit", -1, "time unit must be positive"))
-    if inst.horizon <= 0:
-        out.append(Violation("horizon", -1, "horizon must be positive"))
+    for name, value, bad, rule in (
+            ("fleet.vehicles", f.vehicles, f.vehicles < 1, ">= 1"),
+            ("fleet.capacity", f.capacity, f.capacity < 1, ">= 1"),
+            ("fleet.batteryKwh", f.battery_kwh, f.battery_kwh <= 0, "> 0"),
+            ("fleet.socReserve", f.soc_reserve, not 0.0 <= f.soc_reserve < 1.0,
+             "in [0, 1)"),
+            *((f"weights.{k}", getattr(w, k), getattr(w, k) < 0, ">= 0")
+              for k in ("energy", "wait", "late", "complete", "travel")),
+            ("weights.timeUnit", w.time_unit, w.time_unit <= 0, "> 0"),
+            ("horizon", inst.horizon, inst.horizon <= 0, "> 0")):
+        if bad:
+            out.append(Violation(name.removeprefix("fleet."), -1,
+                                 f"{name} must be {rule}, got {value}"))
 
     if (inst.edges.energy.shape == (v, v) and f.battery_kwh > 0
             and depot_unreachable(inst.edges.energy, f)):
-        out.append(Violation("energy", -1, "depot unreachable on reserve from some node"))
+        out.append(Violation("energy", -1, (
+            "edges.energy: the depot is unreachable from some node on the "
+            "battery share above fleet.socReserve")))
     return out
 
 

@@ -146,7 +146,7 @@ class Policy:
         node_part = np.broadcast_to(feats.node[None, :, :],
                                     (v, v, NODE_FEATS))
         combined = Tensor(np.concatenate([feats.edge, node_part], axis=-1))
-        h = ad.add(tape, ad.matmul(tape, combined, p["embed_w"]), p["embed_b"])
+        h = ad.linear(tape, combined, p["embed_w"], p["embed_b"])
         dup = _dup_mask(v)
 
         for l in range(cfg.layers):
@@ -154,19 +154,17 @@ class Policy:
                                      for hd in range(cfg.heads)], -1)
             heads = ad.edge_attention(tape, ad.matmul(tape, h, w_qkv),
                                       cfg.heads, dup)
-            mha = ad.add(tape, ad.matmul(tape, heads, p[f"l{l}_wo"]),
-                         p[f"l{l}_bo"])
+            mha = ad.linear(tape, heads, p[f"l{l}_wo"], p[f"l{l}_bo"])
             h1 = ad.layer_norm(tape, ad.add(tape, h, mha),
                                p[f"l{l}_ln1_g"], p[f"l{l}_ln1_b"])
-            ffn = ad.relu(tape, ad.add(tape, ad.matmul(tape, h1, p[f"l{l}_ffn1_w"]),
-                                       p[f"l{l}_ffn1_b"]))
-            ffn = ad.add(tape, ad.matmul(tape, ffn, p[f"l{l}_ffn2_w"]),
-                         p[f"l{l}_ffn2_b"])
+            ffn = ad.relu(tape, ad.linear(tape, h1, p[f"l{l}_ffn1_w"],
+                                          p[f"l{l}_ffn1_b"]))
+            ffn = ad.linear(tape, ffn, p[f"l{l}_ffn2_w"], p[f"l{l}_ffn2_b"])
             h = ad.layer_norm(tape, ad.add(tape, h1, ffn),
                               p[f"l{l}_ln2_g"], p[f"l{l}_ln2_b"])
 
         # node j collects its incoming edges through a learned softmax
-        s = ad.add(tape, ad.matmul(tape, h, p["agg_w"]), p["agg_b"])
+        s = ad.linear(tape, h, p["agg_w"], p["agg_b"])
         s = ad.transpose(tape, ad.reshape(tape, s, (v, v)), (1, 0))
         omega = ad.masked_softmax(tape, s, np.zeros((v, v), dtype=bool))
         ht = ad.transpose(tape, h, (1, 0, 2))

@@ -69,6 +69,27 @@ def test_gradcheck_matmul_batched(rng):
     check_grads(lambda tp, a, b: ad.tsum(tp, ad.matmul(tp, a, b)), [a, b])
 
 
+@pytest.mark.parametrize("x_shape", [(3, 3, 4), (5, 4)])
+def test_gradcheck_linear(rng, x_shape):
+    x = Tensor(rng.standard_normal(x_shape))
+    w = Tensor(rng.standard_normal((4, 3)))
+    b = Tensor(rng.standard_normal((3,)))
+    check_grads(lambda tp, x, w, b: ad.tsum(tp, ad.tanh(tp, ad.linear(tp, x, w, b))),
+                [x, w, b])
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((13, 13, 13), (13, 64)), ((6, 6, 64), (64, 1)), ((21, 21, 64), (64, 256)),
+    ((21, 21, 256), (256, 64)), ((7, 64), (64, 64)),
+])
+def test_linear_forward_matches_matmul_then_add(rng, x_shape, w_shape):
+    x = Tensor(rng.standard_normal(x_shape))
+    w = Tensor(rng.standard_normal(w_shape))
+    b = Tensor(rng.standard_normal(w_shape[-1:]))
+    want = ad.add(None, ad.matmul(None, x, w), b).data
+    assert ad.linear(None, x, w, b).data.tobytes() == want.tobytes()
+
+
 def test_gradcheck_relu(rng):
     x = rng.standard_normal((5, 3))
     x[np.abs(x) < 0.1] += 0.2      # keep clear of the kink
@@ -360,6 +381,47 @@ def test_first_gradient_is_a_fresh_array(rng):
     tape.backward(ad.tsum(tape, ad.scale(tape, out, -0.0)))
     assert not np.shares_memory(a.grad, out.grad)
     assert np.signbit(a.grad).tolist() == [False] * 3
+
+
+def _add_twice(tp, a, w, b):
+    return ad.tsum(tp, ad.tanh(tp, ad.add(tp, a, a)))
+
+
+def _linear_beside_residual(tp, a, w, b):
+    return ad.tsum(tp, ad.tanh(tp, ad.add(tp, a, ad.linear(tp, a, w, b))))
+
+
+def _relu_used_twice(tp, a, w, b):
+    r = ad.relu(tp, ad.linear(tp, a, w, b))
+    return ad.tsum(tp, ad.mul(tp, r, ad.tanh(tp, ad.matmul(tp, r, w))))
+
+
+@pytest.mark.parametrize("build", [_add_twice, _linear_beside_residual,
+                                   _relu_used_twice])
+def test_owned_first_gradients_share_no_memory(rng, monkeypatch, build):
+    # rules hand over the arrays they have just made without a copy; no
+    # grad may then alias another, and every gradient must equal, bit for
+    # bit, the one from a tape that copies every first gradient
+    data = [rng.standard_normal((2, 3, 3)), rng.standard_normal((3, 3)),
+            rng.standard_normal((3,))]
+
+    def run():
+        leaves = [Tensor(d) for d in data]
+        tape = Tape()
+        tape.backward(build(tape, *leaves))
+        return leaves + [out for out, _ in tape._ops]
+
+    tensors = run()
+    grads = [t.grad for t in tensors if t.grad is not None]
+    assert len(grads) >= 4
+    for i, g in enumerate(grads):
+        for other in grads[i + 1:]:
+            assert not np.shares_memory(g, other)
+    monkeypatch.setattr(ad, "_accum_owned", ad._accum)
+    ref = [t.grad for t in run() if t.grad is not None]
+    assert len(ref) == len(grads)
+    for g, r in zip(grads, ref):
+        assert np.array_equal(g, r)
 
 
 def test_grad_accumulates_across_uses(rng):

@@ -1,6 +1,7 @@
 import base64
 import csv
 import json
+import os
 import re
 
 import numpy as np
@@ -268,6 +269,27 @@ def test_solve_refuses_non_finite_instance_field(tmp_path, capsys, field, bad):
     assert not out.exists()
 
 
+INVALID_FIELDS = [("nodes[4].sigma", -5, "nodes[4].sigma must be >= 0, got -5"),
+                  ("requests[2].maxRide", 1.0,
+                   "requests[2].maxRide 1.0 is below the direct travel time")]
+
+
+@pytest.mark.parametrize("edits", [[e] for e in INVALID_FIELDS] + [INVALID_FIELDS],
+                         ids=["sigma", "maxRide", "both"])
+def test_solve_names_every_invalid_instance_field(tmp_path, capsys, edits):
+    doc = json.loads(save(generate_instance(6, seed=3)))
+    for field, bad, _ in edits:
+        set_field(doc, field, bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("solve", str(path), "--solver", "greedy", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    for _, _, message in edits:
+        assert message in err
+    assert not out.exists()
+
+
 def test_data_error_leaves_no_output_dir(tmp_path, capsys):
     """A solve or eval that fails on its instances writes nothing."""
     out = tmp_path / "newdir"
@@ -299,6 +321,27 @@ def test_solve_jobs_parallel_matches_serial(tmp_path):
     r2 = read_csv(s2 / "metrics.csv")
     skip = METRICS_COLUMNS.index("wall_s")
     assert [r[:skip] for r in r1] == [r[:skip] for r in r2]
+
+
+def test_jobs_pool_pins_blas_threads(tmp_path, monkeypatch):
+    # spawned workers start with every BLAS thread variable at 1; the
+    # parent's environment is left as it was
+    for var in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "7")
+    names = list(cli.BLAS_THREAD_VARS)
+    assert cli._run_tasks(os.getenv, names, 2) == (["1"] * len(names),
+                                                   {"poolBlasThreads": 1})
+    assert [os.getenv(var) for var in names] == ["7"] + [None] * (len(names) - 1)
+    assert cli._run_tasks(os.getenv, names, 1) == (
+        ["7"] + [None] * (len(names) - 1), {"poolBlasThreads": None})
+    insts = sorted(str(p) for p in gen_dir(tmp_path).glob("instance_*.json"))
+    for jobs, want in (("1", None), ("2", 1)):
+        out = tmp_path / f"jobs{jobs}"
+        assert run("solve", *insts, "--solver", "greedy", "--jobs", jobs,
+                   "--out", str(out)) == 0
+        mani = json.loads((out / "manifest_solve.json").read_text())
+        assert mani["poolBlasThreads"] == want
 
 
 def test_solve_nonfinite_reward_exits_4(tmp_path, monkeypatch, capsys):

@@ -224,7 +224,7 @@ def test_encode_records_one_attention_op_per_layer():
     tape = Tape()
     Policy(PolicyConfig(seed=0)).encode(
         tape, normalize_features(generate_instance(10, charger_count=2, seed=0)))
-    assert len(tape._ops) <= 80
+    assert len(tape._ops) <= 59
 
 
 MAX = 1.7976931348623157e308
