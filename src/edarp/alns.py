@@ -102,23 +102,23 @@ def shaw_removal(rng, served, q, rel):
 
 
 def worst_removal(plan, ctx, q):
+    """Remove, q times, the request whose removal saves its route the
+    most. Removals are priced from the kept prefix (RouteCtx.removal_cost),
+    and only the route just cut is simulated again."""
     n = ctx.env.n
     plan = [list(r) for r in plan]
+    infos = [ctx.simulate(r) for r in plan]
     removed = []
     for _ in range(q):
         best_r, best_saving = None, None
-        for ridx, route in enumerate(plan):
-            info = ctx.simulate(route)
+        for ridx, info in enumerate(infos):
             if info is None:
                 continue
-            for node in route:
+            for node in info.nodes:
                 if not (1 <= node <= n):
                     continue
                 r = node - 1
-                trial = _clean_chargers(
-                    [nd for nd in route if nd != 1 + r and nd != 1 + n + r],
-                    ctx)
-                tcost = ctx.route_cost(trial)
+                tcost = ctx.removal_cost(info, r)
                 saving = info.cost - tcost if tcost != float("inf") else 0.0
                 if best_saving is None or saving > best_saving:
                     best_r, best_saving = (r, ridx), saving
@@ -128,23 +128,26 @@ def worst_removal(plan, ctx, q):
         plan[ridx] = _clean_chargers(
             [nd for nd in plan[ridx] if nd != 1 + r and nd != 1 + n + r],
             ctx)
+        infos[ridx] = ctx.simulate(plan[ridx])
         removed.append(r)
     return sorted(removed)
 
 
 def shaw_relatedness(inst):
+    """Relatedness of every request pair: travel times between their
+    pickups and between their deliveries, and the gaps between their
+    window opens, each scaled to [0, 1]; lower is more related."""
     n = inst.n
     t = inst.edges.time
     tmax = float(t.max())
     horizon = inst.horizon
     a = np.array([nd.a for nd in inst.nodes])
-    rel = np.zeros((n, n))
-    for r in range(n):
-        for s in range(n):
-            pr, dr = 1 + r, 1 + n + r
-            ps, ds = 1 + s, 1 + n + s
-            rel[r][s] = (SHAW_ALPHA * (t[pr][ps] + t[dr][ds]) / tmax
-                         + SHAW_BETA * (abs(a[pr] - a[ps]) + abs(a[dr] - a[ds])) / horizon)
+    pick = slice(1, 1 + n)
+    drop = slice(1 + n, 1 + 2 * n)
+    ap, ad = a[pick], a[drop]
+    rel = (SHAW_ALPHA * (t[pick, pick] + t[drop, drop]) / tmax
+           + SHAW_BETA * (np.abs(ap[:, None] - ap[None, :])
+                          + np.abs(ad[:, None] - ad[None, :])) / horizon)
     return rel.tolist()
 
 

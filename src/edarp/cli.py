@@ -14,12 +14,13 @@ range, a solve flag that another solver reads (SOLVER_FLAGS), a train
 config value of the wrong type or range, a train config key its
 curriculum overrides (n; epochs beside epochs_per_stage), train
 --resume with a curriculum, an --asymmetry at which no instance can be
-built, and an exact search whose --limit runs out before any complete
-trajectory; 3 data error, including a missing, unreadable or malformed
-instance, config or checkpoint file (a checkpoint's weights and its
-optimizer state, optState, are checked by every command that reads
-it, and a weight or moment that is not base64 of the parameter's
-size is refused); 4 numerical failure.
+built, an exact search whose --limit runs out before any complete
+trajectory, and solve instances that share a file stem, whose output
+files would collide; 3 data error, including a missing, unreadable or
+malformed instance, config or checkpoint file (a checkpoint's weights
+and its optimizer state, optState, are checked by every command that
+reads it, and a weight or moment that is not base64 of the
+parameter's size is refused); 4 numerical failure.
 """
 
 import argparse
@@ -265,6 +266,14 @@ def cmd_solve(args):
             stray.append(f"--{flag} applies only to --solver {owner}")
     if stray:
         raise UsageError("; ".join(stray))
+    # output files are named by instance stem; two inputs must not share one
+    by_stem = {}
+    for path in args.instances:
+        stem = Path(path).stem
+        if stem in by_stem:
+            raise UsageError(f"{by_stem[stem]} and {path} would write the same "
+                             f"output files (stem {stem!r}); rename one")
+        by_stem[stem] = path
     policy = None
     if args.solver == "neural":
         if not args.checkpoint:

@@ -162,6 +162,13 @@ class Env:
         returns (ss, dep, soc, load, wait, late, de, dt) or None when
         the charger structural rule, capacity, the hard window or ride
         cap, or the escape-margin battery rule blocks the hop.
+    too_late(tau, w, ps) is true when no hop that leaves for w at clock
+        tau or later can serve it: w's hard window has closed (pickups
+        and chargers), or w is a delivery that is not on board or whose
+        ride cap is spent. Never for the depot. It is exact, because
+        validated travel and service times are >= 0, so a later
+        departure never starts service earlier and departure clocks
+        never fall along a route.
     charge_delta(soc, w) is the charge-curve gain of plugging in at w.
     home(u, b, load) is the return leg (de, dt) to the depot, or None
         when the vehicle is loaded or cannot reach it above the reserve.
@@ -229,12 +236,21 @@ class Env:
                 after += charge_delta(after, w)
             return ss, ss + sigma[w], after, nl, wait, late, de, dt
 
+        def too_late(tau, w, ps):
+            # hop's window and ride-cap verdicts at the earliest service
+            # start tau itself; ss >= tau, since travel times are >= 0
+            kind = kindc[w]
+            if kind == _DELIVERY:
+                return ps is None or tau - ps > max_ride[w - 1 - n]
+            return kind != _DEPOT and tau > l[w]
+
         def home(u, b, load):
             if load == 0 and b - e[u][0] * invB >= rho:
                 return home_leg[u]
             return None
 
         self.hop, self.charge_delta, self.home = hop, charge_delta, home
+        self.too_late = too_late
 
     def reset(self):
         return EpisodeState()

@@ -5,9 +5,12 @@ Vehicles are cost-independent here because every charging station is
 visited at most once globally and plans never duplicate one, so a route
 can be simulated on its own: fresh vehicle, every hop served by the
 simulator's own per-hop kernel (Env.hop and Env.home), the one home of
-the feasibility, battery and charging rules. Insertion scans reuse the
-prefix state up to the insertion point and re-simulate the tail, so
-their verdicts agree with a from-scratch simulation exactly.
+the feasibility, battery and charging rules. Insertion scans and
+removal prices reuse the prefix state up to the changed stop and
+re-simulate the rest, so their verdicts and prices agree with a
+from-scratch simulation exactly. Scans skip the candidates that the
+kernel's lateness bound (Env.too_late) already rules out; this module
+keeps no window or ride-cap arithmetic of its own.
 
 Greedy's start plan breaks that premise where the simulator's escape
 move ran: a depot return with passengers aboard leaves a route this
@@ -19,7 +22,7 @@ bonus is a constant per inserted request and cancels out of position
 comparisons, so it never appears in these deltas.
 """
 
-from .environment import EpisodeState
+from .environment import _CHARGER, EpisodeState
 
 
 class RouteInfo:
@@ -121,20 +124,31 @@ class RouteCtx:
         Returns (cost_delta, i, j) triples: pickup right after the i-th
         stop of the current route, delivery right after what is then
         the j-th original stop (j == i puts it directly behind the
-        pickup). The tail behind each candidate is re-simulated in
-        full, so a returned candidate is feasible by construction.
-        Pickups re-timed by the insertion are looked up in a per-
-        candidate override map, all others in info.PS.
+        pickup). The tail behind each candidate is re-simulated until
+        it fails or reaches the depot, so a returned candidate is
+        feasible by construction. Pickups re-timed by the insertion are
+        looked up in a per-candidate override map, all others in
+        info.PS.
+
+        The kernel's lateness bound (Env.too_late) prunes without
+        simulating: departure clocks never fall along a route, so once
+        the pickup's window has closed at a slot's departure it is
+        closed at every later slot, and once the next original stop
+        cannot be served at the walk's clock, neither the delivery nor
+        the walk on can reach it. Only infeasible candidates are
+        skipped; the list and its order are what a full scan returns.
         """
-        hop, home, n = self.env.hop, self.env.home, self.env.n
+        env = self.env
+        hop, home, too_late, n = env.hop, env.home, env.too_late, env.n
         p = 1 + req
         d = 1 + n + req
-        ride_cap = self.env.max_ride[req]
         m = len(info.nodes)
         rnodes = info.nodes
         PS = info.PS
         out = []
         for i in range(m + 1):
+            if too_late(info.DEP[i], p, None):
+                break           # DEP never decreases: no later slot either
             u = rnodes[i - 1] if i else 0
             hop_p = hop(u, info.DEP[i], info.B[i], info.LOAD[i], p, None)
             if hop_p is None:
@@ -147,8 +161,13 @@ class RouteCtx:
             # costs of the re-simulated middle part (stops i+1 .. j)
             midE, midW, midL, midT = de_p, wait_p, 0.0, dt_p
             for j in range(i, m + 1):
-                if tau_c - ss_p > ride_cap:
+                if too_late(tau_c, d, ss_p):
                     break       # departure already too late for the delivery
+                if j < m:
+                    nxt = rnodes[j]
+                    ps_nxt = ss_over.get(nxt - n, PS[j + 1])
+                    if too_late(tau_c, nxt, ps_nxt):
+                        break   # no path from here reaches the next stop
                 hop_d = hop(cur, tau_c, b_c, load_c, d, ss_p)
                 if hop_d is not None:
                     _, st_tau, st_b, st_load, _, late_d, de_d, dt_d = hop_d
@@ -185,8 +204,7 @@ class RouteCtx:
                             out.append((delta, i, j))
                 if j == m:
                     break
-                nxt = rnodes[j]
-                res = hop(cur, tau_c, b_c, load_c, nxt, ss_over.get(nxt - n, PS[j + 1]))
+                res = hop(cur, tau_c, b_c, load_c, nxt, ps_nxt)
                 if res is None:
                     break       # pickup insertion breaks the route from here on
                 wn_ss, tau_c, b_c, load_c, wn_wait, wn_late, wn_de, wn_dt = res
@@ -198,6 +216,49 @@ class RouteCtx:
                 midT += wn_dt
                 cur = nxt
         return out
+
+    # -- removal pricing ------------------------------------------------------
+
+    def removal_cost(self, info, req):
+        """Cost of info's route without request req, the chargers its
+        removal strands dropped as _clean_chargers drops them.
+
+        A simulated route has no stranded charger, so the stops before
+        the pickup stay as they are: their state is read from info and
+        only the rest is re-simulated, with the totals added hop by hop
+        in simulate's order. The price therefore equals route_cost of
+        the cleaned route bit for bit (inf when that is infeasible).
+        """
+        hop, kindc, n = self.env.hop, self.env.kindc, self.env.n
+        p = 1 + req
+        rnodes = info.nodes
+        PS = info.PS
+        i = rnodes.index(p)
+        u = rnodes[i - 1] if i else 0
+        tau, b, load = info.DEP[i], info.B[i], info.LOAD[i]
+        E, W, L, T = info.cumE[i], info.cumW[i], info.cumL[i], info.cumT[i]
+        over = {}                       # re-timed pickups of the tail
+        for k in range(i + 2, len(rnodes) + 1):
+            w = rnodes[k - 1]
+            if w == p + n or (kindc[w] == _CHARGER and (u == 0 or kindc[u] == _CHARGER)):
+                continue
+            res = hop(u, tau, b, load, w, over.get(w - n, PS[k]))
+            if res is None:
+                return float("inf")
+            ss, tau, b, load, wait, late, de, dt = res
+            if w <= n:
+                over[w] = ss
+            E += de
+            W += wait
+            L += late
+            T += dt
+            u = w
+        leg = self.env.home(u, b, load)
+        if leg is None:
+            return float("inf")
+        E += leg[0]
+        T += leg[1]
+        return self.we * E + self.ww * W + self.wl * L + self.wt * T
 
     def insert(self, nodes, req, i, j):
         """Materialize a candidate from scan_insertions."""
@@ -260,7 +321,7 @@ def _clean_chargers(route, ctx):
     kindc = ctx.env.kindc
     out = []
     for node in route:
-        if kindc[node] == 3 and (not out or kindc[out[-1]] == 3):
+        if kindc[node] == _CHARGER and (not out or kindc[out[-1]] == _CHARGER):
             continue
         out.append(node)
     return out
@@ -277,7 +338,7 @@ def prune_chargers(plan, ctx):
         while changed:
             changed = False
             for idx, node in enumerate(route):
-                if kindc[node] != 3:
+                if kindc[node] != _CHARGER:
                     continue
                 trial = route[:idx] + route[idx + 1:]
                 tcost = ctx.route_cost(trial)

@@ -88,6 +88,70 @@ def test_shaw_relatedness_shape():
             assert 0.0 <= rel[r][s] <= 2.0 + 1e-12
 
 
+def test_shaw_relatedness_equals_loop():
+    """The vectorised matrix equals the per-pair loop bit for bit."""
+    from edarp.alns import SHAW_ALPHA, SHAW_BETA
+    for n, seed in ((1, 3), (5, 4), (12, 5), (40, 6)):
+        inst = generate_instance(n, charger_count=2, seed=seed)
+        t = inst.edges.time
+        tmax = float(t.max())
+        a = np.array([nd.a for nd in inst.nodes])
+        want = [[0.0] * n for _ in range(n)]
+        for r in range(n):
+            for s in range(n):
+                pr, dr = 1 + r, 1 + n + r
+                ps, ds = 1 + s, 1 + n + s
+                want[r][s] = float(
+                    SHAW_ALPHA * (t[pr][ps] + t[dr][ds]) / tmax
+                    + SHAW_BETA * (abs(a[pr] - a[ps]) + abs(a[dr] - a[ds]))
+                    / inst.horizon)
+        assert shaw_relatedness(inst) == want
+
+
+def reference_worst_removal(plan, ctx, q):
+    """Worst removal that re-simulates every trial route in full."""
+    from edarp.routes import _clean_chargers
+    n = ctx.env.n
+    plan = [list(r) for r in plan]
+    removed = []
+    for _ in range(q):
+        best_r, best_saving = None, None
+        for ridx, route in enumerate(plan):
+            info = ctx.simulate(route)
+            if info is None:
+                continue
+            for node in route:
+                if not (1 <= node <= n):
+                    continue
+                r = node - 1
+                trial = _clean_chargers(
+                    [nd for nd in route if nd != 1 + r and nd != 1 + n + r], ctx)
+                tcost = ctx.route_cost(trial)
+                saving = info.cost - tcost if tcost != float("inf") else 0.0
+                if best_saving is None or saving > best_saving:
+                    best_r, best_saving = (r, ridx), saving
+        if best_r is None:
+            break
+        r, ridx = best_r
+        plan[ridx] = _clean_chargers(
+            [nd for nd in plan[ridx] if nd != 1 + r and nd != 1 + n + r], ctx)
+        removed.append(r)
+    return sorted(removed)
+
+
+def test_worst_removal_equals_full_resimulation(tight_fleet):
+    for fleet in (FleetParams(), tight_fleet):
+        for n, seed in ((5, 71), (10, 72), (20, 73)):
+            inst = generate_instance(n, charger_count=2, fleet=fleet, seed=seed)
+            ctx = RouteCtx(Env(inst))
+            for sol in (greedy_solve(inst),
+                        alns_solve(inst, iterations=30, seed=seed)[0]):
+                plan = plan_from_solution(sol, inst.fleet.vehicles)
+                for q in (1, 3, n):
+                    assert (worst_removal(plan, ctx, q)
+                            == reference_worst_removal(plan, ctx, q))
+
+
 def test_zero_iterations_equals_greedy(small_instance):
     sol, _ = alns_solve(small_instance, iterations=0)
     base = greedy_solve(small_instance)

@@ -309,6 +309,33 @@ def test_data_error_leaves_no_output_dir(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_refuses_colliding_output_stems(tmp_path, monkeypatch, capsys):
+    """Two instances with one file stem would write one solution and one
+    telemetry file; the solve is refused before anything runs or is
+    written."""
+    a = gen_dir(tmp_path, count=1, seed=1, name="a") / "instance_0000.json"
+    b = gen_dir(tmp_path, count=1, seed=2, name="b") / "instance_0000.json"
+    ran = []
+    monkeypatch.setattr(cli, "alns_solve", lambda *args: ran.append(args))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    for pair in ((a, b), (a, a)):
+        assert run("solve", *map(str, pair), "--solver", "alns",
+                   "--telemetry", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert str(pair[0]) in err and str(pair[1]) in err
+        assert "instance_0000" in err
+    assert not ran and not out.exists()
+    # distinct stems still solve side by side
+    c = b.with_name("instance_0001.json")
+    b.rename(c)
+    monkeypatch.undo()
+    assert run("solve", str(a), str(c), "--solver", "greedy",
+               "--out", str(out)) == 0
+    mani = json.loads((out / "manifest_solve.json").read_text())
+    assert len(set(mani["outputPaths"])) == len(mani["outputPaths"]) == 3
+
+
 def test_solve_jobs_parallel_matches_serial(tmp_path):
     out = gen_dir(tmp_path, count=3, n=2, seed=2)
     insts = sorted(str(p) for p in out.glob("instance_*.json"))

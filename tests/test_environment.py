@@ -401,3 +401,61 @@ def test_tight_battery_rollouts_keep_mask_and_reserve(n, chargers, battery,
     for route in greedy_solve(inst).routes:
         for _, _, _, soc, charge in route:
             assert soc - charge >= reserve - 1e-12
+
+
+def test_too_late_is_sound(tight_fleet):
+    """Whenever the kernel's lateness bound holds, no hop that leaves for
+    that node at the same clock or later serves it, from any other node,
+    at the drawn charge and load; the bound never holds for the depot.
+    Travel times are scaled down, to zero too, so that a bound looser
+    than the hop's own verdict cannot hide behind a long leg."""
+    held = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 10), tight=st.booleans(), seed=st.integers(0, 10_000),
+           speedup=st.sampled_from([0.0, 0.01, 1.0]),
+           start=st.floats(0.0, 1.0), late=st.floats(-0.2, 0.2),
+           later=st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=3),
+           b=st.floats(0.3, 1.0), load=st.integers(0, 2))
+    def check(n, tight, seed, speedup, start, late, later, b, load):
+        fleet = tight_fleet if tight else FleetParams()
+        try:
+            inst = generate_instance(n, charger_count=2, fleet=fleet, seed=seed)
+        except ValueError:
+            reject()
+        edges = EdgeMatrices(inst.edges.time * speedup, inst.edges.dist,
+                             inst.edges.energy)
+        inst = Instance(inst.nodes, edges, inst.requests, inst.fleet,
+                        inst.weights, inst.horizon, inst.seed)
+        env = Env(inst)
+        load = min(load, inst.fleet.capacity)
+        # clocks near the threshold: past the window close, or past the
+        # ride cap of a delivery picked up at `start`, by a `late` share
+        # of the window or the cap; deliveries also when not on board
+        cases = []
+        for w in range(env.num_nodes):
+            if n < w <= 2 * n:
+                ps = start * inst.horizon
+                cases.append((w, ps + (1.0 + late) * env.max_ride[w - 1 - n], ps))
+                cases.append((w, ps, None))
+            else:
+                cases.append((w, max(0.0, env.l[w] + late * (env.l[w] - env.a[w])),
+                              None))
+        for w, tau, ps in cases:
+            if not env.too_late(tau, w, ps):
+                continue
+            assert w != 0, "the bound held for the depot"
+            held.add(env.kindc[w])
+            for u in range(env.num_nodes):
+                if u == w:
+                    continue
+                for dt in [0.0, *later]:
+                    assert env.hop(u, tau + dt, b, load, w, ps) is None, \
+                        (u, w, tau + dt, ps)
+
+    check()
+    assert held == {1, 2, 3}, held      # pickups, deliveries and chargers
+    inst = generate_instance(4, charger_count=2, seed=1)
+    env = Env(inst)
+    for tau in (0.0, inst.horizon, 10 * inst.horizon):
+        assert not env.too_late(tau, 0, None)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edarp import (Env, FleetParams, Instance, ReplayError, RouteCtx,
-                   generate_instance, greedy_solve, plan_from_solution,
+                   alns_solve, generate_instance, greedy_solve, plan_from_solution,
                    prune_chargers, remove_requests, replay)
 from edarp.routes import served_requests
 
@@ -200,3 +200,157 @@ def test_plan_from_solution_pads_to_fleet(small_instance):
     plan = plan_from_solution(sol, 5)
     assert len(plan) == 5
     assert all(isinstance(r, list) for r in plan)
+
+
+def full_scan(ctx, info, req):
+    """scan_insertions without the lateness bound: every pickup slot and
+    every delivery slot is simulated until a hop fails, as the scan did
+    before it pruned. The reference the pruned scan must equal."""
+    env = ctx.env
+    hop, home, n = env.hop, env.home, env.n
+    p, d = 1 + req, 1 + n + req
+    ride_cap = env.max_ride[req]
+    rnodes, PS = info.nodes, info.PS
+    m = len(rnodes)
+    out = []
+    for i in range(m + 1):
+        u = rnodes[i - 1] if i else 0
+        hop_p = hop(u, info.DEP[i], info.B[i], info.LOAD[i], p, None)
+        if hop_p is None:
+            continue
+        ss_p, tau_c, b_c, load_c, wait_p, _, de_p, dt_p = hop_p
+        cur = p
+        ss_over = {p: ss_p}
+        midE, midW, midL, midT = de_p, wait_p, 0.0, dt_p
+        for j in range(i, m + 1):
+            if tau_c - ss_p > ride_cap:
+                break
+            hop_d = hop(cur, tau_c, b_c, load_c, d, ss_p)
+            if hop_d is not None:
+                _, st_tau, st_b, st_load, _, late_d, de_d, dt_d = hop_d
+                tailE, tailW = midE + de_d, midW
+                tailL, tailT = midL + late_d, midT + dt_d
+                st = d
+                over = dict(ss_over)
+                for k in range(j + 1, m + 1):
+                    wn = rnodes[k - 1]
+                    res = hop(st, st_tau, st_b, st_load, wn, over.get(wn - n, PS[k]))
+                    if res is None:
+                        break
+                    wn_ss, st_tau, st_b, st_load, wn_wait, wn_late, wn_de, wn_dt = res
+                    if wn <= n:
+                        over[wn] = wn_ss
+                    tailE += wn_de
+                    tailW += wn_wait
+                    tailL += wn_late
+                    tailT += wn_dt
+                    st = wn
+                else:
+                    leg = home(st, st_b, st_load)
+                    if leg is not None:
+                        tailE += leg[0]
+                        tailT += leg[1]
+                        oldE = info.E - info.cumE[i]
+                        oldW = info.W - info.cumW[i]
+                        oldL = info.L - info.cumL[i]
+                        oldT = info.T - info.cumT[i]
+                        delta = (ctx.we * (tailE - oldE) + ctx.ww * (tailW - oldW)
+                                 + ctx.wl * (tailL - oldL) + ctx.wt * (tailT - oldT))
+                        out.append((delta, i, j))
+            if j == m:
+                break
+            nxt = rnodes[j]
+            res = hop(cur, tau_c, b_c, load_c, nxt, ss_over.get(nxt - n, PS[j + 1]))
+            if res is None:
+                break
+            wn_ss, tau_c, b_c, load_c, wn_wait, wn_late, wn_de, wn_dt = res
+            if nxt <= n:
+                ss_over[nxt] = wn_ss
+            midE += wn_de
+            midW += wn_wait
+            midL += wn_late
+            midT += wn_dt
+            cur = nxt
+    return out
+
+
+def counting_hops(env):
+    """Wrap env.hop so that every call is counted in the returned list."""
+    calls = [0]
+    hop = env.hop
+
+    def counted(*args):
+        calls[0] += 1
+        return hop(*args)
+
+    env.hop = counted
+    return calls
+
+
+def solver_plans(tight_fleet):
+    """(ctx, plan) pairs: greedy and short-ALNS plans, n 4 to 20, on the
+    default and the tight fleet."""
+    for fleet in (FleetParams(), tight_fleet):
+        for n, seed in ((4, 61), (5, 65), (7, 62), (9, 66), (12, 63),
+                        (15, 67), (20, 64)):
+            inst, env, ctx = make_ctx(seed, n=n, fleet=fleet)
+            yield ctx, plan_from_solution(greedy_solve(inst), env.K)
+            sol, _ = alns_solve(inst, iterations=30, seed=seed)
+            yield ctx, plan_from_solution(sol, env.K)
+
+
+def test_pruned_scan_equals_full_scan(tight_fleet):
+    scans = 0
+    pruned_calls = full_calls = 0
+    for ctx, plan in solver_plans(tight_fleet):
+        calls = counting_hops(ctx.env)
+        n = ctx.env.n
+        for route in plan:
+            info = ctx.simulate(route)
+            if info is None:
+                continue
+            on_route = set(served_requests([route], n))
+            for req in range(n):
+                if req in on_route:
+                    continue
+                calls[0] = 0
+                got = ctx.scan_insertions(route, info, req)
+                pruned_calls += calls[0]
+                calls[0] = 0
+                want = full_scan(ctx, info, req)
+                full_calls += calls[0]
+                assert got == want, (route, req)
+                scans += 1
+    assert scans >= 100
+    assert pruned_calls < full_calls, "the lateness bound pruned no hop"
+
+
+def test_removal_cost_equals_route_cost_of_cleaned_route(tight_fleet):
+    from edarp.routes import _clean_chargers
+    priced = dropped = 0
+    for ctx, plan in solver_plans(tight_fleet):
+        n = ctx.env.n
+        for route in plan:
+            info = ctx.simulate(route)
+            if info is None:
+                continue
+            for r in served_requests([route], n):
+                trial = [nd for nd in route if nd != 1 + r and nd != 1 + n + r]
+                clean = _clean_chargers(trial, ctx)
+                assert ctx.removal_cost(info, r) == ctx.route_cost(clean), (route, r)
+                priced += 1
+                dropped += len(clean) < len(trial)
+    # a route whose first request leaves a charger in the lead
+    for seed in range(40, 400):
+        inst, env, ctx = make_ctx(seed, n=3)
+        charger = env.chargers[0]
+        route = [1, 1 + env.n, charger, 2, 2 + env.n]
+        info = ctx.simulate(route)
+        if info is not None:
+            break
+    else:
+        pytest.fail("no seed produced the fixture route")
+    assert ctx.removal_cost(info, 0) == ctx.route_cost([2, 2 + env.n])
+    assert ctx.removal_cost(info, 1) == ctx.route_cost(route[:3])
+    assert priced >= 100
+    assert dropped, "no removal dropped a charger"
