@@ -2,7 +2,9 @@
 
 Candidates are produced by destroy/repair moves on per-vehicle node
 lists and priced from the route model (RouteCtx.plan_objective, which
-equals a replay's objective). The simulator stays the arbiter: it
+equals a replay's objective). The plan carries one RouteInfo per route
+through destroy and repair, so only the routes a move touched are
+simulated again. The simulator stays the arbiter: it
 replays the plan the search returns, and first judges any candidate
 that visits a charger twice, which the route model cannot. Acceptance
 is record-to-record: a candidate passes while it stays within a
@@ -21,7 +23,7 @@ import numpy as np
 from .environment import Env, ReplayError, replay
 from .greedy import greedy_solve
 from .routes import (RouteCtx, _clean_chargers, plan_from_solution,
-                     prune_chargers, remove_requests, served_requests)
+                     remove_requests, served_requests)
 
 SEGMENT_LENGTH = 100        # iterations between operator weight updates
 REMOVAL_LOW = 0.1           # destroyed share of n, drawn from [LOW, HIGH)
@@ -101,13 +103,13 @@ def shaw_removal(rng, served, q, rel):
     return sorted(removed)
 
 
-def worst_removal(plan, ctx, q):
+def worst_removal(plan, infos, ctx, q):
     """Remove, q times, the request whose removal saves its route the
-    most. Removals are priced from the kept prefix (RouteCtx.removal_cost),
-    and only the route just cut is simulated again."""
+    most. Removals are priced from the routes' infos (RouteCtx.removal_cost,
+    None for a route the route model rejects), and only the route just
+    cut is simulated again."""
     n = ctx.env.n
-    plan = [list(r) for r in plan]
-    infos = [ctx.simulate(r) for r in plan]
+    plan, infos = list(plan), list(infos)
     removed = []
     for _ in range(q):
         best_r, best_saving = None, None
@@ -251,6 +253,7 @@ def alns_solve(inst, iterations=5000, seed=0):
 
     greedy = greedy_solve(inst)
     plan = best_plan = plan_from_solution(greedy, inst.fleet.vehicles)
+    infos = [ctx.simulate(r) for r in plan]     # None where the route model rejects
     cur_j = best_j = init_j = -greedy.reward
 
     dweights = OperatorWeights(["random_removal", "shaw_removal", "worst_removal"])
@@ -263,7 +266,7 @@ def alns_solve(inst, iterations=5000, seed=0):
         d_op = dweights.pick(rng)
         r_op = rweights.pick(rng)
 
-        cand_plan = [list(r) for r in plan]
+        cand_plan, cand_infos = list(plan), list(infos)
         served = served_requests(cand_plan, n)
         if served:
             frac = rng.uniform(REMOVAL_LOW, REMOVAL_HIGH)
@@ -273,18 +276,12 @@ def alns_solve(inst, iterations=5000, seed=0):
             elif d_op == "shaw_removal":
                 ids = shaw_removal(rng, served, q, rel)
             else:
-                ids = worst_removal(cand_plan, ctx, q)
+                ids = worst_removal(plan, infos, ctx, q)
             # repairs every route, also the greedy routes the route model rejects
-            cand_plan = remove_requests(cand_plan, ctx, ids)
-            changed = sorted(i for i in range(len(plan))
-                             if cand_plan[i] != plan[i])
-            pruned = prune_chargers([cand_plan[i] for i in changed], ctx)
-            for slot, i in enumerate(changed):
-                cand_plan[i] = pruned[slot]
+            cand_plan, cand_infos = remove_requests(plan, infos, ctx, ids)
         # everything not on a route right now is up for insertion
         pool = sorted(set(range(n)) - set(served_requests(cand_plan, n)))
 
-        cand_infos = [ctx.simulate(r) for r in cand_plan]
         if None in cand_infos:
             raise RuntimeError("destroy step left a route the route model rejects")
         if r_op == "random_insert":
@@ -320,7 +317,7 @@ def alns_solve(inst, iterations=5000, seed=0):
             best_plan, best_j = cand_plan, cand_j
             stats.new_best += 1
         if accepted:
-            plan, cur_j = cand_plan, cand_j
+            plan, infos, cur_j = cand_plan, cand_infos, cand_j
             stats.accepted += 1
 
         stats.history.append((it, best_j, cur_j, tol, d_op, r_op))

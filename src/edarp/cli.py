@@ -15,8 +15,10 @@ config value of the wrong type or range, a train config key its
 curriculum overrides (n; epochs beside epochs_per_stage), train
 --resume with a curriculum, an --asymmetry at which no instance can be
 built, an exact search whose --limit runs out before any complete
-trajectory, and solve instances that share a file stem, whose output
-files would collide; 3 data error, including a missing, unreadable or
+trajectory, solve instances that share a file stem, whose output
+files would collide, and a solve --metrics path that names a file the
+run itself reads or writes (an instance, the checkpoint, a solution,
+telemetry or manifest file); 3 data error, including a missing, unreadable or
 malformed instance, config or checkpoint file (a checkpoint's weights
 and its optimizer state, optState, are checked by every command that
 reads it, and a weight or moment that is not base64 of the
@@ -266,6 +268,10 @@ def cmd_solve(args):
             stray.append(f"--{flag} applies only to --solver {owner}")
     if stray:
         raise UsageError("; ".join(stray))
+    out = Path(args.out)
+    own = [out / "manifest_solve.json"]     # every file this run reads or writes
+    if args.checkpoint:
+        own.append(Path(args.checkpoint))
     # output files are named by instance stem; two inputs must not share one
     by_stem = {}
     for path in args.instances:
@@ -274,6 +280,13 @@ def cmd_solve(args):
             raise UsageError(f"{by_stem[stem]} and {path} would write the same "
                              f"output files (stem {stem!r}); rename one")
         by_stem[stem] = path
+        own += [Path(path), out / f"solution_{stem}_{args.solver}.json"]
+        if args.telemetry:
+            own.append(out / f"telemetry_{stem}.csv")
+    metrics_path = out / args.metrics
+    if metrics_path.resolve() in {p.resolve() for p in own}:
+        raise UsageError(f"--metrics {args.metrics} names a file this run reads "
+                         "or writes; choose another name")
     policy = None
     if args.solver == "neural":
         if not args.checkpoint:
@@ -288,7 +301,6 @@ def cmd_solve(args):
     results, pool_fields = _run_tasks(_solve_one, tasks, args.jobs)
 
     # the output directory appears only once every instance has loaded
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     outputs = []
@@ -302,7 +314,6 @@ def cmd_solve(args):
                                    "tolerance", "destroy_op", "repair_op"], history)
             outputs.append(tele_path)
         rows.append(_metrics_row(path, args.solver, task[2], sol, wall))
-    metrics_path = out / args.metrics
     _append_metrics(metrics_path, rows)
     outputs.append(metrics_path)
     _write_manifest(out, "solve", _config_echo(args), args.seed,
@@ -401,8 +412,7 @@ def cmd_train(args):
         outputs.append(ck_path)
     else:
         policy, report = train(train_cfgs[0], policy=policy,
-                               policy_config=pol_cfg, opt_state=opt_state,
-                               start_epoch=opt_state["epoch"] if opt_state else 0)
+                               policy_config=pol_cfg, opt_state=opt_state)
         # one checkpoint's bytes at a time: each is written before the next is built
         best_path = out / "checkpoint_best.json"
         best_path.write_bytes(save_policy(report.best_policy))

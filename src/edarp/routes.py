@@ -6,16 +6,19 @@ visited at most once globally and plans never duplicate one, so a route
 can be simulated on its own: fresh vehicle, every hop served by the
 simulator's own per-hop kernel (Env.hop and Env.home), the one home of
 the feasibility, battery and charging rules. Insertion scans and
-removal prices reuse the prefix state up to the changed stop and
-re-simulate the rest, so their verdicts and prices agree with a
-from-scratch simulation exactly. Scans skip the candidates that the
-kernel's lateness bound (Env.too_late) already rules out; this module
-keeps no window or ride-cap arithmetic of its own.
+removal prices reuse the prefix state up to the changed stop and walk
+the rest with one tail walk (RouteCtx.walk), so their verdicts and
+prices agree with a from-scratch simulation exactly. Scans skip the
+candidates that the kernel's lateness bound (Env.too_late) already
+rules out; this module keeps no window or ride-cap arithmetic of its
+own. Each route's RouteInfo travels with it through remove_requests,
+so the search simulates only the routes a move touched.
 
 Greedy's start plan breaks that premise where the simulator's escape
 move ran: a depot return with passengers aboard leaves a route this
-model rejects, which remove_requests strips until it simulates, and a
-second visit to a charger is a plan fact this model cannot see.
+model rejects (its info is None), which remove_requests strips until
+it simulates, and a second visit to a charger is a plan fact this
+model cannot see.
 
 Costs here are a route's contribution to the objective J; the completion
 bonus is a constant per inserted request and cancels out of position
@@ -100,10 +103,6 @@ class RouteCtx:
         info.cost = self.we * E + self.ww * W + self.wl * L + self.wt * T
         return info
 
-    def route_cost(self, nodes):
-        info = self.simulate(nodes)
-        return info.cost if info is not None else float("inf")
-
     def plan_objective(self, infos):
         """Objective J of a plan from its routes' infos. The totals add up
         hop by hop in replay's order, so J equals replay's bit for bit."""
@@ -124,7 +123,7 @@ class RouteCtx:
         Returns (cost_delta, i, j) triples: pickup right after the i-th
         stop of the current route, delivery right after what is then
         the j-th original stop (j == i puts it directly behind the
-        pickup). The tail behind each candidate is re-simulated until
+        pickup). The tail behind each candidate is walked (walk) until
         it fails or reaches the depot, so a returned candidate is
         feasible by construction. Pickups re-timed by the insertion are
         looked up in a per-candidate override map, all others in
@@ -139,7 +138,7 @@ class RouteCtx:
         skipped; the list and its order are what a full scan returns.
         """
         env = self.env
-        hop, home, too_late, n = env.hop, env.home, env.too_late, env.n
+        hop, too_late, n = env.hop, env.too_late, env.n
         p = 1 + req
         d = 1 + n + req
         m = len(info.nodes)
@@ -158,8 +157,13 @@ class RouteCtx:
             # tail walk reaches the next original stop; track state instead
             cur = p
             ss_over = {p: ss_p}
-            # costs of the re-simulated middle part (stops i+1 .. j)
+            # costs of the re-simulated middle part (stops i+1 .. j), and of
+            # the old route from stop i on, which every candidate replaces
             midE, midW, midL, midT = de_p, wait_p, 0.0, dt_p
+            oldE = info.E - info.cumE[i]
+            oldW = info.W - info.cumW[i]
+            oldL = info.L - info.cumL[i]
+            oldT = info.T - info.cumT[i]
             for j in range(i, m + 1):
                 if too_late(tau_c, d, ss_p):
                     break       # departure already too late for the delivery
@@ -171,37 +175,14 @@ class RouteCtx:
                 hop_d = hop(cur, tau_c, b_c, load_c, d, ss_p)
                 if hop_d is not None:
                     _, st_tau, st_b, st_load, _, late_d, de_d, dt_d = hop_d
-                    tailE = midE + de_d
-                    tailW = midW
-                    tailL = midL + late_d
-                    tailT = midT + dt_d
-                    st = d
-                    over = dict(ss_over)
-                    for k in range(j + 1, m + 1):
-                        wn = rnodes[k - 1]
-                        res = hop(st, st_tau, st_b, st_load, wn, over.get(wn - n, PS[k]))
-                        if res is None:
-                            break
-                        wn_ss, st_tau, st_b, st_load, wn_wait, wn_late, wn_de, wn_dt = res
-                        if wn <= n:
-                            over[wn] = wn_ss
-                        tailE += wn_de
-                        tailW += wn_wait
-                        tailL += wn_late
-                        tailT += wn_dt
-                        st = wn
-                    else:
-                        leg = home(st, st_b, st_load)
-                        if leg is not None:
-                            tailE += leg[0]
-                            tailT += leg[1]
-                            oldE = info.E - info.cumE[i]
-                            oldW = info.W - info.cumW[i]
-                            oldL = info.L - info.cumL[i]
-                            oldT = info.T - info.cumT[i]
-                            delta = (self.we * (tailE - oldE) + self.ww * (tailW - oldW)
-                                     + self.wl * (tailL - oldL) + self.wt * (tailT - oldT))
-                            out.append((delta, i, j))
+                    # d is not on the route, so the walk drops no stop
+                    tail = self.walk(info, j + 1, d, st_tau, st_b, st_load, dict(ss_over),
+                                     d, midE + de_d, midW, midL + late_d, midT + dt_d)
+                    if tail is not None:
+                        tailE, tailW, tailL, tailT = tail
+                        delta = (self.we * (tailE - oldE) + self.ww * (tailW - oldW)
+                                 + self.wl * (tailL - oldL) + self.wt * (tailT - oldT))
+                        out.append((delta, i, j))
                 if j == m:
                     break
                 res = hop(cur, tau_c, b_c, load_c, nxt, ps_nxt)
@@ -217,34 +198,24 @@ class RouteCtx:
                 cur = nxt
         return out
 
-    # -- removal pricing ------------------------------------------------------
+    # -- tail walk and removal pricing -----------------------------------------
 
-    def removal_cost(self, info, req):
-        """Cost of info's route without request req, the chargers its
-        removal strands dropped as _clean_chargers drops them.
-
-        A simulated route has no stranded charger, so the stops before
-        the pickup stay as they are: their state is read from info and
-        only the rest is re-simulated, with the totals added hop by hop
-        in simulate's order. The price therefore equals route_cost of
-        the cleaned route bit for bit (inf when that is infeasible).
-        """
+    def walk(self, info, k, u, tau, b, load, over, drop, E, W, L, T):
+        """(E, W, L, T) of info's route walked from its k-th stop and home,
+        starting at node u in state (tau, b, load) with running totals E,
+        W, L, T; None when a hop or the return fails. Skips the delivery
+        drop and any charger a removal strands (as _clean_chargers does),
+        and extends over, the map of re-timed pickups. The totals add up
+        in simulate's order, so they keep a full simulation's bits."""
         hop, kindc, n = self.env.hop, self.env.kindc, self.env.n
-        p = 1 + req
-        rnodes = info.nodes
-        PS = info.PS
-        i = rnodes.index(p)
-        u = rnodes[i - 1] if i else 0
-        tau, b, load = info.DEP[i], info.B[i], info.LOAD[i]
-        E, W, L, T = info.cumE[i], info.cumW[i], info.cumL[i], info.cumT[i]
-        over = {}                       # re-timed pickups of the tail
-        for k in range(i + 2, len(rnodes) + 1):
+        rnodes, PS = info.nodes, info.PS
+        for k in range(k, len(rnodes) + 1):
             w = rnodes[k - 1]
-            if w == p + n or (kindc[w] == _CHARGER and (u == 0 or kindc[u] == _CHARGER)):
+            if w == drop or (kindc[w] == _CHARGER and (u == 0 or kindc[u] == _CHARGER)):
                 continue
             res = hop(u, tau, b, load, w, over.get(w - n, PS[k]))
             if res is None:
-                return float("inf")
+                return None
             ss, tau, b, load, wait, late, de, dt = res
             if w <= n:
                 over[w] = ss
@@ -255,9 +226,27 @@ class RouteCtx:
             u = w
         leg = self.env.home(u, b, load)
         if leg is None:
+            return None
+        return E + leg[0], W, L, T + leg[1]
+
+    def removal_cost(self, info, req):
+        """Cost of info's route without request req, the chargers its
+        removal strands dropped as _clean_chargers drops them.
+
+        A simulated route has no stranded charger, so the stops before
+        the pickup stay as they are: their state is read from info and
+        only the rest is walked. The price therefore equals the cost of
+        simulating the cleaned route bit for bit (inf when that is
+        infeasible).
+        """
+        p = 1 + req
+        i = info.nodes.index(p)
+        tail = self.walk(info, i + 2, info.nodes[i - 1] if i else 0,
+                         info.DEP[i], info.B[i], info.LOAD[i], {}, p + self.env.n,
+                         info.cumE[i], info.cumW[i], info.cumL[i], info.cumT[i])
+        if tail is None:
             return float("inf")
-        E += leg[0]
-        T += leg[1]
+        E, W, L, T = tail
         return self.we * E + self.ww * W + self.wl * L + self.wt * T
 
     def insert(self, nodes, req, i, j):
@@ -287,34 +276,37 @@ def served_requests(plan, n):
     return sorted(out)
 
 
-def remove_requests(plan, ctx, req_ids):
+def remove_requests(plan, infos, ctx, req_ids):
     """Strip the given requests from a plan, then repair structural damage.
 
-    Chargers stranded by the removal (leading a route or following
-    another charger) are dropped. If a shortened route turns infeasible
-    in spite of that, which the asymmetric matrices allow when a bypass
-    edge is slower than the detour it replaced, requests are stripped
-    from its tail until it simulates cleanly. Returns the new plan only:
-    the removal pool is every request served_requests no longer finds
-    on it.
+    infos holds each route's RouteInfo (None where the route model
+    rejects it). Chargers stranded by the removal (leading a route or
+    following another charger) are dropped. If a shortened route turns
+    infeasible in spite of that, which the asymmetric matrices allow when
+    a bypass edge is slower than the detour it replaced, requests are
+    stripped from its tail until it simulates cleanly; then
+    prune_chargers runs on it. Returns (plan, infos): an unchanged route
+    keeps its info, every other one the info of its last simulation. The
+    removal pool is every request served_requests no longer finds.
     """
     n = ctx.env.n
     drop = set(req_ids)
-    out = []
-    for route in plan:
+    out, out_infos = [], []
+    for route, info in zip(plan, infos):
         # (node - 1) % n is the request of a pickup or a delivery node
         kept = _clean_chargers([nd for nd in route if not
                                 (1 <= nd <= 2 * n and (nd - 1) % n in drop)], ctx)
-        while kept and ctx.simulate(kept) is None:
-            victim = next((nd - 1 for nd in reversed(kept) if 1 <= nd <= n), None)
-            if victim is None:
-                kept = []
-                break
-            kept = [nd for nd in kept
-                    if nd != 1 + victim and nd != 1 + n + victim]
-            kept = _clean_chargers(kept, ctx)
+        if kept != route or info is None:
+            info = ctx.simulate(kept)
+            while info is None and kept:
+                victim = next((nd - 1 for nd in reversed(kept) if 1 <= nd <= n), None)
+                kept = [] if victim is None else _clean_chargers(
+                    [nd for nd in kept if nd != 1 + victim and nd != 1 + n + victim], ctx)
+                info = ctx.simulate(kept)
+            kept, info = prune_chargers(kept, info, ctx)
         out.append(kept)
-    return out
+        out_infos.append(info)
+    return out, out_infos
 
 
 def _clean_chargers(route, ctx):
@@ -327,24 +319,22 @@ def _clean_chargers(route, ctx):
     return out
 
 
-def prune_chargers(plan, ctx):
+def prune_chargers(route, info, ctx):
     """Drop charger stops whose removal keeps the route feasible and no
-    more expensive; the inherited greedy routes are littered with them."""
+    more expensive; the inherited greedy routes are littered with them.
+    info is the route's RouteInfo (the route must simulate); returns the
+    pruned (route, info)."""
     kindc = ctx.env.kindc
-    out = []
-    for route in plan:
-        cost = ctx.route_cost(route)
-        changed = True
-        while changed:
-            changed = False
-            for idx, node in enumerate(route):
-                if kindc[node] != _CHARGER:
-                    continue
-                trial = route[:idx] + route[idx + 1:]
-                tcost = ctx.route_cost(trial)
-                if tcost <= cost:
-                    route, cost = trial, tcost
-                    changed = True
-                    break
-        out.append(route)
-    return out
+    changed = True
+    while changed:
+        changed = False
+        for idx, node in enumerate(route):
+            if kindc[node] != _CHARGER:
+                continue
+            trial = route[:idx] + route[idx + 1:]
+            tinfo = ctx.simulate(trial)
+            if tinfo is not None and tinfo.cost <= info.cost:
+                route, info = trial, tinfo
+                changed = True
+                break
+    return route, info

@@ -201,15 +201,16 @@ def validate(policy, instances):
             float(np.mean([s.metrics["completion_pct"] for s in sols])))
 
 
-def train(cfg, policy=None, policy_config=None, opt_state=None,
-          start_epoch=0):
+def train(cfg, policy=None, policy_config=None, opt_state=None):
     """Train on one size; epoch 0 records the pre-update validation.
 
-    Resuming passes the checkpoint's optimizer state and the number of
-    epochs already done, so epoch numbering continues seamlessly.
-    The report keeps the best weights, the optimizer and the epoch
-    count, which save_policy needs for the best and final checkpoints.
+    Resuming passes the checkpoint's optimizer state, which holds the
+    number of epochs already done, so epoch numbering continues
+    seamlessly. The report keeps the best weights, the optimizer and the
+    epoch count, which save_policy needs for the best and final
+    checkpoints.
     """
+    start_epoch = opt_state["epoch"] if opt_state is not None else 0
     if policy is None:
         policy = Policy(policy_config or PolicyConfig(seed=cfg.seed))
     opt = Adam(policy.params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
@@ -263,7 +264,7 @@ class StageResult:
     passed: bool
 
 
-def curriculum_train(stage_cfgs, policy=None, policy_config=None):
+def curriculum_train(stage_cfgs, policy_config=None):
     """Train through increasing sizes, keeping each stage's best weights.
 
     A stage passes when its best validation reward stays within
@@ -272,6 +273,7 @@ def curriculum_train(stage_cfgs, policy=None, policy_config=None):
     pushes it above.
     """
     results = []
+    policy = None
     for cfg in stage_cfgs:
         if policy is None:
             policy = Policy(policy_config or PolicyConfig(seed=cfg.seed))

@@ -74,7 +74,7 @@ def test_removal_operators_contract():
     plan = plan_from_solution(greedy_solve(inst), inst.fleet.vehicles)
     served_now = served_requests(plan, inst.n)
     if len(served_now) >= 2:
-        got = worst_removal(plan, ctx, 2)
+        got = worst_removal(plan, [ctx.simulate(r) for r in plan], ctx, 2)
         assert len(got) <= 2 and set(got) <= set(served_now)
 
 
@@ -126,7 +126,8 @@ def reference_worst_removal(plan, ctx, q):
                 r = node - 1
                 trial = _clean_chargers(
                     [nd for nd in route if nd != 1 + r and nd != 1 + n + r], ctx)
-                tcost = ctx.route_cost(trial)
+                tinfo = ctx.simulate(trial)
+                tcost = tinfo.cost if tinfo is not None else float("inf")
                 saving = info.cost - tcost if tcost != float("inf") else 0.0
                 if best_saving is None or saving > best_saving:
                     best_r, best_saving = (r, ridx), saving
@@ -147,9 +148,53 @@ def test_worst_removal_equals_full_resimulation(tight_fleet):
             for sol in (greedy_solve(inst),
                         alns_solve(inst, iterations=30, seed=seed)[0]):
                 plan = plan_from_solution(sol, inst.fleet.vehicles)
+                infos = [ctx.simulate(r) for r in plan]
+                given = list(infos)
                 for q in (1, 3, n):
-                    assert (worst_removal(plan, ctx, q)
+                    assert (worst_removal(plan, infos, ctx, q)
                             == reference_worst_removal(plan, ctx, q))
+                assert infos == given       # the caller's infos stay as they were
+
+
+# Seeded ALNS output, recorded before the destroy step kept each route's
+# RouteInfo: (n, tight fleet, instance and search seed, iterations,
+# routes, reward.hex(), (accepted, new best, replay failures)).
+GOLDEN = [
+    (10, False, 1010, 200,
+     [[2, 12, 7, 1, 17, 11, 9, 19], [4, 14, 10, 20, 6, 5, 15, 3, 16, 8, 13, 18]],
+     '0x1.3b92ffbe16d38p+6', (162, 5, 0)),
+    (20, False, 1020, 100,
+     [[3, 23, 9, 29, 11, 31, 6, 26, 19, 13, 39, 33, 12, 32, 10, 30, 14, 5, 17, 34,
+       37, 25],
+      [4, 24, 1, 21, 20, 40, 2, 8, 22, 28, 7, 27, 15, 35, 18, 38]],
+     '0x1.3782def703fa9p+7', (74, 13, 0)),
+    (40, False, 1040, 40,
+     [[9, 49, 32, 72, 16, 56, 26, 8, 66, 48, 23, 63, 22, 62, 3, 43, 34, 11, 51, 74,
+       24, 64],
+      [27, 67, 18, 30, 58, 70, 7, 10, 50, 17, 47, 57, 4, 44, 40, 20, 28, 60, 80, 31,
+       68, 36, 71, 76, 1, 13, 53, 39, 41, 79]],
+     '0x1.c4b2fcebc6028p+7', (11, 9, 0)),
+    (10, True, 1081, 200, [[6, 16, 21, 3, 13], [9, 19]],
+     '0x1.c96c28f5f8b80p+3', (13, 2, 3)),
+    (20, True, 1029, 100, [[5, 25, 13, 33], [18, 38]],
+     '0x1.cc25a3a852b07p+3', (5, 3, 0)),
+    (40, True, 1054, 40, [[36, 76, 1, 41, 21, 61], [18, 10, 50, 58]],
+     '0x1.ac8338ae24d24p+4', (6, 5, 0)),
+]
+
+
+@pytest.mark.parametrize("n, tight, seed, iterations, routes, reward, counts", GOLDEN)
+def test_seeded_output_is_pinned(request, n, tight, seed, iterations, routes,
+                                 reward, counts):
+    """Seeded runs are byte-identical across refactors of the search: the
+    tight-fleet starts hold greedy routes the route model rejects, and
+    the n=10 one a charger visited twice."""
+    fleet = request.getfixturevalue("tight_fleet") if tight else FleetParams()
+    inst = generate_instance(n, charger_count=2, fleet=fleet, seed=seed)
+    sol, stats = alns_solve(inst, iterations=iterations, seed=seed)
+    assert sol.vehicle_routes() == routes
+    assert sol.reward.hex() == reward
+    assert (stats.accepted, stats.new_best, stats.replay_failures) == counts
 
 
 def test_zero_iterations_equals_greedy(small_instance):

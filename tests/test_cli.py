@@ -336,6 +336,39 @@ def test_solve_refuses_colliding_output_stems(tmp_path, monkeypatch, capsys):
     assert len(set(mani["outputPaths"])) == len(mani["outputPaths"]) == 3
 
 
+def test_solve_refuses_metrics_on_its_own_files(tmp_path, capsys):
+    """--metrics must not name a file the run reads or writes: appended
+    rows would corrupt a solution JSON, the manifest would overwrite the
+    metrics, and an input instance or the checkpoint would be appended
+    to. Each is refused
+    before anything is solved or written; the path resolves against
+    --out and may be absolute."""
+    inst = gen_dir(tmp_path, count=1) / "instance_0000.json"
+    before = inst.read_bytes()
+    out = tmp_path / "o"
+    ck = tmp_path / "ck.json"           # never written: the run stops before reading it
+    capsys.readouterr()
+    for solver, extra, metrics in (
+            ("greedy", (), "solution_instance_0000_greedy.json"),
+            ("greedy", (), "manifest_solve.json"),
+            ("greedy", (), str(out / "sub" / ".." / "manifest_solve.json")),
+            ("greedy", (), str(inst)),
+            ("neural", ("--checkpoint", str(ck)), str(ck)),
+            ("alns", ("--telemetry", "--iterations", "1"), "telemetry_instance_0000.csv")):
+        assert run("solve", str(inst), "--solver", solver, *extra,
+                   "--out", str(out), "--metrics", metrics) == 2, metrics
+        assert "--metrics" in capsys.readouterr().err
+        assert not out.exists()
+    assert inst.read_bytes() == before
+    # the same names are fine where the run writes no such file
+    assert run("solve", str(inst), "--solver", "greedy", "--out", str(out),
+               "--metrics", "telemetry_instance_0000.csv") == 0
+    json.loads((out / "solution_instance_0000_greedy.json").read_text())
+    mani = json.loads((out / "manifest_solve.json").read_text())
+    assert mani["outputPaths"][-1] == str(out / "telemetry_instance_0000.csv")
+    assert len(read_csv(out / "telemetry_instance_0000.csv")) == 2
+
+
 def test_solve_jobs_parallel_matches_serial(tmp_path):
     out = gen_dir(tmp_path, count=3, n=2, seed=2)
     insts = sorted(str(p) for p in out.glob("instance_*.json"))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from edarp import (Env, FleetParams, Instance, ReplayError, RouteCtx,
                    alns_solve, generate_instance, greedy_solve, plan_from_solution,
                    prune_chargers, remove_requests, replay)
-from edarp.routes import served_requests
+from edarp.routes import RouteInfo, served_requests
 
 
 def make_ctx(seed, n=4, chargers=2, fleet=None):
@@ -23,6 +23,17 @@ def battery_free(inst):
     fleet = dataclasses.replace(inst.fleet, battery_kwh=1e9)
     return RouteCtx(Env(Instance(inst.nodes, inst.edges, inst.requests, fleet,
                                  inst.weights, inst.horizon, inst.seed)))
+
+
+def route_cost(ctx, route):
+    """Cost of a route from a full simulation, inf when it is infeasible."""
+    info = ctx.simulate(route)
+    return info.cost if info is not None else float("inf")
+
+
+def slots(info):
+    """Every slot of a RouteInfo, for exact comparison; None passes through."""
+    return None if info is None else tuple(getattr(info, a) for a in RouteInfo.__slots__)
 
 
 def balanced(route, n):
@@ -91,10 +102,10 @@ def test_simulate_rejects_depot_in_route(small_instance):
         ctx.simulate([1, 0, 1 + small_instance.n])
 
 
-def test_route_cost_infeasible_is_inf(small_instance):
+def test_simulate_infeasible_is_none(small_instance):
     ctx = RouteCtx(Env(small_instance))
     n = small_instance.n
-    assert ctx.route_cost([1 + n]) == float("inf")   # delivery before pickup
+    assert ctx.simulate([1 + n]) is None     # delivery before pickup
 
 
 def test_scan_insertions_equals_brute_force(tight_fleet):
@@ -125,10 +136,10 @@ def test_scan_insertions_equals_brute_force(tight_fleet):
             for i in range(m + 1):
                 for j in range(i, m + 1):
                     trial = ctx.insert(base, req, i, j)
-                    c = ctx.route_cost(trial)
+                    c = route_cost(ctx, trial)
                     if np.isfinite(c):
                         expect[(i, j)] = c - info.cost
-                    elif np.isfinite(loose.route_cost(trial)):
+                    elif np.isfinite(route_cost(loose, trial)):
                         blocked.append((seed, i, j))
             assert set(got) == set(expect)
             for key, delta in expect.items():
@@ -144,7 +155,7 @@ def test_remove_requests_preserves_request_multiset():
         plan = plan_from_solution(greedy_solve(inst), env.K)
         before = served_requests(plan, env.n)
         targets = before[: max(1, len(before) // 2)]
-        out = remove_requests(plan, ctx, targets)
+        out, _ = remove_requests(plan, [ctx.simulate(r) for r in plan], ctx, targets)
         after = served_requests(out, env.n)
         # the removal pool is what the plan no longer serves
         assert set(after) <= set(before)
@@ -173,26 +184,58 @@ def test_remove_requests_drops_stranded_chargers():
             break
     else:
         pytest.fail("no seed produced the fixture route")
-    out = remove_requests([route, []], ctx, [0])
+    out, infos = remove_requests([route, []], [ctx.simulate(route), ctx.simulate([])],
+                                 ctx, [0])
     assert out[0] == [2, 2 + env.n]      # leading charger dropped
     removed = set(served_requests([route], env.n)) - set(served_requests(out, env.n))
     assert removed == {0}
     assert ctx.simulate(out[0]) is not None
+    assert infos[0].nodes == out[0]
+
+
+def test_remove_requests_hands_on_simulated_infos(tight_fleet):
+    """Every info remove_requests returns is its route's simulation, slot
+    for slot, also where greedy's start plan holds routes the route model
+    rejects; a route it leaves unchanged keeps the info it came with."""
+    kept = changed = rejected = 0
+    for fleet in (FleetParams(), tight_fleet):
+        for seed in range(12):
+            inst, env, ctx = make_ctx(5000 + seed, n=6 + seed % 5, fleet=fleet)
+            plan = plan_from_solution(greedy_solve(inst), env.K)
+            infos = [ctx.simulate(r) for r in plan]
+            rejected += infos.count(None)
+            served = served_requests(plan, env.n)
+            for targets in (served[:1], served[::3], served):
+                out, out_infos = remove_requests(plan, infos, ctx, targets)
+                assert len(out) == len(out_infos) == len(plan)
+                for route, info, new, new_info in zip(plan, infos, out, out_infos):
+                    assert new_info is not None
+                    assert slots(new_info) == slots(ctx.simulate(new)), (route, new)
+                    if new == route and info is not None:
+                        assert new_info is info
+                        kept += 1
+                    else:
+                        changed += 1
+    assert kept and changed and rejected
 
 
 def test_prune_chargers_never_raises_cost():
+    pruned = 0
     for seed in range(10):
         inst, env, ctx = make_ctx(4000 + seed, n=4)
         plan = plan_from_solution(greedy_solve(inst), env.K)
-        pruned = prune_chargers(plan, ctx)
-        for old, new in zip(plan, pruned):
-            c_old = ctx.route_cost(old)
-            c_new = ctx.route_cost(new)
-            if np.isfinite(c_old):
-                assert c_new <= c_old + 1e-12
+        for old in plan:
+            info = ctx.simulate(old)
+            if info is None:        # prune_chargers takes simulating routes only
+                continue
+            new, new_info = prune_chargers(old, info, ctx)
+            assert slots(new_info) == slots(ctx.simulate(new))
+            assert new_info.cost <= info.cost + 1e-12
             assert len(new) <= len(old)
             assert [nd for nd in new if nd <= 2 * env.n] == \
                    [nd for nd in old if nd <= 2 * env.n]
+            pruned += len(new) < len(old)
+    assert pruned, "no charger was pruned"
 
 
 def test_plan_from_solution_pads_to_fleet(small_instance):
@@ -337,7 +380,7 @@ def test_removal_cost_equals_route_cost_of_cleaned_route(tight_fleet):
             for r in served_requests([route], n):
                 trial = [nd for nd in route if nd != 1 + r and nd != 1 + n + r]
                 clean = _clean_chargers(trial, ctx)
-                assert ctx.removal_cost(info, r) == ctx.route_cost(clean), (route, r)
+                assert ctx.removal_cost(info, r) == route_cost(ctx, clean), (route, r)
                 priced += 1
                 dropped += len(clean) < len(trial)
     # a route whose first request leaves a charger in the lead
@@ -350,7 +393,7 @@ def test_removal_cost_equals_route_cost_of_cleaned_route(tight_fleet):
             break
     else:
         pytest.fail("no seed produced the fixture route")
-    assert ctx.removal_cost(info, 0) == ctx.route_cost([2, 2 + env.n])
-    assert ctx.removal_cost(info, 1) == ctx.route_cost(route[:3])
+    assert ctx.removal_cost(info, 0) == route_cost(ctx, [2, 2 + env.n])
+    assert ctx.removal_cost(info, 1) == route_cost(ctx, route[:3])
     assert priced >= 100
     assert dropped, "no removal dropped a charger"

@@ -234,9 +234,7 @@ def test_resume_continues_epoch_numbering():
     back, opt_state = load_policy(save_policy(policy, report.opt, report.epoch))
     assert opt_state["epoch"] == 2
     cfg2 = tiny_cfg(epochs=1)
-    epoch_in = opt_state.pop("epoch")
-    p2, r2 = train(cfg2, policy=back, opt_state=opt_state,
-                   start_epoch=epoch_in)
+    p2, r2 = train(cfg2, policy=back, opt_state=opt_state)
     assert [r["epoch"] for r in r2.rows] == [3]
     _, opt3 = load_policy(save_policy(p2, r2.opt, r2.epoch))
     assert opt3["epoch"] == 3
