@@ -9,17 +9,20 @@ skipping any output no gradient reached. Passing tape=None runs any op in
 inference mode with no recording. Gradients accumulate into Tensor.grad
 slots, so one tape can back-propagate a whole batch at once.
 
-linear(x, w, b) is a dense layer, x @ w + b, as one op. Its forward
-keeps numpy's stacked matmul, one GEMM per leading entry of a (V, V, k)
-input: one GEMM over the flattened rows can sum in another order and
-change the forward's last bits. Its backward, like matmul's for a stack
-of rows against one matrix, takes both products as one GEMM each over
-the flattened rows.
+linear(x, w, b) is a dense layer, x @ w + b, as one op, and ffn(x, w1,
+b1, w2, b2) the feed-forward block relu(x @ w1 + b1) @ w2 + b2. Their
+forwards keep numpy's stacked matmul, one GEMM per leading entry of a
+(V, V, k) input: one GEMM over the flattened rows can sum in another
+order and change the forward's last bits. Biases, the ReLU and
+layer_norm's normalisation are applied in place in arrays the op has
+just made. Their backwards, like matmul's for a stack of rows against
+one matrix, take both products as one GEMM each over the flattened
+rows.
 
 The first gradient to reach a tensor becomes its grad, and later ones
 are added into it in place. An array a rule has just made (the
-products of matmul and linear, the input gradients of layer_norm,
-edge_attention, relu, tanh and masked_softmax) is stored without a copy
+products of matmul, linear and ffn, the input gradients of layer_norm,
+edge_attention, tanh and masked_softmax) is stored without a copy
 (_accum_owned). The pass-through rules (add, reshape, transpose,
 concat, tsum, tmean) hand on their output's gradient or a view of it,
 which _accum copies, and take scatters into a zero array of its own,
@@ -29,6 +32,7 @@ so no two grads ever share memory.
 import numpy as np
 
 LN_EPS = 1e-6               # variance floor of layer_norm
+BLOCK_BYTES = 16 * 2 ** 20  # edge_attention's (rows, V, 2V) score block
 
 
 class Tensor:
@@ -142,20 +146,40 @@ def matmul(tape, a, b):
     return _op(tape, np.matmul(a.data, b.data), rule)
 
 
+def _dense_grads(x, w, b, g):
+    """Accumulate the gradients of x @ w + b for its output's gradient g
+    into the tensors w and b, and return x's."""
+    _accum(b, _unbroadcast(g, b.data.shape))
+    gx, gw = _row_stack_grads(x, w.data, g)
+    _accum_owned(w, gw)
+    return gx
+
+
 def linear(tape, x, w, b):
     """x @ w + b for a 2-D weight w and a bias b broadcast over its rows,
     its forward bit-equal to add(matmul(x, w), b)."""
     def rule(g):
-        _accum(b, _unbroadcast(g, b.data.shape))
-        gx, gw = _row_stack_grads(x.data, w.data, g)
-        _accum_owned(x, gx)
-        _accum_owned(w, gw)
-    return _op(tape, np.matmul(x.data, w.data) + b.data, rule)
+        _accum_owned(x, _dense_grads(x.data, w, b, g))
+    out = np.matmul(x.data, w.data)
+    out += b.data
+    return _op(tape, out, rule)
 
 
-def relu(tape, a):
-    return _op(tape, np.maximum(a.data, 0.0),
-               lambda g: _accum_owned(a, g * (a.data > 0.0)))
+def ffn(tape, x, w1, b1, w2, b2):
+    """relu(x @ w1 + b1) @ w2 + b2, its forward bit-equal to linear, a
+    ReLU and linear again. The hidden array is made once and kept for
+    the backward, which masks its gradient where the hidden is 0."""
+    hid = np.matmul(x.data, w1.data)
+    hid += b1.data
+    np.maximum(hid, 0.0, out=hid)
+
+    def rule(g):
+        gh = _dense_grads(hid, w2, b2, g)
+        gh *= hid > 0.0
+        _accum_owned(x, _dense_grads(x.data, w1, b1, gh))
+    out = np.matmul(hid, w2.data)
+    out += b2.data
+    return _op(tape, out, rule)
 
 
 def tanh(tape, a):
@@ -217,11 +241,10 @@ def take(tape, a, idx):
 def layer_norm(tape, x, gain, bias):
     """Normalize the last axis, then apply a learned affine map."""
     n = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)   # centred, then scaled
+    out = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
 
     def rule(g):
         red = tuple(range(g.ndim - 1))
@@ -232,7 +255,9 @@ def layer_norm(tape, x, gain, bias):
                           - dxh.sum(axis=-1, keepdims=True)
                           - xhat * (dxh * xhat).sum(axis=-1, keepdims=True))
         _accum_owned(x, gx)
-    return _op(tape, xhat * gain.data + bias.data, rule)
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
+    return _op(tape, out, rule)
 
 
 def masked_softmax(tape, x, mask):
@@ -247,19 +272,21 @@ def masked_softmax(tape, x, mask):
         x, p * (g - (g * p).sum(axis=-1, keepdims=True))))
 
 
-def _masked_softmax_in_place(p, mask):
-    """masked_softmax's forward, overwriting the scores p with the weights."""
-    np.copyto(p, -np.inf, where=mask)   # blocked entries exp to exactly 0
+def _masked_softmax_in_place(p, mask=None):
+    """masked_softmax's forward, overwriting the scores p with the weights.
+    Entries of p that are already -inf count as blocked too."""
+    if mask is not None:
+        np.copyto(p, -np.inf, where=mask)   # blocked entries exp to exactly 0
     mx = p.max(axis=-1, keepdims=True)
     p -= np.where(np.isfinite(mx), mx, 0.0)
     np.exp(p, out=p)
     tot = p.sum(axis=-1, keepdims=True)
-    ok = tot > 0.0
-    np.divide(p, tot, out=p, where=ok)
-    p[~ok[..., 0]] = 0.0             # an all-blocked or non-finite row
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p /= tot
+    p[~(tot[..., 0] > 0.0)] = 0.0    # an all-blocked or non-finite row
 
 
-def edge_attention(tape, qkv, heads, mask):
+def edge_attention(tape, qkv, heads):
     """Multi-head attention of each directed edge over the edges leaving
     its source and the edges entering its target.
 
@@ -267,14 +294,21 @@ def edge_attention(tape, qkv, heads, mask):
     then its values, head h taking columns h*dk:(h+1)*dk of each third.
     Edge (i, j) scores q(i,j).k(i,m) / sqrt(dk) against the edges (i, m)
     and q(i,j).k(m,j) / sqrt(dk) against the edges (m, j): one joint row
-    of 2V scores that masked_softmax's rule turns into weights, mask
-    being broadcastable to (V, V, 2V) and True meaning blocked. Head h's
+    of 2V scores whose entry V+i, the edge's own second appearance, is
+    blocked, and that masked_softmax's rule turns into weights. Head h's
     output, columns h*dk:(h+1)*dk of the (V, V, heads * dk) result, is
     the weighted sum of the matching values.
 
     The heads run one at a time on contiguous copies of their q, k and
-    v, so the largest temporary is one head's (V, V, 2V) scores; the
-    backward keeps only each head's weights.
+    v. Scores, softmax and value sums run over blocks of
+    max(1, BLOCK_BYTES // (16 V^2)) source rows i, so a score block
+    outgrows BLOCK_BYTES only when one row does. One block covers every
+    V up to 101 and runs the same products as the whole graph; more
+    blocks sum the same terms in GEMMs of other shapes, which may move
+    the last bits.
+    Untaped, one block buffer serves every head and block; taped, each
+    block is written into the head's (V, V, 2V) weights that the
+    backward keeps.
     """
     data = qkv.data
     v = data.shape[0]
@@ -282,6 +316,7 @@ def edge_attention(tape, qkv, heads, mask):
     if dk < 1 or data.shape != (v, v, 3 * heads * dk):
         raise ValueError(f"qkv of shape {data.shape} is not (V, V, 3*{heads}*dk)")
     scale = 1.0 / np.sqrt(dk)
+    rows = min(v, max(1, BLOCK_BYTES // (16 * v * v)))
 
     def cols(a, h):
         """Head h's query, key and value columns of a qkv-shaped array."""
@@ -290,17 +325,20 @@ def edge_attention(tape, qkv, heads, mask):
 
     out = np.empty((v, v, heads * dk))
     probs = []
-    p = None
+    block = None if tape is not None else np.empty((rows, v, 2 * v))
     for h in range(heads):
         q, k, val = map(np.ascontiguousarray, cols(data, h))
-        if p is None or tape is not None:
-            p = np.empty((v, v, 2 * v))
-        _edge_scores(q, k, p)
-        p *= scale
-        _masked_softmax_in_place(p, mask)
-        out[..., h * dk:(h + 1) * dk] = _edge_sums(p, val)
         if tape is not None:
-            probs.append(p)
+            probs.append(np.empty((v, v, 2 * v)))
+        for lo in range(0, v, rows):
+            hi = min(lo + rows, v)
+            p = probs[-1][lo:hi] if tape is not None else block[:hi - lo]
+            _edge_scores(q, k, p, lo)
+            p *= scale
+            r = np.arange(hi - lo)
+            p[r, :, v + lo + r] = -np.inf     # edge (i, j)'s second appearance
+            _masked_softmax_in_place(p)
+            out[lo:hi, :, h * dk:(h + 1) * dk] = _edge_sums(p, val, lo)
 
     def rule(g):
         gqkv = np.empty_like(data)
@@ -319,29 +357,33 @@ def edge_attention(tape, qkv, heads, mask):
     return _op(tape, out, rule)
 
 
-def _edge_scores(q, k, out):
-    """Fill out (V, V, 2V) with the joint products of edge (i, j)'s row
-    of q: out(i,j,m) = q(i,j).k(i,m) and out(i,j,V+m) = q(i,j).k(m,j)."""
-    v = q.shape[0]
-    np.matmul(q, k.transpose(0, 2, 1), out=out[:, :, :v])
+def _edge_scores(q, k, out, lo=0):
+    """Fill out (r, V, 2V) with the joint products of the rows of q for
+    the source rows i = lo..lo+r-1: out(i-lo,j,m) = q(i,j).k(i,m) and
+    out(i-lo,j,V+m) = q(i,j).k(m,j)."""
+    r, v = out.shape[:2]
+    qb = q[lo:lo + r]
+    np.matmul(qb, k[lo:lo + r].transpose(0, 2, 1), out=out[:, :, :v])
     # the edges entering j, computed j-major
-    np.matmul(q.transpose(1, 0, 2), k.transpose(1, 2, 0),
+    np.matmul(qb.transpose(1, 0, 2), k.transpose(1, 2, 0),
               out=out[:, :, v:].transpose(1, 0, 2))
     return out
 
 
-def _edge_sums(w, x, adjoint=False):
-    """Sum the per-edge rows x (V, V, d) under the joint weights w
-    (V, V, 2V): out(i,j) = sum_m w(i,j,m) x(i,m) + w(i,j,V+m) x(m,j).
-    adjoint gives the transposed map, whose (i,m) entry is
+def _edge_sums(w, x, lo=0, adjoint=False):
+    """Sum the per-edge rows x (V, V, d) under the joint weights w of the
+    source rows i = lo..lo+r-1, (r, V, 2V):
+    out(i-lo,j) = sum_m w(i-lo,j,m) x(i,m) + w(i-lo,j,V+m) x(m,j).
+    adjoint, for the whole graph only (lo = 0, r = V), gives the
+    transposed map, whose (i,m) entry is
     sum_j w(i,j,m) x(i,j) + sum_j w(j,m,V+i) x(j,m)."""
-    v = w.shape[0]
+    r, v = w.shape[:2]
     src, tgt = w[:, :, :v], w[:, :, v:]
     if adjoint:
         return (np.matmul(src.transpose(0, 2, 1), x)
                 + np.matmul(tgt.transpose(1, 2, 0),
                             x.transpose(1, 0, 2)).transpose(1, 0, 2))
-    return (np.matmul(src, x)
+    return (np.matmul(src, x[lo:lo + r])
             + np.matmul(tgt.transpose(1, 0, 2),
                         x.transpose(1, 0, 2)).transpose(1, 0, 2))
 

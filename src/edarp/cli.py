@@ -7,7 +7,10 @@ hashes, output paths, and wall time. All randomness derives from the
 single --seed through labeled seed sequences, so reruns reproduce
 artifacts byte for byte. --jobs parallelizes across instances only,
 over spawned worker processes pinned to one BLAS thread each; the solve
-and eval manifests record that count as poolBlasThreads.
+and eval manifests record that count as poolBlasThreads. The eval
+manifest also totals, over all replicas, the logged stops reached with a
+charge below 0 (strandedStops, which a warning on stderr reports) and
+below the fleet's reserve (reserveBreaches).
 
 Exit codes: 0 success; 2 usage, including a numeric flag out of its
 range, a solve flag that another solver reads (SOLVER_FLAGS), a train
@@ -431,9 +434,18 @@ def cmd_train(args):
 
 # -- eval -----------------------------------------------------------------------
 
+def battery_shortfalls(sol, reserve):
+    """(stranded, breaches): how many stops of sol's logs the vehicle
+    reached with a charge, soc minus chargeDelta, below 0 and below
+    reserve."""
+    arrivals = [stop[3] - stop[4] for log in sol.routes for stop in log]
+    return sum(b < 0.0 for b in arrivals), sum(b < reserve for b in arrivals)
+
+
 def _eval_one(task):
-    """(path, [(solution, wall seconds)] per replica). The replicas share
-    one encoding, and the first replica's wall includes it."""
+    """(path, [(solution, wall seconds)] per replica, the fleet's reserve
+    state of charge). The replicas share one encoding, and the first
+    replica's wall includes it."""
     path, policy, scale, replicas, seed, multistart = task
     inst = _load_instance(path)
     t0 = time.time()
@@ -446,7 +458,7 @@ def _eval_one(task):
         t1 = time.time()
         rows.append((sol, t1 - t0))
         t0 = t1
-    return path, rows
+    return path, rows, inst.fleet.soc_reserve
 
 
 def cmd_eval(args):
@@ -467,9 +479,13 @@ def cmd_eval(args):
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     per_instance = []
-    for (path, reps), task in zip(results, tasks):
+    stranded = breaches = 0
+    for (path, reps, reserve), task in zip(results, tasks):
         for sol, wall in reps:
             rows.append(_metrics_row(path, "neural", task[4], sol, wall))
+            n_stranded, n_breaches = battery_shortfalls(sol, reserve)
+            stranded += n_stranded
+            breaches += n_breaches
         per_instance.append([np.mean([s.reward for s, _ in reps]),
                              np.mean([s.objective for s, _ in reps]),
                              np.mean([s.metrics["completion_pct"] for s, _ in reps]),
@@ -485,7 +501,11 @@ def cmd_eval(args):
     _write_manifest(out, "eval", _config_echo(args),
                     args.seed, [Path(args.checkpoint), *paths],
                     [metrics_path, summary_path],
-                    time.time() - t0, pool_fields)
+                    time.time() - t0, {**pool_fields, "strandedStops": stranded,
+                                       "reserveBreaches": breaches})
+    if stranded:
+        print(f"warning: {stranded} stops reached with a negative state of "
+              "charge under traversal noise", file=sys.stderr)
     print(f"evaluated {len(paths)} instances x {args.replicas} replicas; "
           f"mean reward {agg[:, 0].mean():.3f} +/- {agg[:, 0].std():.3f}")
     return 0

@@ -82,20 +82,6 @@ class EncodedGraph:
         self.eps_norm = eps_norm
 
 
-_dup_masks = {}
-
-
-def _dup_mask(v):
-    """Joint-attention mask hiding edge (i, j)'s second appearance."""
-    m = _dup_masks.get(v)
-    if m is None:
-        m = np.zeros((v, v, 2 * v), dtype=bool)
-        for i in range(v):
-            m[i, :, v + i] = True
-        _dup_masks[v] = m
-    return m
-
-
 class Policy:
     def __init__(self, config=None):
         self.config = config or PolicyConfig()
@@ -147,19 +133,17 @@ class Policy:
                                     (v, v, NODE_FEATS))
         combined = Tensor(np.concatenate([feats.edge, node_part], axis=-1))
         h = ad.linear(tape, combined, p["embed_w"], p["embed_b"])
-        dup = _dup_mask(v)
 
         for l in range(cfg.layers):
             w_qkv = ad.concat(tape, [p[f"l{l}h{hd}_{part}"] for part in "qkv"
                                      for hd in range(cfg.heads)], -1)
             heads = ad.edge_attention(tape, ad.matmul(tape, h, w_qkv),
-                                      cfg.heads, dup)
+                                      cfg.heads)
             mha = ad.linear(tape, heads, p[f"l{l}_wo"], p[f"l{l}_bo"])
             h1 = ad.layer_norm(tape, ad.add(tape, h, mha),
                                p[f"l{l}_ln1_g"], p[f"l{l}_ln1_b"])
-            ffn = ad.relu(tape, ad.linear(tape, h1, p[f"l{l}_ffn1_w"],
-                                          p[f"l{l}_ffn1_b"]))
-            ffn = ad.linear(tape, ffn, p[f"l{l}_ffn2_w"], p[f"l{l}_ffn2_b"])
+            ffn = ad.ffn(tape, h1, p[f"l{l}_ffn1_w"], p[f"l{l}_ffn1_b"],
+                         p[f"l{l}_ffn2_w"], p[f"l{l}_ffn2_b"])
             h = ad.layer_norm(tape, ad.add(tape, h1, ffn),
                               p[f"l{l}_ln2_g"], p[f"l{l}_ln2_b"])
 

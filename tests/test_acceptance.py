@@ -210,7 +210,9 @@ def _primitive_suite(rng):
         (lambda tp, x, y: ad.tsum(tp, ad.tanh(tp, ad.matmul(tp, x, y))),
          [m34, m42]),
         (lambda tp, x, y: ad.tsum(tp, ad.matmul(tp, x, y)), [bat, m42]),
-        (lambda tp, x: ad.tsum(tp, ad.relu(tp, x)), [kink]),
+        (lambda tp, *t: ad.tsum(tp, ad.tanh(tp, ad.ffn(tp, *t))),
+         [kink, Tensor(np.eye(4)), Tensor(np.zeros(4)), m42,
+          Tensor(np.array([0.3, -0.2]))]),
         (lambda tp, x: ad.tsum(tp, ad.log(tp, x)), [pos]),
         (lambda tp, x: ad.tsum(tp, ad.tmean(tp, x, axis=1)), [m34]),
         (lambda tp, x: ad.tsum(tp, ad.transpose(tp, x, (1, 0, 2))), [bat]),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -90,12 +92,48 @@ def test_linear_forward_matches_matmul_then_add(rng, x_shape, w_shape):
     assert ad.linear(None, x, w, b).data.tobytes() == want.tobytes()
 
 
-def test_gradcheck_relu(rng):
-    x = rng.standard_normal((5, 3))
-    x[np.abs(x) < 0.1] += 0.2      # keep clear of the kink
-    a = Tensor(x)
-    check_grads(lambda tp, a: ad.tsum(tp, ad.mul(tp, ad.relu(tp, a),
-                                                 ad.relu(tp, a))), [a])
+def relu(tape, a):
+    """The ReLU op between ffn's two dense layers, taped on its own."""
+    return ad._op(tape, np.maximum(a.data, 0.0),
+                  lambda g: ad._accum_owned(a, g * (a.data > 0.0)))
+
+
+def ffn_params(rng, d, hid):
+    return [Tensor(rng.standard_normal(s)) for s in ((d, hid), (hid,), (hid, d), (d,))]
+
+
+def test_gradcheck_ffn(rng):
+    x = Tensor(rng.standard_normal((2, 3, 4)))
+    w1, b1, w2, b2 = ffn_params(rng, 4, 6)
+    hid = x.data @ w1.data + b1.data
+    assert (hid > 0).any() and (hid < 0).any()
+    assert np.abs(hid).min() > 1e-4           # clear of the kink
+    check_grads(lambda tp, *t: ad.tsum(tp, ad.tanh(tp, ad.ffn(tp, *t))),
+                [x, w1, b1, w2, b2])
+
+
+@pytest.mark.parametrize("x_shape", [(7, 7, 16), (5, 16)])
+def test_ffn_matches_linear_relu_linear(rng, x_shape):
+    # forward bit for bit; every gradient equal or within 1e-12
+    x = rng.standard_normal(x_shape)
+    params = ffn_params(rng, 16, 64)
+    w = rng.standard_normal(x_shape)
+
+    def composed(tp, x, w1, b1, w2, b2):
+        return ad.linear(tp, relu(tp, ad.linear(tp, x, w1, b1)), w2, b2)
+
+    runs = []
+    for op in (ad.ffn, composed):
+        leaves = [Tensor(x)] + [Tensor(t.data) for t in params]
+        tape = Tape()
+        out = op(tape, *leaves)
+        assert op(None, *leaves).data.tobytes() == out.data.tobytes()
+        tape.backward(ad.tsum(tape, ad.mul(tape, out, Tensor(w))))
+        runs.append((out.data.tobytes(), [t.grad for t in leaves]))
+    (fused, g_fused), (ref, g_ref) = runs
+    assert fused == ref
+    for gf, gr in zip(g_fused, g_ref):
+        assert np.abs(gf - gr).max() <= 1e-12 * np.abs(gr).max()
 
 
 def test_gradcheck_tanh_log(rng):
@@ -175,15 +213,16 @@ def test_gradcheck_edge_attention(rng):
     w = rng.standard_normal((v, v, heads * dk))
 
     def build(tp, qkv):
-        out = ad.edge_attention(tp, qkv, heads, dup_mask(v))
+        out = ad.edge_attention(tp, qkv, heads)
         return ad.tsum(tp, ad.mul(tp, out, Tensor(w)))
 
     check_grads(build, [qkv])
 
 
-def reference_edge_attention(tp, qkv, heads, mask):
+def reference_edge_attention(tp, qkv, heads):
     """edge_attention as the per-head composition of taped ops it fused."""
     v = qkv.shape[0]
+    mask = dup_mask(v)
     dk = qkv.shape[-1] // (3 * heads)
     outs = []
     for h in range(heads):
@@ -206,23 +245,40 @@ def reference_edge_attention(tp, qkv, heads, mask):
 
 @pytest.mark.parametrize("v, heads, dk", [(5, 2, 3), (12, 4, 16)])
 def test_edge_attention_matches_per_head_reference(rng, v, heads, dk):
-    blocked = rng.random((v, v, 2 * v)) < 0.4
-    blocked[1, 2] = True                       # a row with every entry blocked
-    for mask in (dup_mask(v), blocked):
-        x = rng.standard_normal((v, v, 3 * heads * dk)) * 2.0
-        w = Tensor(rng.standard_normal((v, v, heads * dk)))
-        results = []
-        for op in (ad.edge_attention, reference_edge_attention):
-            qkv = Tensor(x)
-            tape = Tape()
-            out = op(tape, qkv, heads, mask)
-            tape.backward(ad.tsum(tape, ad.mul(tape, out, w)))
-            assert op(None, Tensor(x), heads, mask).data.tobytes() == \
-                out.data.tobytes()
-            results.append((out.data.tobytes(), qkv.grad))
-        (fused, g_fused), (ref, g_ref) = results
-        assert fused == ref
-        assert np.abs(g_fused - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    x = rng.standard_normal((v, v, 3 * heads * dk)) * 2.0
+    w = Tensor(rng.standard_normal((v, v, heads * dk)))
+    results = []
+    for op in (ad.edge_attention, reference_edge_attention):
+        qkv = Tensor(x)
+        tape = Tape()
+        out = op(tape, qkv, heads)
+        tape.backward(ad.tsum(tape, ad.mul(tape, out, w)))
+        assert op(None, Tensor(x), heads).data.tobytes() == out.data.tobytes()
+        results.append((out.data.tobytes(), qkv.grad))
+    (fused, g_fused), (ref, g_ref) = results
+    assert fused == ref
+    assert np.abs(g_fused - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_edge_attention_blocks_match_one_block(rng, monkeypatch, rows):
+    # BLOCK_BYTES sized for `rows` source rows per block splits a 7-node
+    # graph into several blocks; outputs, taped and untaped, and input
+    # gradients agree with one block to 1e-12
+    v, heads, dk = 7, 2, 3
+    x = rng.standard_normal((v, v, 3 * heads * dk)) * 2.0
+    w = Tensor(rng.standard_normal((v, v, heads * dk)))
+    results = []
+    for block_bytes in (16 * v * v * rows, 16 * v * v * v):
+        monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
+        qkv = Tensor(x)
+        tape = Tape()
+        out = ad.edge_attention(tape, qkv, heads)
+        tape.backward(ad.tsum(tape, ad.mul(tape, out, w)))
+        results.append((out.data, ad.edge_attention(None, Tensor(x), heads).data,
+                        qkv.grad))
+    for got, want in zip(*results):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_edge_attention_single_node_graph(rng):
@@ -232,7 +288,7 @@ def test_edge_attention_single_node_graph(rng):
     qkv = Tensor(rng.standard_normal((1, 1, 3 * heads * dk)))
     w = rng.standard_normal((1, 1, heads * dk))
     tape = Tape()
-    out = ad.edge_attention(tape, qkv, heads, dup_mask(1))
+    out = ad.edge_attention(tape, qkv, heads)
     assert out.data.tobytes() == qkv.data[..., 2 * heads * dk:].tobytes()
     tape.backward(ad.tsum(tape, ad.mul(tape, out, Tensor(w))))
     assert np.all(qkv.grad[..., :2 * heads * dk] == 0.0)
@@ -241,29 +297,28 @@ def test_edge_attention_single_node_graph(rng):
 
 def test_edge_attention_rejects_bad_width(rng):
     with pytest.raises(ValueError):
-        ad.edge_attention(None, Tensor(rng.standard_normal((2, 2, 10))), 2,
-                          dup_mask(2))
+        ad.edge_attention(None, Tensor(rng.standard_normal((2, 2, 10))), 2)
 
 
 def test_gradcheck_composed_network(rng):
     # tiny version of the policy compute pattern: affine, norm,
     # nonlinearity, attention-style softmax, log-likelihood
     x = Tensor(rng.standard_normal((5, 8)))
-    w1 = Tensor(rng.standard_normal((8, 8)) * 0.3)
+    w1, b1, w2, b2 = (Tensor(t.data * 0.3) for t in ffn_params(rng, 8, 12))
     gain = Tensor(np.ones(8))
     bias = Tensor(np.zeros(8))
-    w2 = Tensor(rng.standard_normal((8, 5)) * 0.3)
+    w3 = Tensor(rng.standard_normal((8, 5)) * 0.3)
     mask = np.zeros((5, 5), dtype=bool)
     mask[:, 4] = True
 
-    def build(tp, x, w1, gain, bias, w2):
-        h = ad.layer_norm(tp, ad.relu(tp, ad.matmul(tp, x, w1)), gain, bias)
-        u = ad.matmul(tp, h, w2)
+    def build(tp, x, w1, b1, w2, b2, gain, bias, w3):
+        h = ad.layer_norm(tp, ad.ffn(tp, x, w1, b1, w2, b2), gain, bias)
+        u = ad.matmul(tp, h, w3)
         p = ad.masked_softmax(tp, u, mask)
         safe = ad.add(tp, p, Tensor(np.full(p.shape, 1e-9)))
         return ad.tsum(tp, ad.log(tp, ad.take(tp, safe, 2)))
 
-    check_grads(build, [x, w1, gain, bias, w2])
+    check_grads(build, [x, w1, b1, w2, b2, gain, bias, w3])
 
 
 def test_masked_softmax_forward_contract(rng):
@@ -283,6 +338,22 @@ def test_masked_softmax_forward_contract(rng):
     flat = ad.masked_softmax(None, Tensor(np.zeros((1, 5))),
                              np.zeros((1, 5), dtype=bool)).data
     assert np.allclose(flat, 0.2, atol=1e-15)
+
+
+def test_masked_softmax_blocked_rows_are_zero_without_warnings(rng):
+    # an all-blocked row and a non-finite row come out zero, the live
+    # rows sum to one, and the division leaves no RuntimeWarning behind
+    x = rng.standard_normal((4, 5))
+    x[2, 3] = np.nan
+    mask = np.zeros((4, 5), dtype=bool)
+    mask[1] = True
+    mask[3, :4] = True
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ad.masked_softmax(None, Tensor(x), mask).data
+    assert np.all(p[[1, 2]] == 0.0)
+    assert p[3].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert p[0].sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def reference_masked_softmax(x, mask):
@@ -391,13 +462,13 @@ def _linear_beside_residual(tp, a, w, b):
     return ad.tsum(tp, ad.tanh(tp, ad.add(tp, a, ad.linear(tp, a, w, b))))
 
 
-def _relu_used_twice(tp, a, w, b):
-    r = ad.relu(tp, ad.linear(tp, a, w, b))
+def _ffn_used_twice(tp, a, w, b):
+    r = ad.ffn(tp, a, w, b, w, b)
     return ad.tsum(tp, ad.mul(tp, r, ad.tanh(tp, ad.matmul(tp, r, w))))
 
 
 @pytest.mark.parametrize("build", [_add_twice, _linear_beside_residual,
-                                   _relu_used_twice])
+                                   _ffn_used_twice])
 def test_owned_first_gradients_share_no_memory(rng, monkeypatch, build):
     # rules hand over the arrays they have just made without a copy; no
     # grad may then alias another, and every gradient must equal, bit for

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edarp import Policy, PolicyConfig, cli, generate_instance, save, save_policy
+from edarp.environment import Solution
 from edarp.cli import METRICS_COLUMNS, main
 from edarp.policy import SCHEMA_POLICY, multistart_rollout
 
@@ -732,6 +733,47 @@ def test_eval_deterministic_replicas_identical(tmp_path):
     assert summary[0] == ["metric", "mean", "std"]
     assert [r[0] for r in summary[1:]] == ["reward", "objective",
                                            "completion_pct", "travel_s"]
+
+
+def test_noise_free_eval_counts_no_battery_shortfalls(tmp_path, capsys):
+    inst_dir = gen_dir(tmp_path, count=2, n=3, seed=8)
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(save_policy(Policy(PolicyConfig(d_h=16, heads=2, layers=1))))
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", str(ck), "--instances", str(inst_dir),
+               "--replicas", "2", "--out", str(out)) == 0
+    doc = json.loads((out / "manifest_eval.json").read_text())
+    assert (doc["strandedStops"], doc["reserveBreaches"]) == (0, 0)
+    assert "warning" not in capsys.readouterr().err
+
+
+def test_noisy_eval_counts_and_warns_of_stranded_stops(tmp_path, capsys,
+                                                      tight_fleet):
+    # heavy traversal noise on a 4 kWh fleet drives some arrivals below 0
+    path = tmp_path / "instance_0000.json"
+    path.write_bytes(save(generate_instance(4, fleet=tight_fleet, seed=1)))
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(save_policy(Policy(PolicyConfig(d_h=16, heads=2, layers=1))))
+    out = tmp_path / "eval"
+    assert run("eval", "--checkpoint", str(ck), "--instances", str(path),
+               "--stochastic", "2", "--replicas", "3", "--multistart", "2",
+               "--out", str(out)) == 0
+    doc = json.loads((out / "manifest_eval.json").read_text())
+    assert 0 < doc["strandedStops"] <= doc["reserveBreaches"]
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert f"{doc['strandedStops']} stops" in err
+
+
+def test_battery_shortfalls_count_arrival_charge():
+    # arrival charge is the logged soc minus chargeDelta: the charger stop
+    # leaves at 0.5 but arrived at -0.1
+    stop_logs = [[(0, 0.0, 0.0, 1.0, 0.0), (1, 5.0, 5.0, 0.25, 0.0),
+                  (3, 9.0, 9.0, 0.5, 0.6), (0, 20.0, 20.0, 0.3, 0.0)],
+                 [(0, 0.0, 0.0, 1.0, 0.0), (2, 4.0, 4.0, 0.05, 0.0)]]
+    sol = Solution(stop_logs, 1, 0.0, 0.0, 0.0, 0.0, 1, 0.0, 0.0, {})
+    assert cli.battery_shortfalls(sol, 0.3) == (1, 3)
+    assert cli.battery_shortfalls(sol, 0.0) == (1, 1)
 
 
 def test_eval_noise_objective_not_below_deterministic(tmp_path):

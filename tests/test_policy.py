@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import edarp
 from edarp import autodiff as ad
 from edarp import (Adam, Env, NoiseConfig, Policy, PolicyConfig, Tape, Tensor,
                    generate_instance, greedy_rollout, load_policy,
                    multistart_rollout, pomo_starts, rollout_episode,
                    save_policy)
+from edarp.cli import BLAS_THREAD_VARS
 from edarp.instance import FeatureTensors, normalize_features
 from edarp.policy import (NODE_FEATS, EncodedGraph, clipped_logits,
                           state_scalars, visited_array)
@@ -136,6 +143,12 @@ def test_single_node_graph():
     assert p[0, 0] == 1.0
 
 
+def relu(tape, a):
+    """The ReLU op between the two dense layers that ad.ffn fused."""
+    return ad._op(tape, np.maximum(a.data, 0.0),
+                  lambda g: ad._accum_owned(a, g * (a.data > 0.0)))
+
+
 def reference_encode(policy, tape, feats):
     """Policy.encode with a projection, a score and a value sum per head:
     the per-head composition of taped ops that ad.edge_attention fused."""
@@ -171,8 +184,8 @@ def reference_encode(policy, tape, feats):
                                      p[f"l{l}_wo"]), p[f"l{l}_bo"])
         h1 = ad.layer_norm(tape, ad.add(tape, h, mha),
                            p[f"l{l}_ln1_g"], p[f"l{l}_ln1_b"])
-        ffn = ad.relu(tape, ad.add(tape, ad.matmul(tape, h1, p[f"l{l}_ffn1_w"]),
-                                   p[f"l{l}_ffn1_b"]))
+        ffn = relu(tape, ad.add(tape, ad.matmul(tape, h1, p[f"l{l}_ffn1_w"]),
+                                p[f"l{l}_ffn1_b"]))
         ffn = ad.add(tape, ad.matmul(tape, ffn, p[f"l{l}_ffn2_w"]),
                      p[f"l{l}_ffn2_b"])
         h = ad.layer_norm(tape, ad.add(tape, h1, ffn),
@@ -224,7 +237,71 @@ def test_encode_records_one_attention_op_per_layer():
     tape = Tape()
     Policy(PolicyConfig(seed=0)).encode(
         tape, normalize_features(generate_instance(10, charger_count=2, seed=0)))
-    assert len(tape._ops) <= 59
+    assert len(tape._ops) <= 51
+
+
+ENCODER_DIGESTS = """
+import hashlib
+import numpy as np
+from edarp import autodiff as ad
+from edarp import Policy, PolicyConfig, Tape, Tensor, generate_instance
+from edarp.instance import normalize_features
+
+enc = Policy(PolicyConfig(seed=0)).encode(
+    None, normalize_features(generate_instance(40, seed=1)))
+print(hashlib.sha256(enc.Z.data.tobytes() + enc.keys.data.tobytes()).hexdigest())
+
+policy = Policy(PolicyConfig(seed=0))
+tape = Tape()
+enc = policy.encode(tape, normalize_features(generate_instance(10, seed=1)))
+rng = np.random.default_rng(10)
+tape.backward(ad.tsum(tape, ad.concat(tape, [
+    ad.reshape(tape, ad.mul(tape, t, Tensor(rng.standard_normal(t.shape))), (-1,))
+    for t in (enc.Z, enc.keys, enc.depot_ctx, enc.graph_ctx)], 0)))
+h = hashlib.sha256()
+for name, t in policy.params.items():
+    if t.grad is not None:
+        h.update(name.encode() + t.grad.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_encoder_bits_are_pinned():
+    """sha256 of the untaped n=40 encoding (Z and keys bytes) and of the
+    parameter gradients of a taped n=10 encode and backward, recorded
+    from the encoder that composed linear, ReLU and linear and masked
+    attention with a (V, V, 2V) array. They run under one BLAS thread:
+    the gradients' GEMMs over the flattened rows sum in an order that
+    depends on the thread count."""
+    env = dict(os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    env["PYTHONPATH"] = str(Path(edarp.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", ENCODER_DIGESTS], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == [
+        "668b777279f96fcbc834b75fc8d8c72fb940452250d310a8fcf3b0ee1236d5a1",
+        "bf0d772b9a5d5efd546512b38539e45176e83ee207b3b939a5aa7131a413f6e4"]
+
+
+@pytest.mark.slow
+def test_n120_encode_memory_and_blocks(monkeypatch):
+    # attention in blocks of source rows keeps an untaped n=120 encode
+    # (V = 242, 17 source rows a block) under 366 MiB of traced numpy
+    # memory, against 549 MiB with whole-graph scores, and it agrees
+    # with one forced block to 1e-12
+    policy = Policy(PolicyConfig(seed=0))
+    feats = normalize_features(generate_instance(120, seed=1))
+    tracemalloc.start()
+    try:
+        enc = policy.encode(None, feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 366 * 2 ** 20
+    monkeypatch.setattr(ad, "BLOCK_BYTES", 2 ** 62)
+    one = policy.encode(None, feats)
+    for got, want in ((enc.Z, one.Z), (enc.keys, one.keys)):
+        assert np.abs(got.data - want.data).max() <= 1e-12
 
 
 MAX = 1.7976931348623157e308
