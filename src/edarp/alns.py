@@ -1,16 +1,15 @@
 """Adaptive large neighborhood search over complete episode plans.
 
-Candidates are produced by destroy/repair moves on per-vehicle node
-lists and priced from the route model (RouteCtx.plan_objective, which
-equals a replay's objective). The plan carries one RouteInfo per route
-through destroy and repair, so only the routes a move touched are
-simulated again. The simulator stays the arbiter: it
-replays the plan the search returns, and first judges any candidate
-that visits a charger twice, which the route model cannot. Acceptance
-is record-to-record: a candidate passes while it stays within a
-shrinking tolerance band above the best cost seen so far. The cost
-being minimized is the negated episode reward, so unserved requests
-pay their forfeited completion bonus.
+Candidates are produced by destroy/repair moves on a plan, one
+RouteInfo per vehicle (edarp.routes), and priced from the route model
+(RouteCtx.plan_objective, which equals a replay's objective). Only the
+routes a move touched are simulated again. The simulator stays the
+arbiter: it replays the plan the search returns, and first judges any
+candidate that visits a charger twice, which the route model cannot.
+Acceptance is record-to-record: a candidate passes while it stays
+within a shrinking tolerance band above the best cost seen so far. The
+cost being minimized is the negated episode reward, so unserved
+requests pay their forfeited completion bonus.
 
 The search runs one tuned parameter set, the module constants below;
 only the iteration count and the seed are arguments of alns_solve.
@@ -22,7 +21,7 @@ import numpy as np
 
 from .environment import Env, ReplayError, replay
 from .greedy import greedy_solve
-from .routes import (RouteCtx, _clean_chargers, plan_from_solution,
+from .routes import (RouteCtx, RouteInfo, _strip, plan_from_solution,
                      remove_requests, served_requests)
 
 SEGMENT_LENGTH = 100        # iterations between operator weight updates
@@ -103,18 +102,18 @@ def shaw_removal(rng, served, q, rel):
     return sorted(removed)
 
 
-def worst_removal(plan, infos, ctx, q):
+def worst_removal(plan, ctx, q):
     """Remove, q times, the request whose removal saves its route the
-    most. Removals are priced from the routes' infos (RouteCtx.removal_cost,
-    None for a route the route model rejects), and only the route just
-    cut is simulated again."""
+    most. Removals are priced from each route's RouteInfo
+    (RouteCtx.removal_cost; a route the route model rejects is skipped),
+    and only the route just cut is simulated again."""
     n = ctx.env.n
-    plan, infos = list(plan), list(infos)
+    plan = list(plan)
     removed = []
     for _ in range(q):
         best_r, best_saving = None, None
-        for ridx, info in enumerate(infos):
-            if info is None:
+        for ridx, info in enumerate(plan):
+            if info.cost is None:
                 continue
             for node in info.nodes:
                 if not (1 <= node <= n):
@@ -127,10 +126,8 @@ def worst_removal(plan, infos, ctx, q):
         if best_r is None:
             break
         r, ridx = best_r
-        plan[ridx] = _clean_chargers(
-            [nd for nd in plan[ridx] if nd != 1 + r and nd != 1 + n + r],
-            ctx)
-        infos[ridx] = ctx.simulate(plan[ridx])
+        kept = _strip(plan[ridx].nodes, {r}, ctx)
+        plan[ridx] = ctx.simulate(kept) or RouteInfo(kept)
         removed.append(r)
     return sorted(removed)
 
@@ -155,47 +152,45 @@ def shaw_relatedness(inst):
 
 # -- repair operators ----------------------------------------------------------
 
-def _candidates(ctx, plan, infos, req):
+def _candidates(ctx, plan, req):
     """All feasible insertions of a request across the plan, one empty
     route at most (they are interchangeable)."""
     out = []
     saw_empty = False
-    for ridx, route in enumerate(plan):
-        if not route:
+    for ridx, info in enumerate(plan):
+        if not info.nodes:
             if saw_empty:
                 continue
             saw_empty = True
-        for delta, i, j in ctx.scan_insertions(route, infos[ridx], req):
+        for delta, i, j in ctx.scan_insertions(info, req):
             out.append((delta, ridx, i, j))
     return out
 
 
-def _apply(ctx, plan, infos, req, ridx, i, j):
-    route = ctx.insert(plan[ridx], req, i, j)
-    info = ctx.simulate(route)
+def _apply(ctx, plan, req, ridx, i, j):
+    info = ctx.simulate(ctx.insert(plan[ridx].nodes, req, i, j))
     if info is None:
         raise RuntimeError("insertion scan produced an infeasible candidate")
-    plan[ridx] = route
-    infos[ridx] = info
+    plan[ridx] = info
 
 
-def random_insert(rng, ctx, plan, infos, pool):
+def random_insert(rng, ctx, plan, pool):
     """Insert each pooled request at a uniformly chosen feasible spot."""
     order = [pool[i] for i in rng.permutation(len(pool))]
     for req in order:
-        cands = _candidates(ctx, plan, infos, req)
+        cands = _candidates(ctx, plan, req)
         if not cands:
             continue
         delta, ridx, i, j = cands[int(rng.integers(len(cands)))]
-        _apply(ctx, plan, infos, req, ridx, i, j)
+        _apply(ctx, plan, req, ridx, i, j)
 
 
-def regret_insert(ctx, plan, infos, pool, k):
+def regret_insert(ctx, plan, pool, k):
     """Highest regret first: the request whose best spot is most
     irreplaceable goes in now. Fewer than k feasible positions counts
     as infinite regret; ties fall to the lowest request id."""
     pending = sorted(pool)
-    cands = {r: _candidates(ctx, plan, infos, r) for r in pending}
+    cands = {r: _candidates(ctx, plan, r) for r in pending}
     while pending:
         best_req, best_key, best_top = None, None, None
         for req in pending:
@@ -213,17 +208,17 @@ def regret_insert(ctx, plan, infos, pool, k):
         if best_req is None:
             break
         delta, ridx, i, j = best_top
-        was_empty = not plan[ridx]
-        _apply(ctx, plan, infos, best_req, ridx, i, j)
+        was_empty = not plan[ridx].nodes
+        _apply(ctx, plan, best_req, ridx, i, j)
         pending.remove(best_req)
         if was_empty:
             # a fresh empty route may have become available to the others
-            cands = {r: _candidates(ctx, plan, infos, r) for r in pending}
+            cands = {r: _candidates(ctx, plan, r) for r in pending}
         else:
             for req in pending:
                 kept = [c for c in cands[req] if c[1] != ridx]
                 kept.extend((d, ridx, i2, j2) for d, i2, j2 in
-                            ctx.scan_insertions(plan[ridx], infos[ridx], req))
+                            ctx.scan_insertions(plan[ridx], req))
                 cands[req] = kept
 
 
@@ -252,8 +247,8 @@ def alns_solve(inst, iterations=5000, seed=0):
     bonus = inst.weights.complete
 
     greedy = greedy_solve(inst)
-    plan = best_plan = plan_from_solution(greedy, inst.fleet.vehicles)
-    infos = [ctx.simulate(r) for r in plan]     # None where the route model rejects
+    plan = best_plan = [ctx.simulate(r) or RouteInfo(r)
+                        for r in plan_from_solution(greedy, inst.fleet.vehicles)]
     cur_j = best_j = init_j = -greedy.reward
 
     dweights = OperatorWeights(["random_removal", "shaw_removal", "worst_removal"])
@@ -266,7 +261,7 @@ def alns_solve(inst, iterations=5000, seed=0):
         d_op = dweights.pick(rng)
         r_op = rweights.pick(rng)
 
-        cand_plan, cand_infos = list(plan), list(infos)
+        cand_plan = list(plan)
         served = served_requests(cand_plan, n)
         if served:
             frac = rng.uniform(REMOVAL_LOW, REMOVAL_HIGH)
@@ -276,32 +271,33 @@ def alns_solve(inst, iterations=5000, seed=0):
             elif d_op == "shaw_removal":
                 ids = shaw_removal(rng, served, q, rel)
             else:
-                ids = worst_removal(plan, infos, ctx, q)
+                ids = worst_removal(plan, ctx, q)
             # repairs every route, also the greedy routes the route model rejects
-            cand_plan, cand_infos = remove_requests(plan, infos, ctx, ids)
+            cand_plan = remove_requests(plan, ctx, ids)
         # everything not on a route right now is up for insertion
         pool = sorted(set(range(n)) - set(served_requests(cand_plan, n)))
 
-        if None in cand_infos:
+        if any(info.cost is None for info in cand_plan):
             raise RuntimeError("destroy step left a route the route model rejects")
         if r_op == "random_insert":
-            random_insert(rng, ctx, cand_plan, cand_infos, pool)
+            random_insert(rng, ctx, cand_plan, pool)
         else:
-            regret_insert(ctx, cand_plan, cand_infos, pool, 2 if r_op == "regret_2" else 3)
+            regret_insert(ctx, cand_plan, pool, 2 if r_op == "regret_2" else 3)
         # Each route simulates, but the route model cannot see a charger two
         # stops share (greedy's escape moves leave such plans); only replay
         # can tell whether its escape rule reaches the second visit.
-        stations = [nd for route in cand_plan for nd in route if nd > 2 * n]
+        routes = [info.nodes for info in cand_plan]
+        stations = [nd for route in routes for nd in route if nd > 2 * n]
         if len(stations) != len(set(stations)):
             try:
-                replay(env, cand_plan)
+                replay(env, routes)
             except ReplayError:
                 stats.replay_failures += 1
                 dweights.credit(d_op, 0.0)
                 rweights.credit(r_op, 0.0)
                 continue
         # home() needs load 0, so every pickup on a route is delivered
-        cand_j = (ctx.plan_objective(cand_infos)
+        cand_j = (ctx.plan_objective(cand_plan)
                   - bonus * len(served_requests(cand_plan, n)))
 
         score = 0.0
@@ -317,7 +313,7 @@ def alns_solve(inst, iterations=5000, seed=0):
             best_plan, best_j = cand_plan, cand_j
             stats.new_best += 1
         if accepted:
-            plan, infos, cur_j = cand_plan, cand_infos, cand_j
+            plan, cur_j = cand_plan, cand_j
             stats.accepted += 1
 
         stats.history.append((it, best_j, cur_j, tol, d_op, r_op))
@@ -325,4 +321,4 @@ def alns_solve(inst, iterations=5000, seed=0):
             dweights.update()
             rweights.update()
 
-    return replay(env, best_plan), stats
+    return replay(env, [info.nodes for info in best_plan]), stats

@@ -260,11 +260,11 @@ def layer_norm(tape, x, gain, bias):
     return _op(tape, out, rule)
 
 
-def masked_softmax(tape, x, mask):
+def masked_softmax(tape, x, mask=None):
     """Softmax over the last axis with blocked entries pinned to exact zero.
 
-    mask is a boolean array broadcastable to x, True meaning blocked.
-    Rows with every entry blocked come out all-zero.
+    mask is a boolean array broadcastable to x, True meaning blocked, or
+    None to block nothing. Rows with every entry blocked come out all-zero.
     """
     p = x.data.copy()
     _masked_softmax_in_place(p, mask)

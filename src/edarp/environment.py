@@ -125,18 +125,16 @@ class Solution:
     """Ordered per-vehicle stop logs with the cost breakdown and metrics."""
 
     def __init__(self, routes, n_served, j_energy, j_wait, j_late, j_travel,
-                 charge_visits, objective, reward, metrics, instance_seed=0):
+                 objective, reward, metrics):
         self.routes = routes                # list per vehicle of (node, arrival, serviceStart, soc, chargeDelta)
         self.n_served = n_served
         self.j_energy = j_energy
         self.j_wait = j_wait                # seconds
         self.j_late = j_late                # seconds
         self.j_travel = j_travel            # seconds
-        self.charge_visits = charge_visits
         self.objective = objective
         self.reward = reward
         self.metrics = metrics
-        self.instance_seed = instance_seed
 
     def vehicle_routes(self):
         """Per-vehicle visit lists without the depot bookends."""
@@ -372,8 +370,7 @@ class Env:
         metrics = self._metrics(state, j_val, reward)
         return Solution([list(r) for r in state.routes], state.n_served,
                         state.energy_kwh, state.wait_sec, state.late_sec,
-                        state.travel_sec, state.charge_visits, j_val, reward,
-                        metrics, instance_seed=self.inst.seed)
+                        state.travel_sec, j_val, reward, metrics)
 
     def _metrics(self, state, j_val, reward):
         vehicles = 0
@@ -445,7 +442,6 @@ def score_solution(sol, inst):
 def save_solution(sol):
     doc = {
         "schema": SCHEMA_SOLUTION,
-        "instanceSeedOrHash": sol.instance_seed,
         "routes": [[{"node": s[0], "arrival": s[1], "serviceStart": s[2],
                      "soc": s[3], "chargeDelta": s[4]} for s in log]
                    for log in sol.routes],
@@ -471,11 +467,9 @@ def load_solution(data):
                for s in log] for log in doc["routes"]]
     cost = doc["cost"]
     for field, holder, key in (("cost.travel", cost, "travel"),
-                               ("metrics.charge_visits", doc["metrics"], "charge_visits"),
-                               ("instanceSeedOrHash", doc, "instanceSeedOrHash")):
+                               ("metrics.charge_visits", doc["metrics"], "charge_visits")):
         if key not in holder:
             raise ValueError(f"solution lacks {field}")
     return Solution(routes, doc["served"], cost["energy"], cost["wait"],
-                    cost["late"], cost["travel"], doc["metrics"]["charge_visits"],
-                    cost["objective"], cost["reward"], doc["metrics"],
-                    instance_seed=doc["instanceSeedOrHash"])
+                    cost["late"], cost["travel"], cost["objective"], cost["reward"],
+                    doc["metrics"])

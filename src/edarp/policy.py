@@ -150,7 +150,7 @@ class Policy:
         # node j collects its incoming edges through a learned softmax
         s = ad.linear(tape, h, p["agg_w"], p["agg_b"])
         s = ad.transpose(tape, ad.reshape(tape, s, (v, v)), (1, 0))
-        omega = ad.masked_softmax(tape, s, np.zeros((v, v), dtype=bool))
+        omega = ad.masked_softmax(tape, s)
         ht = ad.transpose(tape, h, (1, 0, 2))
         z = ad.tsum(tape, ad.mul(tape, ht, ad.reshape(tape, omega, (v, v, 1))),
                     axis=1)

@@ -1,24 +1,24 @@
 """Single-route evaluation and insertion search for the neighborhood solver.
 
-A plan is a list of per-vehicle node sequences without depot bookends.
-Vehicles are cost-independent here because every charging station is
-visited at most once globally and plans never duplicate one, so a route
-can be simulated on its own: fresh vehicle, every hop served by the
-simulator's own per-hop kernel (Env.hop and Env.home), the one home of
-the feasibility, battery and charging rules. Insertion scans and
-removal prices reuse the prefix state up to the changed stop and walk
-the rest with one tail walk (RouteCtx.walk), so their verdicts and
-prices agree with a from-scratch simulation exactly. Scans skip the
-candidates that the kernel's lateness bound (Env.too_late) already
-rules out; this module keeps no window or ride-cap arithmetic of its
-own. Each route's RouteInfo travels with it through remove_requests,
-so the search simulates only the routes a move touched.
+A plan is a list of per-vehicle RouteInfos, each holding its route's
+node sequence without depot bookends. Vehicles are cost-independent
+here because every charging station is visited at most once globally
+and plans never duplicate one, so a route can be simulated on its own:
+fresh vehicle, every hop served by the simulator's own per-hop kernel
+(Env.hop and Env.home), the one home of the feasibility, battery and
+charging rules. Insertion scans and removal prices reuse the prefix
+state up to the changed stop and walk the rest with one tail walk
+(RouteCtx.walk), so their verdicts and prices agree with a from-scratch
+simulation exactly. Scans skip the candidates that the kernel's
+lateness bound (Env.too_late) already rules out; this module keeps no
+window or ride-cap arithmetic of its own. A route is simulated again
+only when a move changed it.
 
 Greedy's start plan breaks that premise where the simulator's escape
 move ran: a depot return with passengers aboard leaves a route this
-model rejects (its info is None), which remove_requests strips until
-it simulates, and a second visit to a charger is a plan fact this
-model cannot see.
+model rejects (a RouteInfo whose cost is None), which remove_requests
+strips until it simulates, and a second visit to a charger is a plan
+fact this model cannot see.
 
 Costs here are a route's contribution to the objective J; the completion
 bonus is a constant per inserted request and cancels out of position
@@ -29,7 +29,8 @@ from .environment import _CHARGER, EpisodeState
 
 
 class RouteInfo:
-    """Per-stop timeline of one simulated route; index 0 is the fresh vehicle."""
+    """Per-stop timeline of one simulated route; index 0 is the fresh vehicle.
+    cost stays None for a route the route model rejects."""
 
     __slots__ = ("nodes", "DEP", "B", "LOAD", "PS", "legs",
                  "cumE", "cumW", "cumL", "cumT", "E", "W", "L", "T", "cost")
@@ -46,6 +47,7 @@ class RouteInfo:
         self.cumW = [0.0] * (m + 1)
         self.cumL = [0.0] * (m + 1)
         self.cumT = [0.0] * (m + 1)
+        self.cost = None
 
 
 class RouteCtx:
@@ -103,11 +105,11 @@ class RouteCtx:
         info.cost = self.we * E + self.ww * W + self.wl * L + self.wt * T
         return info
 
-    def plan_objective(self, infos):
-        """Objective J of a plan from its routes' infos. The totals add up
+    def plan_objective(self, plan):
+        """Objective J of a plan of simulated routes. The totals add up
         hop by hop in replay's order, so J equals replay's bit for bit."""
         tot = EpisodeState()
-        for info in infos:
+        for info in plan:
             for wait, late, de, dt in info.legs:
                 tot.wait_sec += wait
                 tot.late_sec += late
@@ -117,7 +119,7 @@ class RouteCtx:
 
     # -- insertion search -----------------------------------------------------
 
-    def scan_insertions(self, nodes, info, req):
+    def scan_insertions(self, info, req):
         """Every feasible way to put a request into one route.
 
         Returns (cost_delta, i, j) triples: pickup right after the i-th
@@ -204,7 +206,7 @@ class RouteCtx:
         """(E, W, L, T) of info's route walked from its k-th stop and home,
         starting at node u in state (tau, b, load) with running totals E,
         W, L, T; None when a hop or the return fails. Skips the delivery
-        drop and any charger a removal strands (as _clean_chargers does),
+        drop and any charger a removal strands (as _strip does),
         and extends over, the map of re-timed pickups. The totals add up
         in simulate's order, so they keep a full simulation's bits."""
         hop, kindc, n = self.env.hop, self.env.kindc, self.env.n
@@ -231,7 +233,7 @@ class RouteCtx:
 
     def removal_cost(self, info, req):
         """Cost of info's route without request req, the chargers its
-        removal strands dropped as _clean_chargers drops them.
+        removal strands dropped as _strip drops them.
 
         A simulated route has no stranded charger, so the stops before
         the pickup stay as they are: their state is read from info and
@@ -269,72 +271,72 @@ def plan_from_solution(sol, k):
 
 def served_requests(plan, n):
     out = []
-    for route in plan:
-        for node in route:
+    for info in plan:
+        for node in info.nodes:
             if 1 <= node <= n:
                 out.append(node - 1)
     return sorted(out)
 
 
-def remove_requests(plan, infos, ctx, req_ids):
+def remove_requests(plan, ctx, req_ids):
     """Strip the given requests from a plan, then repair structural damage.
 
-    infos holds each route's RouteInfo (None where the route model
-    rejects it). Chargers stranded by the removal (leading a route or
-    following another charger) are dropped. If a shortened route turns
-    infeasible in spite of that, which the asymmetric matrices allow when
-    a bypass edge is slower than the detour it replaced, requests are
-    stripped from its tail until it simulates cleanly; then
-    prune_chargers runs on it. Returns (plan, infos): an unchanged route
-    keeps its info, every other one the info of its last simulation. The
-    removal pool is every request served_requests no longer finds.
+    Chargers stranded by the removal (leading a route or following
+    another charger) are dropped. If a shortened route turns infeasible
+    in spite of that, which the asymmetric matrices allow when a bypass
+    edge is slower than the detour it replaced, requests are stripped
+    from its tail until it simulates cleanly; then prune_chargers runs
+    on it. A route the removal left unchanged keeps its RouteInfo unless
+    the route model rejects it; every other route is simulated again.
+    The removal pool is every request served_requests no longer finds.
     """
     n = ctx.env.n
     drop = set(req_ids)
-    out, out_infos = [], []
-    for route, info in zip(plan, infos):
-        # (node - 1) % n is the request of a pickup or a delivery node
-        kept = _clean_chargers([nd for nd in route if not
-                                (1 <= nd <= 2 * n and (nd - 1) % n in drop)], ctx)
-        if kept != route or info is None:
+    out = []
+    for info in plan:
+        kept = _strip(info.nodes, drop, ctx)
+        if kept != info.nodes or info.cost is None:
             info = ctx.simulate(kept)
             while info is None and kept:
                 victim = next((nd - 1 for nd in reversed(kept) if 1 <= nd <= n), None)
-                kept = [] if victim is None else _clean_chargers(
-                    [nd for nd in kept if nd != 1 + victim and nd != 1 + n + victim], ctx)
+                kept = [] if victim is None else _strip(kept, {victim}, ctx)
                 info = ctx.simulate(kept)
-            kept, info = prune_chargers(kept, info, ctx)
-        out.append(kept)
-        out_infos.append(info)
-    return out, out_infos
+            info = prune_chargers(info, ctx)
+        out.append(info)
+    return out
 
 
-def _clean_chargers(route, ctx):
-    kindc = ctx.env.kindc
+def _strip(route, reqs, ctx):
+    """The route without the pickups and deliveries of the requests reqs
+    and without the chargers that leaves stranded (leading the route or
+    following another charger)."""
+    n, kindc = ctx.env.n, ctx.env.kindc
     out = []
     for node in route:
+        # (node - 1) % n is the request of a pickup or a delivery node
+        if 1 <= node <= 2 * n and (node - 1) % n in reqs:
+            continue
         if kindc[node] == _CHARGER and (not out or kindc[out[-1]] == _CHARGER):
             continue
         out.append(node)
     return out
 
 
-def prune_chargers(route, info, ctx):
+def prune_chargers(info, ctx):
     """Drop charger stops whose removal keeps the route feasible and no
     more expensive; the inherited greedy routes are littered with them.
-    info is the route's RouteInfo (the route must simulate); returns the
-    pruned (route, info)."""
+    info must be a simulated route; returns the pruned route's info."""
     kindc = ctx.env.kindc
     changed = True
     while changed:
         changed = False
+        route = info.nodes
         for idx, node in enumerate(route):
             if kindc[node] != _CHARGER:
                 continue
-            trial = route[:idx] + route[idx + 1:]
-            tinfo = ctx.simulate(trial)
+            tinfo = ctx.simulate(route[:idx] + route[idx + 1:])
             if tinfo is not None and tinfo.cost <= info.cost:
-                route, info = trial, tinfo
+                info = tinfo
                 changed = True
                 break
-    return route, info
+    return info

@@ -164,6 +164,7 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     rows: list = field(default_factory=list)   # dicts, one per epoch
+    start_val: float = -np.inf                 # validation reward before any update
     best_val: float = -np.inf
     best_policy: Policy = None                 # a copy of the best weights
     opt: Adam = None                           # the optimizer, as training left it
@@ -223,7 +224,8 @@ def train(cfg, policy=None, policy_config=None, opt_state=None):
 
     t0 = time.time()
     v0, c0 = validate(policy, val)
-    report = TrainReport(best_val=v0, best_policy=copy.deepcopy(policy),
+    report = TrainReport(start_val=v0, best_val=v0,
+                         best_policy=copy.deepcopy(policy),
                          opt=opt, epoch=start_epoch + cfg.epochs)
     if start_epoch == 0 and cfg.epochs > 0:
         report.rows.append({"epoch": 0, "val_reward": v0, "val_completion": c0,
@@ -277,9 +279,8 @@ def curriculum_train(stage_cfgs, policy_config=None):
     for cfg in stage_cfgs:
         if policy is None:
             policy = Policy(policy_config or PolicyConfig(seed=cfg.seed))
-        zero, _ = validate(policy, validation_set(cfg))
         policy, report = train(cfg, policy=policy)
-        best = report.best_val
+        zero, best = report.start_val, report.best_val
         passed = best >= zero - PASS_BAND * abs(zero)
         results.append(StageResult(cfg.n, zero, best, passed))
         policy = report.best_policy

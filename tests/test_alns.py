@@ -6,7 +6,7 @@ from edarp import (Env, FleetParams, OperatorWeights, RouteCtx, alns_solve,
                    shaw_relatedness)
 from edarp.alns import (W_MIN, random_removal, rtr_accept, rtr_tolerance,
                         shaw_removal, worst_removal)
-from edarp.routes import plan_from_solution, served_requests
+from edarp.routes import RouteInfo, _strip, plan_from_solution, served_requests
 
 
 def test_weight_update_single_success_is_2_8():
@@ -71,10 +71,11 @@ def test_removal_operators_contract():
     assert len(got) == 3 and set(got) <= set(served)
 
     ctx = RouteCtx(Env(inst))
-    plan = plan_from_solution(greedy_solve(inst), inst.fleet.vehicles)
+    plan = [ctx.simulate(r) or RouteInfo(r)
+            for r in plan_from_solution(greedy_solve(inst), inst.fleet.vehicles)]
     served_now = served_requests(plan, inst.n)
     if len(served_now) >= 2:
-        got = worst_removal(plan, [ctx.simulate(r) for r in plan], ctx, 2)
+        got = worst_removal(plan, ctx, 2)
         assert len(got) <= 2 and set(got) <= set(served_now)
 
 
@@ -110,7 +111,6 @@ def test_shaw_relatedness_equals_loop():
 
 def reference_worst_removal(plan, ctx, q):
     """Worst removal that re-simulates every trial route in full."""
-    from edarp.routes import _clean_chargers
     n = ctx.env.n
     plan = [list(r) for r in plan]
     removed = []
@@ -124,9 +124,7 @@ def reference_worst_removal(plan, ctx, q):
                 if not (1 <= node <= n):
                     continue
                 r = node - 1
-                trial = _clean_chargers(
-                    [nd for nd in route if nd != 1 + r and nd != 1 + n + r], ctx)
-                tinfo = ctx.simulate(trial)
+                tinfo = ctx.simulate(_strip(route, {r}, ctx))
                 tcost = tinfo.cost if tinfo is not None else float("inf")
                 saving = info.cost - tcost if tcost != float("inf") else 0.0
                 if best_saving is None or saving > best_saving:
@@ -134,8 +132,7 @@ def reference_worst_removal(plan, ctx, q):
         if best_r is None:
             break
         r, ridx = best_r
-        plan[ridx] = _clean_chargers(
-            [nd for nd in plan[ridx] if nd != 1 + r and nd != 1 + n + r], ctx)
+        plan[ridx] = _strip(plan[ridx], {r}, ctx)
         removed.append(r)
     return sorted(removed)
 
@@ -148,12 +145,12 @@ def test_worst_removal_equals_full_resimulation(tight_fleet):
             for sol in (greedy_solve(inst),
                         alns_solve(inst, iterations=30, seed=seed)[0]):
                 plan = plan_from_solution(sol, inst.fleet.vehicles)
-                infos = [ctx.simulate(r) for r in plan]
+                infos = [ctx.simulate(r) or RouteInfo(r) for r in plan]
                 given = list(infos)
                 for q in (1, 3, n):
-                    assert (worst_removal(plan, infos, ctx, q)
+                    assert (worst_removal(infos, ctx, q)
                             == reference_worst_removal(plan, ctx, q))
-                assert infos == given       # the caller's infos stay as they were
+                assert infos == given       # the caller's plan stays as it was
 
 
 # Seeded ALNS output, recorded before the destroy step kept each route's

@@ -771,7 +771,7 @@ def test_battery_shortfalls_count_arrival_charge():
     stop_logs = [[(0, 0.0, 0.0, 1.0, 0.0), (1, 5.0, 5.0, 0.25, 0.0),
                   (3, 9.0, 9.0, 0.5, 0.6), (0, 20.0, 20.0, 0.3, 0.0)],
                  [(0, 0.0, 0.0, 1.0, 0.0), (2, 4.0, 4.0, 0.05, 0.0)]]
-    sol = Solution(stop_logs, 1, 0.0, 0.0, 0.0, 0.0, 1, 0.0, 0.0, {})
+    sol = Solution(stop_logs, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {})
     assert cli.battery_shortfalls(sol, 0.3) == (1, 3)
     assert cli.battery_shortfalls(sol, 0.0) == (1, 1)
 

@@ -330,7 +330,7 @@ def test_solution_round_trip(small_instance):
 
 def test_load_solution_refuses_missing_fields(small_instance):
     blob = save_solution(greedy_solve(small_instance))
-    for field in ("cost.travel", "metrics.charge_visits", "instanceSeedOrHash"):
+    for field in ("cost.travel", "metrics.charge_visits"):
         doc = json.loads(blob)
         *outer, key = field.split(".")
         del (doc[outer[0]] if outer else doc)[key]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from edarp import (Env, FleetParams, Instance, ReplayError, RouteCtx,
                    alns_solve, generate_instance, greedy_solve, plan_from_solution,
                    prune_chargers, remove_requests, replay)
-from edarp.routes import RouteInfo, served_requests
+from edarp.routes import RouteInfo, _strip, served_requests
 
 
 def make_ctx(seed, n=4, chargers=2, fleet=None):
@@ -34,6 +34,12 @@ def route_cost(ctx, route):
 def slots(info):
     """Every slot of a RouteInfo, for exact comparison; None passes through."""
     return None if info is None else tuple(getattr(info, a) for a in RouteInfo.__slots__)
+
+
+def start_plan(ctx, sol):
+    """A solution as the search holds it: one RouteInfo per vehicle,
+    its cost None where the route model rejects the route."""
+    return [ctx.simulate(r) or RouteInfo(r) for r in plan_from_solution(sol, ctx.env.K)]
 
 
 def balanced(route, n):
@@ -109,7 +115,6 @@ def test_simulate_infeasible_is_none(small_instance):
 
 
 def test_scan_insertions_equals_brute_force(tight_fleet):
-    from edarp.routes import _clean_chargers
     blocked = []
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -122,15 +127,13 @@ def test_scan_insertions_equals_brute_force(tight_fleet):
             route = max(plan, key=len)
             if not route:
                 continue
-            served = set(served_requests([route], env.n))
+            served = set(served_requests([RouteInfo(route)], env.n))
             req = served.pop() if served else 0
-            base = [nd for nd in route
-                    if nd != 1 + req and nd != 1 + env.n + req]
-            base = _clean_chargers(base, ctx)
+            base = _strip(route, {req}, ctx)
             info = ctx.simulate(base)
             if info is None:
                 continue
-            got = {(i, j): delta for delta, i, j in ctx.scan_insertions(base, info, req)}
+            got = {(i, j): delta for delta, i, j in ctx.scan_insertions(info, req)}
             m = len(base)
             expect = {}
             for i in range(m + 1):
@@ -152,25 +155,25 @@ def test_scan_insertions_equals_brute_force(tight_fleet):
 def test_remove_requests_preserves_request_multiset():
     for seed in range(10):
         inst, env, ctx = make_ctx(3000 + seed, n=5)
-        plan = plan_from_solution(greedy_solve(inst), env.K)
+        plan = start_plan(ctx, greedy_solve(inst))
         before = served_requests(plan, env.n)
         targets = before[: max(1, len(before) // 2)]
-        out, _ = remove_requests(plan, [ctx.simulate(r) for r in plan], ctx, targets)
+        out = remove_requests(plan, ctx, targets)
         after = served_requests(out, env.n)
         # the removal pool is what the plan no longer serves
         assert set(after) <= set(before)
         assert not set(targets) & set(after)
-        nodes = [nd for route in out for nd in route]
+        nodes = [nd for info in out for nd in info.nodes]
         for r in range(env.n):
             ends = (1 + r, 1 + env.n + r)
             if r in after:       # both nodes, once each, on one route
                 assert [nodes.count(nd) for nd in ends] == [1, 1]
-                assert any(set(ends) <= set(route) for route in out)
+                assert any(set(ends) <= set(info.nodes) for info in out)
             else:                # gone entirely, delivery too
                 assert not set(ends) & set(nodes)
-        for route in out:
-            if route:
-                assert ctx.simulate(route) is not None
+        for info in out:
+            if info.nodes:
+                assert ctx.simulate(info.nodes) is not None
 
 
 def test_remove_requests_drops_stranded_chargers():
@@ -184,35 +187,34 @@ def test_remove_requests_drops_stranded_chargers():
             break
     else:
         pytest.fail("no seed produced the fixture route")
-    out, infos = remove_requests([route, []], [ctx.simulate(route), ctx.simulate([])],
-                                 ctx, [0])
-    assert out[0] == [2, 2 + env.n]      # leading charger dropped
-    removed = set(served_requests([route], env.n)) - set(served_requests(out, env.n))
+    out = remove_requests([ctx.simulate(route), ctx.simulate([])], ctx, [0])
+    assert out[0].nodes == [2, 2 + env.n]      # leading charger dropped
+    removed = (set(served_requests([RouteInfo(route)], env.n))
+               - set(served_requests(out, env.n)))
     assert removed == {0}
-    assert ctx.simulate(out[0]) is not None
-    assert infos[0].nodes == out[0]
+    assert slots(out[0]) == slots(ctx.simulate(out[0].nodes))
 
 
 def test_remove_requests_hands_on_simulated_infos(tight_fleet):
-    """Every info remove_requests returns is its route's simulation, slot
-    for slot, also where greedy's start plan holds routes the route model
-    rejects; a route it leaves unchanged keeps the info it came with."""
+    """Every RouteInfo remove_requests returns is its route's simulation,
+    slot for slot, also where greedy's start plan holds routes the route
+    model rejects; a route it leaves unchanged keeps the info it came with."""
     kept = changed = rejected = 0
     for fleet in (FleetParams(), tight_fleet):
         for seed in range(12):
             inst, env, ctx = make_ctx(5000 + seed, n=6 + seed % 5, fleet=fleet)
-            plan = plan_from_solution(greedy_solve(inst), env.K)
-            infos = [ctx.simulate(r) for r in plan]
-            rejected += infos.count(None)
+            plan = start_plan(ctx, greedy_solve(inst))
+            rejected += sum(info.cost is None for info in plan)
             served = served_requests(plan, env.n)
             for targets in (served[:1], served[::3], served):
-                out, out_infos = remove_requests(plan, infos, ctx, targets)
-                assert len(out) == len(out_infos) == len(plan)
-                for route, info, new, new_info in zip(plan, infos, out, out_infos):
-                    assert new_info is not None
-                    assert slots(new_info) == slots(ctx.simulate(new)), (route, new)
-                    if new == route and info is not None:
-                        assert new_info is info
+                out = remove_requests(plan, ctx, targets)
+                assert len(out) == len(plan)
+                for info, new in zip(plan, out):
+                    assert new.cost is not None
+                    assert slots(new) == slots(ctx.simulate(new.nodes)), (info.nodes,
+                                                                          new.nodes)
+                    if new.nodes == info.nodes and info.cost is not None:
+                        assert new is info
                         kept += 1
                     else:
                         changed += 1
@@ -228,7 +230,8 @@ def test_prune_chargers_never_raises_cost():
             info = ctx.simulate(old)
             if info is None:        # prune_chargers takes simulating routes only
                 continue
-            new, new_info = prune_chargers(old, info, ctx)
+            new_info = prune_chargers(info, ctx)
+            new = new_info.nodes
             assert slots(new_info) == slots(ctx.simulate(new))
             assert new_info.cost <= info.cost + 1e-12
             assert len(new) <= len(old)
@@ -352,12 +355,12 @@ def test_pruned_scan_equals_full_scan(tight_fleet):
             info = ctx.simulate(route)
             if info is None:
                 continue
-            on_route = set(served_requests([route], n))
+            on_route = set(served_requests([info], n))
             for req in range(n):
                 if req in on_route:
                     continue
                 calls[0] = 0
-                got = ctx.scan_insertions(route, info, req)
+                got = ctx.scan_insertions(info, req)
                 pruned_calls += calls[0]
                 calls[0] = 0
                 want = full_scan(ctx, info, req)
@@ -369,7 +372,6 @@ def test_pruned_scan_equals_full_scan(tight_fleet):
 
 
 def test_removal_cost_equals_route_cost_of_cleaned_route(tight_fleet):
-    from edarp.routes import _clean_chargers
     priced = dropped = 0
     for ctx, plan in solver_plans(tight_fleet):
         n = ctx.env.n
@@ -377,9 +379,9 @@ def test_removal_cost_equals_route_cost_of_cleaned_route(tight_fleet):
             info = ctx.simulate(route)
             if info is None:
                 continue
-            for r in served_requests([route], n):
+            for r in served_requests([info], n):
                 trial = [nd for nd in route if nd != 1 + r and nd != 1 + n + r]
-                clean = _clean_chargers(trial, ctx)
+                clean = _strip(route, {r}, ctx)
                 assert ctx.removal_cost(info, r) == route_cost(ctx, clean), (route, r)
                 priced += 1
                 dropped += len(clean) < len(trial)

@@ -280,3 +280,20 @@ def test_curriculum_two_stage_smoke():
         assert r.passed == (r.best_val >= r.zero_shot - 0.05 * abs(r.zero_shot))
         assert r.best_val >= r.zero_shot - 1e-9   # keeps the incoming weights
     assert CURRICULUM_SIZES == [8, 10, 12, 14, 17, 21]
+
+
+def test_curriculum_validates_once_per_epoch(monkeypatch):
+    """A stage's zero-shot reward is train's own pre-update validation,
+    not a second pass of the same weights over the same instances."""
+    import edarp.training as training
+    calls = []
+
+    def counted(policy, instances):
+        calls.append(len(instances))
+        return validate_policy(policy, instances)
+
+    monkeypatch.setattr(training, "validate", counted)
+    stages = [tiny_cfg(n=2, epochs=1), tiny_cfg(n=3, epochs=2)]
+    _, results = curriculum_train(stages, policy_config=PolicyConfig(**TINY_POLICY))
+    assert len(calls) == (1 + 1) + (1 + 2)      # pre-update and one per epoch
+    assert all(np.isfinite(r.zero_shot) for r in results)
