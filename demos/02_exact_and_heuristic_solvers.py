@@ -21,9 +21,10 @@ print(f"exact reward {sol.reward:.4f} (optimal={optimal}), "
       f"{scan['trajectories']} complete trajectories, "
       f"worst {scan['worst_reward']:.4f}")
 
-# Greedy inserts the cheapest feasible request extension until nothing
-# fits; ALNS then destroys and repairs parts of that plan, adapting
-# operator choice to what keeps working.
+# Greedy moves the vehicle to the feasible node cheapest to reach in
+# energy, and to the depot only when nothing else is feasible; ALNS then
+# destroys and repairs parts of that plan, adapting operator choice to
+# what keeps working.
 inst = generate_instance(n=10, seed=42)
 g = greedy_solve(inst)
 print(f"greedy:  reward {g.reward:8.3f}  served {g.n_served}/{inst.n}")

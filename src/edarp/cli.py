@@ -391,13 +391,12 @@ def cmd_train(args):
             raise UsageError("--resume applies only to a config without "
                              "curriculum: stages restart their optimizer")
         policy, opt_state = _read_checkpoint(args.resume)
-        hc = policy.config
-        for name, want in (("d_h", pol_cfg.d_h), ("heads", pol_cfg.heads),
-                           ("layers", pol_cfg.layers)):
-            if getattr(hc, name) != want:
-                raise UsageError(
-                    f"config {name}={want} conflicts with checkpoint "
-                    f"{name}={getattr(hc, name)}")
+        # every policy field but the seed is fixed by the checkpoint
+        for key, arg in POLICY_KEYS.items():
+            want, have = getattr(pol_cfg, arg), getattr(policy.config, arg)
+            if arg != "seed" and have != want:
+                raise UsageError(f"config {key}={want} conflicts with checkpoint "
+                                 f"{key}={have}")
         inputs.append(Path(args.resume))
 
     out = Path(args.out)

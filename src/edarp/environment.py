@@ -190,8 +190,7 @@ class Env:
         self.visit_once = list(range(1, 1 + n)) + self.chargers   # pickups, chargers
         self.K = inst.fleet.vehicles
         cap = inst.fleet.capacity
-        self.B = inst.fleet.battery_kwh
-        self.invB = invB = 1.0 / self.B
+        self.invB = invB = 1.0 / inst.fleet.battery_kwh
         self.rho = rho = inst.fleet.soc_reserve
         # cheapest escape energy from each node to the depot or any charger
         escape = [min(e[j][k] for k in [0] + self.chargers)
@@ -352,14 +351,18 @@ class Env:
         else:
             state.node = j
 
-    def objective(self, state):
-        """Weighted cost accumulated so far; it only grows along an episode."""
+    def price(self, energy, wait, late, travel):
+        """The objective J of totals in kWh and seconds: the one formula
+        that episodes, routes and their changes are priced with."""
         w = self.inst.weights
         tu = w.time_unit
-        return (w.energy * state.energy_kwh
-                + w.wait * (state.wait_sec / tu)
-                + w.late * (state.late_sec / tu)
-                + w.travel * (state.travel_sec / tu))
+        return (w.energy * energy + w.wait * (wait / tu)
+                + w.late * (late / tu) + w.travel * (travel / tu))
+
+    def objective(self, state):
+        """Weighted cost accumulated so far; it only grows along an episode."""
+        return self.price(state.energy_kwh, state.wait_sec, state.late_sec,
+                          state.travel_sec)
 
     def solution(self, state):
         """Score a terminal state into a Solution."""

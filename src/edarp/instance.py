@@ -434,8 +434,29 @@ def _integer(name, value):
     return value
 
 
+# the keys save() writes, per JSON object; load also reads fleet.initialSoc
+_KEYS = {
+    "instance": {"schema", "seed", "n", "horizon", "fleet", "weights", "nodes",
+                 "requests", "edges"},
+    "fleet": {"vehicles", "capacity", "batteryKwh", "socReserve", "initialSoc"},
+    "weights": {"energy", "wait", "late", "complete", "travel", "timeUnit"},
+    "nodes": {"id", "kind", "x", "y", "a", "l", "sigma", "q"},
+    "requests": {"id", "pickup", "delivery", "maxRide"},
+    "edges": {"time", "dist", "energy"},
+}
+
+
+def _known_keys(where, obj, group):
+    """ValueError naming the keys of the JSON object obj that are not in
+    _KEYS[group]; anything but an object is left to the field parsers."""
+    if isinstance(obj, dict) and not obj.keys() <= _KEYS[group]:
+        extra = ", ".join(sorted(obj.keys() - _KEYS[group]))
+        raise ValueError(f"unknown {where} key(s): {extra}")
+
+
 def load(data):
-    """Parse instance JSON produced by save(); inverse of save on valid data."""
+    """Parse instance JSON produced by save(); inverse of save on valid data.
+    A key that save() does not write is refused, never ignored."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -448,6 +469,12 @@ def load(data):
         raise InstanceFormatError(
             f"unsupported schema {doc['schema']!r}, expected {SCHEMA_INSTANCE!r}")
     try:
+        _known_keys("instance", doc, "instance")
+        for group in ("fleet", "weights", "edges"):
+            _known_keys(group, doc[group], group)
+        for group in ("nodes", "requests"):
+            for i, item in enumerate(doc[group]):
+                _known_keys(f"{group}[{i}]", item, group)
         fl = doc["fleet"]
         fleet = FleetParams(_integer("fleet.vehicles", fl["vehicles"]),
                             _integer("fleet.capacity", fl["capacity"]),

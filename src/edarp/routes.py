@@ -7,11 +7,13 @@ and plans never duplicate one, so a route can be simulated on its own:
 fresh vehicle, every hop served by the simulator's own per-hop kernel
 (Env.hop and Env.home), the one home of the feasibility, battery and
 charging rules. Insertion scans and removal prices reuse the prefix
-state up to the changed stop and walk the rest with one tail walk
-(RouteCtx.walk), so their verdicts and prices agree with a from-scratch
-simulation exactly. Scans skip the candidates that the kernel's
-lateness bound (Env.too_late) already rules out; this module keeps no
-window or ride-cap arithmetic of its own. A route is simulated again
+state up to the changed stop and walk the rest, a plain node list, with
+one tail walk (RouteCtx.walk), so their verdicts and prices agree with
+a from-scratch simulation exactly. The stops a removal strands are
+dropped by _strip alone, before the walk. Scans skip the candidates
+that the kernel's lateness bound (Env.too_late) already rules out, and
+every price is Env.price; this module keeps no window, ride-cap or
+charger rule and no cost weight of its own. A route is simulated again
 only when a move changed it.
 
 Greedy's start plan breaks that premise where the simulator's escape
@@ -25,14 +27,14 @@ bonus is a constant per inserted request and cancels out of position
 comparisons, so it never appears in these deltas.
 """
 
-from .environment import _CHARGER, EpisodeState
+from .environment import _CHARGER
 
 
 class RouteInfo:
     """Per-stop timeline of one simulated route; index 0 is the fresh vehicle.
     cost stays None for a route the route model rejects."""
 
-    __slots__ = ("nodes", "DEP", "B", "LOAD", "PS", "legs",
+    __slots__ = ("nodes", "DEP", "B", "LOAD", "SS", "legs",
                  "cumE", "cumW", "cumL", "cumT", "E", "W", "L", "T", "cost")
 
     def __init__(self, nodes):
@@ -41,7 +43,7 @@ class RouteInfo:
         self.DEP = [0.0] * (m + 1)     # clock after service
         self.B = [1.0] * (m + 1)       # soc after stop (incl. charge)
         self.LOAD = [0] * (m + 1)
-        self.PS = [None] * (m + 1)     # pickup service start of a delivery stop
+        self.SS = {}                   # pickup node -> service start
         self.legs = []                 # (wait, late, de, dt) per hop, depot return last
         self.cumE = [0.0] * (m + 1)    # running totals after stop k
         self.cumW = [0.0] * (m + 1)
@@ -55,11 +57,6 @@ class RouteCtx:
 
     def __init__(self, env):
         self.env = env
-        w = env.inst.weights
-        self.we = w.energy
-        self.ww = w.wait / w.time_unit
-        self.wl = w.late / w.time_unit
-        self.wt = w.travel / w.time_unit
 
     # -- full route simulation ------------------------------------------------
 
@@ -68,14 +65,13 @@ class RouteCtx:
         info = RouteInfo(list(nodes))
         hop, n = self.env.hop, self.env.n
         u, tau, b, load = 0, 0.0, 1.0, 0
-        ss_of = {}                      # pickup node -> service start
+        ss_of = info.SS
         legs = info.legs
         E = W = L = T = 0.0
         for k, w_node in enumerate(nodes, start=1):
             if w_node == 0:
                 raise ValueError("routes must not contain the depot")
-            ps = ss_of.get(w_node - n)
-            res = hop(u, tau, b, load, w_node, ps)
+            res = hop(u, tau, b, load, w_node, ss_of.get(w_node - n))
             if res is None:
                 return None
             ss, dep, b, load, wait, late, de, dt = res
@@ -89,7 +85,6 @@ class RouteCtx:
             info.DEP[k] = dep
             info.B[k] = b
             info.LOAD[k] = load
-            info.PS[k] = ps
             info.cumE[k] = E
             info.cumW[k] = W
             info.cumL[k] = L
@@ -102,20 +97,20 @@ class RouteCtx:
         E += leg[0]
         T += leg[1]
         info.E, info.W, info.L, info.T = E, W, L, T
-        info.cost = self.we * E + self.ww * W + self.wl * L + self.wt * T
+        info.cost = self.env.price(E, W, L, T)
         return info
 
     def plan_objective(self, plan):
         """Objective J of a plan of simulated routes. The totals add up
         hop by hop in replay's order, so J equals replay's bit for bit."""
-        tot = EpisodeState()
+        E = W = L = T = 0.0
         for info in plan:
             for wait, late, de, dt in info.legs:
-                tot.wait_sec += wait
-                tot.late_sec += late
-                tot.energy_kwh += de
-                tot.travel_sec += dt
-        return self.env.objective(tot)
+                W += wait
+                L += late
+                E += de
+                T += dt
+        return self.env.price(E, W, L, T)
 
     # -- insertion search -----------------------------------------------------
 
@@ -127,9 +122,9 @@ class RouteCtx:
         the j-th original stop (j == i puts it directly behind the
         pickup). The tail behind each candidate is walked (walk) until
         it fails or reaches the depot, so a returned candidate is
-        feasible by construction. Pickups re-timed by the insertion are
-        looked up in a per-candidate override map, all others in
-        info.PS.
+        feasible by construction. Each candidate's walk gets its own
+        copy of the pickup starts: info.SS with the pickups the
+        insertion re-timed.
 
         The kernel's lateness bound (Env.too_late) prunes without
         simulating: departure clocks never fall along a route, so once
@@ -140,12 +135,11 @@ class RouteCtx:
         skipped; the list and its order are what a full scan returns.
         """
         env = self.env
-        hop, too_late, n = env.hop, env.too_late, env.n
+        hop, too_late, price, n = env.hop, env.too_late, env.price, env.n
         p = 1 + req
         d = 1 + n + req
         m = len(info.nodes)
         rnodes = info.nodes
-        PS = info.PS
         out = []
         for i in range(m + 1):
             if too_late(info.DEP[i], p, None):
@@ -158,7 +152,7 @@ class RouteCtx:
             # delta of the edge swap at the pickup junction accrues when the
             # tail walk reaches the next original stop; track state instead
             cur = p
-            ss_over = {p: ss_p}
+            ss_over = info.SS.copy()
             # costs of the re-simulated middle part (stops i+1 .. j), and of
             # the old route from stop i on, which every candidate replaces
             midE, midW, midL, midT = de_p, wait_p, 0.0, dt_p
@@ -171,20 +165,18 @@ class RouteCtx:
                     break       # departure already too late for the delivery
                 if j < m:
                     nxt = rnodes[j]
-                    ps_nxt = ss_over.get(nxt - n, PS[j + 1])
+                    ps_nxt = ss_over.get(nxt - n)
                     if too_late(tau_c, nxt, ps_nxt):
                         break   # no path from here reaches the next stop
                 hop_d = hop(cur, tau_c, b_c, load_c, d, ss_p)
                 if hop_d is not None:
                     _, st_tau, st_b, st_load, _, late_d, de_d, dt_d = hop_d
-                    # d is not on the route, so the walk drops no stop
-                    tail = self.walk(info, j + 1, d, st_tau, st_b, st_load, dict(ss_over),
-                                     d, midE + de_d, midW, midL + late_d, midT + dt_d)
+                    tail = self.walk(rnodes[j:], d, st_tau, st_b, st_load, ss_over.copy(),
+                                     midE + de_d, midW, midL + late_d, midT + dt_d)
                     if tail is not None:
                         tailE, tailW, tailL, tailT = tail
-                        delta = (self.we * (tailE - oldE) + self.ww * (tailW - oldW)
-                                 + self.wl * (tailL - oldL) + self.wt * (tailT - oldT))
-                        out.append((delta, i, j))
+                        out.append((price(tailE - oldE, tailW - oldW,
+                                          tailL - oldL, tailT - oldT), i, j))
                 if j == m:
                     break
                 res = hop(cur, tau_c, b_c, load_c, nxt, ps_nxt)
@@ -202,20 +194,17 @@ class RouteCtx:
 
     # -- tail walk and removal pricing -----------------------------------------
 
-    def walk(self, info, k, u, tau, b, load, over, drop, E, W, L, T):
-        """(E, W, L, T) of info's route walked from its k-th stop and home,
-        starting at node u in state (tau, b, load) with running totals E,
-        W, L, T; None when a hop or the return fails. Skips the delivery
-        drop and any charger a removal strands (as _strip does),
-        and extends over, the map of re-timed pickups. The totals add up
-        in simulate's order, so they keep a full simulation's bits."""
-        hop, kindc, n = self.env.hop, self.env.kindc, self.env.n
-        rnodes, PS = info.nodes, info.PS
-        for k in range(k, len(rnodes) + 1):
-            w = rnodes[k - 1]
-            if w == drop or (kindc[w] == _CHARGER and (u == 0 or kindc[u] == _CHARGER)):
-                continue
-            res = hop(u, tau, b, load, w, over.get(w - n, PS[k]))
+    def walk(self, nodes, u, tau, b, load, over, E, W, L, T):
+        """(E, W, L, T) of the stops nodes walked and the return home,
+        starting at node u in state (tau, b, load) with running totals
+        E, W, L, T; None when a hop or the return fails. over maps
+        pickup nodes to service starts; the walk reads a delivery's
+        pickup start from it and records the pickups it serves. The
+        totals add up in simulate's order, so they keep a full
+        simulation's bits."""
+        hop, n = self.env.hop, self.env.n
+        for w in nodes:
+            res = hop(u, tau, b, load, w, over.get(w - n))
             if res is None:
                 return None
             ss, tau, b, load, wait, late, de, dt = res
@@ -233,23 +222,22 @@ class RouteCtx:
 
     def removal_cost(self, info, req):
         """Cost of info's route without request req, the chargers its
-        removal strands dropped as _strip drops them.
+        removal strands dropped (_strip).
 
         A simulated route has no stranded charger, so the stops before
-        the pickup stay as they are: their state is read from info and
-        only the rest is walked. The price therefore equals the cost of
-        simulating the cleaned route bit for bit (inf when that is
-        infeasible).
+        the pickup stay as they are: their state is read from info, and
+        only the rest, stripped from the stop before the pickup on, is
+        walked. The price therefore equals the cost of simulating the
+        cleaned route bit for bit (inf when that is infeasible).
         """
-        p = 1 + req
-        i = info.nodes.index(p)
-        tail = self.walk(info, i + 2, info.nodes[i - 1] if i else 0,
-                         info.DEP[i], info.B[i], info.LOAD[i], {}, p + self.env.n,
+        i = info.nodes.index(1 + req)
+        u = info.nodes[i - 1] if i else 0
+        tail = self.walk(_strip(info.nodes[i + 1:], {req}, self, u), u,
+                         info.DEP[i], info.B[i], info.LOAD[i], info.SS.copy(),
                          info.cumE[i], info.cumW[i], info.cumL[i], info.cumT[i])
         if tail is None:
             return float("inf")
-        E, W, L, T = tail
-        return self.we * E + self.ww * W + self.wl * L + self.wt * T
+        return self.env.price(*tail)
 
     def insert(self, nodes, req, i, j):
         """Materialize a candidate from scan_insertions."""
@@ -306,19 +294,21 @@ def remove_requests(plan, ctx, req_ids):
     return out
 
 
-def _strip(route, reqs, ctx):
+def _strip(route, reqs, ctx, prev=0):
     """The route without the pickups and deliveries of the requests reqs
-    and without the chargers that leaves stranded (leading the route or
-    following another charger)."""
+    and without the chargers that leaves stranded (following the depot
+    or another charger, Env.hop's charger rule); prev is the stop before
+    route, the depot for a whole route."""
     n, kindc = ctx.env.n, ctx.env.kindc
     out = []
     for node in route:
         # (node - 1) % n is the request of a pickup or a delivery node
         if 1 <= node <= 2 * n and (node - 1) % n in reqs:
             continue
-        if kindc[node] == _CHARGER and (not out or kindc[out[-1]] == _CHARGER):
+        if kindc[node] == _CHARGER and (prev == 0 or kindc[prev] == _CHARGER):
             continue
         out.append(node)
+        prev = node
     return out
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .environment import Env
-from .instance import generate_instance, normalize_features
+from .instance import FleetParams, generate_instance, normalize_features
 from .policy import (Policy, PolicyConfig, greedy_rollout, pomo_starts,
                      require, rollout_episode)
 
@@ -183,7 +183,6 @@ class TrainReport:
 
 
 def _make_instance(cfg, seed, n=None):
-    from .instance import FleetParams
     fleet = FleetParams(vehicles=cfg.vehicles, capacity=cfg.capacity)
     return generate_instance(cfg.n if n is None else n,
                              charger_count=cfg.charger_count, fleet=fleet,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,43 +157,59 @@ def test_worst_removal_equals_full_resimulation(tight_fleet):
 
 # Seeded ALNS output, recorded before the destroy step kept each route's
 # RouteInfo: (n, tight fleet, instance and search seed, iterations,
-# routes, reward.hex(), (accepted, new best, replay failures)).
+# routes, reward.hex(), (accepted, new best, replay failures), sha256 of
+# repr(stats.history)). The history digests were recorded before the
+# route model priced with Env.price.
 GOLDEN = [
     (10, False, 1010, 200,
      [[2, 12, 7, 1, 17, 11, 9, 19], [4, 14, 10, 20, 6, 5, 15, 3, 16, 8, 13, 18]],
-     '0x1.3b92ffbe16d38p+6', (162, 5, 0)),
+     '0x1.3b92ffbe16d38p+6', (162, 5, 0),
+     '6ec31cea2c69d400e3ceac4c298a497e4b22be627442a92b0e8ff85b7892fe25'),
     (20, False, 1020, 100,
      [[3, 23, 9, 29, 11, 31, 6, 26, 19, 13, 39, 33, 12, 32, 10, 30, 14, 5, 17, 34,
        37, 25],
       [4, 24, 1, 21, 20, 40, 2, 8, 22, 28, 7, 27, 15, 35, 18, 38]],
-     '0x1.3782def703fa9p+7', (74, 13, 0)),
+     '0x1.3782def703fa9p+7', (74, 13, 0),
+     'a0e5f1946a1a3f1f0128f7f05f1155f942280d1ea2a070844a4c90828bb3a634'),
     (40, False, 1040, 40,
      [[9, 49, 32, 72, 16, 56, 26, 8, 66, 48, 23, 63, 22, 62, 3, 43, 34, 11, 51, 74,
        24, 64],
       [27, 67, 18, 30, 58, 70, 7, 10, 50, 17, 47, 57, 4, 44, 40, 20, 28, 60, 80, 31,
        68, 36, 71, 76, 1, 13, 53, 39, 41, 79]],
-     '0x1.c4b2fcebc6028p+7', (11, 9, 0)),
+     '0x1.c4b2fcebc6028p+7', (11, 9, 0),
+     'da38ea63859185693da88d61b0d06ac3ed62d34b808cf1f9f23c70f1453a48d0'),
     (10, True, 1081, 200, [[6, 16, 21, 3, 13], [9, 19]],
-     '0x1.c96c28f5f8b80p+3', (13, 2, 3)),
+     '0x1.c96c28f5f8b80p+3', (13, 2, 3),
+     '6b74aaa19ea8a20819213457a56a5d0645c4aba67160480c631852f430f8f974'),
     (20, True, 1029, 100, [[5, 25, 13, 33], [18, 38]],
-     '0x1.cc25a3a852b07p+3', (5, 3, 0)),
+     '0x1.cc25a3a852b07p+3', (5, 3, 0),
+     'a46174f5233a753c8994500786b0f5eb601ed91e7e8a33b9ee657413ef9c2c52'),
     (40, True, 1054, 40, [[36, 76, 1, 41, 21, 61], [18, 10, 50, 58]],
-     '0x1.ac8338ae24d24p+4', (6, 5, 0)),
+     '0x1.ac8338ae24d24p+4', (6, 5, 0),
+     '3a857963b2ed3ed9433976d3b6beacf8cade4299f8609943321cc4adeeb63d58'),
 ]
 
 
-@pytest.mark.parametrize("n, tight, seed, iterations, routes, reward, counts", GOLDEN)
+# the test ids the table had before its history column
+GOLDEN_IDS = [f"{n}-{tight}-{seed}-{it}-routes{i}-{reward}-counts{i}"
+              for i, (n, tight, seed, it, _, reward, _, _) in enumerate(GOLDEN)]
+
+
+@pytest.mark.parametrize("n, tight, seed, iterations, routes, reward, counts, history",
+                         GOLDEN, ids=GOLDEN_IDS)
 def test_seeded_output_is_pinned(request, n, tight, seed, iterations, routes,
-                                 reward, counts):
+                                 reward, counts, history):
     """Seeded runs are byte-identical across refactors of the search: the
     tight-fleet starts hold greedy routes the route model rejects, and
-    the n=10 one a charger visited twice."""
+    the n=10 one a charger visited twice. history is the sha256 of the
+    per-iteration trajectory (best J, current J, tolerance, operators)."""
     fleet = request.getfixturevalue("tight_fleet") if tight else FleetParams()
     inst = generate_instance(n, charger_count=2, fleet=fleet, seed=seed)
     sol, stats = alns_solve(inst, iterations=iterations, seed=seed)
     assert sol.vehicle_routes() == routes
     assert sol.reward.hex() == reward
     assert (stats.accepted, stats.new_best, stats.replay_failures) == counts
+    assert hashlib.sha256(repr(stats.history).encode()).hexdigest() == history
 
 
 def test_zero_iterations_equals_greedy(small_instance):

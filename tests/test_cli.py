@@ -222,11 +222,13 @@ def test_solve_missing_and_malformed_instance(tmp_path, capsys):
     assert run("solve", str(bad), "--solver", "greedy",
                "--out", str(tmp_path)) == 3
     assert "initialSoc" in capsys.readouterr().err
-    # a missing or non-integer count is refused, never truncated
+    # a missing or non-integer count is refused, never truncated, and an
+    # unknown key is refused, never ignored
     out = tmp_path / "never"
     for edit, field in ((lambda d: d.pop("n"), "'n'"),
                         (lambda d: d.update(n="x"), "n must be an integer"),
-                        (lambda d: d["nodes"][1].update(q=1.5), "nodes[1].q")):
+                        (lambda d: d["nodes"][1].update(q=1.5), "nodes[1].q"),
+                        (lambda d: d["weights"].update(travle=1.0), "weights key(s): travle")):
         doc = json.loads((tmp_path / "inst" / "instance_0000.json").read_text())
         edit(doc)
         bad.write_text(json.dumps(doc))
@@ -525,24 +527,29 @@ def test_train_resume_continues_numbering(tmp_path):
     assert lines[1].split(",")[0] == "2"
 
 
-def test_train_resume_rejects_architecture_mismatch(tmp_path, capsys):
-    cfg = write_config(tmp_path, TINY_TRAIN)
-    out = tmp_path / "run"
-    assert run("train", "--config", str(cfg), "--out", str(out)) == 0
-    cfg2 = write_config(tmp_path, dict(TINY_TRAIN, d_h=32), name="c2.json")
-    assert run("train", "--config", str(cfg2), "--out", str(tmp_path / "r2"),
-               "--resume", str(out / "checkpoint_final.json")) == 2
-    assert "d_h" in capsys.readouterr().err
-
-
 @pytest.fixture(scope="module")
-def final_checkpoint(tmp_path_factory):
-    """The parsed checkpoint_final.json of a TINY_TRAIN run."""
+def trained_run(tmp_path_factory):
+    """The output directory of a TINY_TRAIN run."""
     tmp = tmp_path_factory.mktemp("trained")
     out = tmp / "run"
     assert run("train", "--config", str(write_config(tmp, TINY_TRAIN)),
                "--out", str(out)) == 0
-    return json.loads((out / "checkpoint_final.json").read_text())
+    return out
+
+
+def test_train_resume_rejects_architecture_mismatch(tmp_path, capsys, trained_run):
+    # every policy key but the seed must match the checkpoint's
+    for key, value in (("d_h", 32), ("ffn_mult", 2), ("lambda", 0.0), ("kappa", 3.0)):
+        cfg = write_config(tmp_path, dict(TINY_TRAIN, **{key: value}))
+        assert run("train", "--config", str(cfg), "--out", str(tmp_path / "r2"),
+                   "--resume", str(trained_run / "checkpoint_final.json")) == 2, key
+        assert f"config {key}={value} conflicts" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def final_checkpoint(trained_run):
+    """The parsed checkpoint_final.json of a TINY_TRAIN run."""
+    return json.loads((trained_run / "checkpoint_final.json").read_text())
 
 
 def unpack(text):

@@ -154,6 +154,25 @@ def test_integer_fields_honoured_or_refused():
             load(json.dumps(doc).encode())
 
 
+def test_unknown_keys_refused():
+    # a key save() does not write is refused, never silently ignored
+    text = save(generate_instance(2, seed=1))
+    for label, path, key in [("instance", [], "comment"),
+                             ("weights", ["weights"], "travle"),
+                             ("fleet", ["fleet"], "chargePowerKw"),
+                             ("edges", ["edges"], "cost"),
+                             ("nodes[1]", ["nodes", 1], "colour"),
+                             ("requests[0]", ["requests", 0], "priority")]:
+        doc = json.loads(text)
+        holder = doc
+        for k in path:
+            holder = holder[k]
+        holder[key] = 1.0
+        with pytest.raises(InstanceFormatError,
+                           match=re.escape(f"unknown {label} key(s): {key}")):
+            load(json.dumps(doc).encode())
+
+
 def test_generator_rejects_bad_arguments():
     with pytest.raises(ValueError):
         generate_instance(0, seed=1)

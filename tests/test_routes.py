@@ -256,7 +256,7 @@ def full_scan(ctx, info, req):
     hop, home, n = env.hop, env.home, env.n
     p, d = 1 + req, 1 + n + req
     ride_cap = env.max_ride[req]
-    rnodes, PS = info.nodes, info.PS
+    rnodes, SS = info.nodes, info.SS
     m = len(rnodes)
     out = []
     for i in range(m + 1):
@@ -280,7 +280,7 @@ def full_scan(ctx, info, req):
                 over = dict(ss_over)
                 for k in range(j + 1, m + 1):
                     wn = rnodes[k - 1]
-                    res = hop(st, st_tau, st_b, st_load, wn, over.get(wn - n, PS[k]))
+                    res = hop(st, st_tau, st_b, st_load, wn, over.get(wn - n, SS.get(wn - n)))
                     if res is None:
                         break
                     wn_ss, st_tau, st_b, st_load, wn_wait, wn_late, wn_de, wn_dt = res
@@ -300,13 +300,13 @@ def full_scan(ctx, info, req):
                         oldW = info.W - info.cumW[i]
                         oldL = info.L - info.cumL[i]
                         oldT = info.T - info.cumT[i]
-                        delta = (ctx.we * (tailE - oldE) + ctx.ww * (tailW - oldW)
-                                 + ctx.wl * (tailL - oldL) + ctx.wt * (tailT - oldT))
+                        delta = env.price(tailE - oldE, tailW - oldW,
+                                          tailL - oldL, tailT - oldT)
                         out.append((delta, i, j))
             if j == m:
                 break
             nxt = rnodes[j]
-            res = hop(cur, tau_c, b_c, load_c, nxt, ss_over.get(nxt - n, PS[j + 1]))
+            res = hop(cur, tau_c, b_c, load_c, nxt, ss_over.get(nxt - n, SS.get(nxt - n)))
             if res is None:
                 break
             wn_ss, tau_c, b_c, load_c, wn_wait, wn_late, wn_de, wn_dt = res
