@@ -25,7 +25,8 @@ telemetry or manifest file); 3 data error, including a missing, unreadable or
 malformed instance, config or checkpoint file (a checkpoint's weights
 and its optimizer state, optState, are checked by every command that
 reads it, and a weight or moment that is not base64 of the
-parameter's size is refused); 4 numerical failure.
+parameter's size is refused), or an instance directory with no
+instance_*.json; 4 numerical failure.
 """
 
 import argparse
@@ -112,6 +113,18 @@ def _write_manifest(out_dir, command, config, seed, inputs, outputs, wall,
 def _stream_seed(*labels):
     """Derive one integer seed from the labeled stream."""
     return int(np.random.SeedSequence(list(labels)).generate_state(1)[0] & 0x7FFFFFFF)
+
+
+def _instance_paths(arg):
+    """The instance files one argument names: a directory's sorted
+    instance_*.json, which leaves out the manifest that generate writes
+    beside them, or else the argument itself."""
+    if not Path(arg).is_dir():
+        return [arg]
+    paths = sorted(Path(arg).glob("instance_*.json"))
+    if not paths:
+        raise DataError(f"no instances found under {arg}")
+    return paths
 
 
 def _load_instance(path):
@@ -272,12 +285,13 @@ def cmd_solve(args):
     if stray:
         raise UsageError("; ".join(stray))
     out = Path(args.out)
+    paths = [p for arg in args.instances for p in _instance_paths(arg)]
     own = [out / "manifest_solve.json"]     # every file this run reads or writes
     if args.checkpoint:
         own.append(Path(args.checkpoint))
     # output files are named by instance stem; two inputs must not share one
     by_stem = {}
-    for path in args.instances:
+    for path in paths:
         stem = Path(path).stem
         if stem in by_stem:
             raise UsageError(f"{by_stem[stem]} and {path} would write the same "
@@ -299,7 +313,7 @@ def cmd_solve(args):
     opts = {flag: getattr(args, flag) for flag in SOLVER_FLAGS}
     opts["policy"] = policy
     tasks = [(path, args.solver, _stream_seed(args.seed, 2, i), opts)
-             for i, path in enumerate(args.instances)]
+             for i, path in enumerate(paths)]
 
     results, pool_fields = _run_tasks(_solve_one, tasks, args.jobs)
 
@@ -320,7 +334,7 @@ def cmd_solve(args):
     _append_metrics(metrics_path, rows)
     outputs.append(metrics_path)
     _write_manifest(out, "solve", _config_echo(args), args.seed,
-                    list(args.instances), outputs, time.time() - t0, pool_fields)
+                    paths, outputs, time.time() - t0, pool_fields)
     for row in rows:
         print(f"{row[0]}: reward {row[3]} completion {row[5]}%")
     return 0
@@ -462,11 +476,7 @@ def _eval_one(task):
 
 def cmd_eval(args):
     policy, _ = _read_checkpoint(args.checkpoint)
-    inst_dir = Path(args.instances)
-    paths = sorted(inst_dir.glob("instance_*.json")) if inst_dir.is_dir() \
-        else [inst_dir]
-    if not paths or (len(paths) == 1 and not paths[0].is_file()):
-        raise DataError(f"no instances found under {args.instances}")
+    paths = _instance_paths(args.instances)
     t0 = time.time()
 
     tasks = [(p, policy, args.stochastic, args.replicas,

@@ -185,13 +185,13 @@ class Env:
         self.sigma = sigma = [nd.sigma for nd in inst.nodes]
         self.q = q = [nd.q for nd in inst.nodes]
         self.kindc = kindc = [_KIND_CODE[nd.kind] for nd in inst.nodes]
-        self.max_ride = max_ride = [r.max_ride for r in inst.requests]
+        max_ride = [r.max_ride for r in inst.requests]
         self.chargers = list(range(1 + 2 * n, self.num_nodes))
         self.visit_once = list(range(1, 1 + n)) + self.chargers   # pickups, chargers
         self.K = inst.fleet.vehicles
         cap = inst.fleet.capacity
         self.invB = invB = 1.0 / inst.fleet.battery_kwh
-        self.rho = rho = inst.fleet.soc_reserve
+        rho = inst.fleet.soc_reserve
         # cheapest escape energy from each node to the depot or any charger
         escape = [min(e[j][k] for k in [0] + self.chargers)
                   for j in range(self.num_nodes)]
@@ -370,12 +370,11 @@ class Env:
             raise ValueError("episode still running")
         j_val = self.objective(state)
         reward = -j_val + self.inst.weights.complete * state.n_served
-        metrics = self._metrics(state, j_val, reward)
         return Solution([list(r) for r in state.routes], state.n_served,
                         state.energy_kwh, state.wait_sec, state.late_sec,
-                        state.travel_sec, j_val, reward, metrics)
+                        state.travel_sec, j_val, reward, self._metrics(state))
 
-    def _metrics(self, state, j_val, reward):
+    def _metrics(self, state):
         vehicles = 0
         seg_loads = []
         for log in state.routes:

@@ -113,10 +113,6 @@ class Instance:
     def num_nodes(self):
         return len(self.nodes)
 
-    @property
-    def chargers(self):
-        return list(range(1 + 2 * self.n, self.num_nodes))
-
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented

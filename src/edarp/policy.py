@@ -242,8 +242,8 @@ def pomo_starts(env, k_p):
     return starts[:k_p]
 
 
-def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=(None,),
-                    noise=None, enc=None):
+def rollout_episode(policy, env, tape, rng=None, starts=(None,), noise=None,
+                    enc=None):
     """Run one episode per start under the policy, in lock-step.
 
     Each entry of starts is a forced first action, or None to let the
@@ -253,8 +253,10 @@ def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=(None,),
     ends. Steps go in start order, so random draws follow step order and
     start order within a step: sampling draws one uniform per sampled
     row, and noise one standard normal per Env.step, both from their one
-    generator. enc is the instance's encoding when the caller already
-    has it; without it the call encodes env.inst itself.
+    generator. Without rng, every unforced action is the argmax of its
+    distribution, and no draw is made. enc is the instance's encoding
+    when the caller already has it; without it the call encodes env.inst
+    itself.
 
     Returns (states, log_prob_sums, actions): a state and an action list
     per start, and a (k,) tape tensor of log-prob sums that cover every
@@ -274,7 +276,7 @@ def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=(None,),
             tape, enc, [states[i].node for i in live], load, soc, tfrac, masks,
             [visited_array(env, states[i]) for i in live])
         forced = [step == 0 and starts[i] is not None for i in live]
-        if not greedy:
+        if rng is not None:
             draws = iter(rng.random(forced.count(False)))
         chosen = []
         for row, (i, m) in enumerate(zip(live, masks)):
@@ -282,7 +284,7 @@ def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=(None,),
                 a = int(starts[i])
                 if not m[a]:
                     raise ValueError("forced first action is masked")
-            elif greedy:
+            elif rng is None:
                 a = int(np.argmax(probs.data[row]))
             else:
                 cum = np.cumsum(probs.data[row])
@@ -307,7 +309,7 @@ def rollout_episode(policy, env, tape, rng=None, greedy=False, starts=(None,),
 def greedy_rollout(policy, inst):
     """Deterministic argmax decode; returns the finished Solution."""
     env = Env(inst)
-    states, _, _ = rollout_episode(policy, env, None, greedy=True)
+    states, _, _ = rollout_episode(policy, env, None)
     return env.solution(states[0])
 
 
@@ -322,7 +324,7 @@ def multistart_rollout(policy, inst, k_p=8, noise=None, enc=None):
     encoding serves every start and every noise draw.
     """
     env = Env(inst)
-    states, _, _ = rollout_episode(policy, env, None, greedy=True,
+    states, _, _ = rollout_episode(policy, env, None,
                                    starts=[None] + pomo_starts(env, k_p),
                                    noise=noise, enc=enc)
     return max((env.solution(s) for s in states), key=lambda sol: sol.reward)

@@ -1,20 +1,20 @@
 """Single-route evaluation and insertion search for the neighborhood solver.
 
 A plan is a list of per-vehicle RouteInfos, each holding its route's
-node sequence without depot bookends. Vehicles are cost-independent
-here because every charging station is visited at most once globally
-and plans never duplicate one, so a route can be simulated on its own:
-fresh vehicle, every hop served by the simulator's own per-hop kernel
-(Env.hop and Env.home), the one home of the feasibility, battery and
-charging rules. Insertion scans and removal prices reuse the prefix
-state up to the changed stop and walk the rest, a plain node list, with
-one tail walk (RouteCtx.walk), so their verdicts and prices agree with
-a from-scratch simulation exactly. The stops a removal strands are
-dropped by _strip alone, before the walk. Scans skip the candidates
-that the kernel's lateness bound (Env.too_late) already rules out, and
-every price is Env.price; this module keeps no window, ride-cap or
-charger rule and no cost weight of its own. A route is simulated again
-only when a move changed it.
+node sequence without depot bookends and the tuples the simulator's
+per-hop kernel (Env.hop and Env.home), the one home of the feasibility,
+battery and charging rules, returned along it. Vehicles are
+cost-independent here because every charging station is visited at most
+once globally and plans never duplicate one, so a route can be simulated
+on its own. One tail walk (RouteCtx.walk) serves every evaluation:
+simulate walks a route from a fresh vehicle, and insertion scans and
+removal prices walk the rest, a plain node list, from a recorded stop,
+so their verdicts and prices agree with a from-scratch simulation
+exactly. The stops a removal strands are dropped by _strip alone,
+before the walk. Scans skip the candidates that the kernel's lateness
+bound (Env.too_late) already rules out, and every price is Env.price;
+this module keeps no window, ride-cap or charger rule and no cost weight
+of its own. A route is simulated again only when a move changed it.
 
 Greedy's start plan breaks that premise where the simulator's escape
 move ran: a depot return with passengers aboard leaves a route this
@@ -31,24 +31,23 @@ from .environment import _CHARGER
 
 
 class RouteInfo:
-    """Per-stop timeline of one simulated route; index 0 is the fresh vehicle.
-    cost stays None for a route the route model rejects."""
+    """One route's simulation in the kernel's own terms.
 
-    __slots__ = ("nodes", "DEP", "B", "LOAD", "SS", "legs",
-                 "cumE", "cumW", "cumL", "cumT", "E", "W", "L", "T", "cost")
+    hops[k] is Env.hop's tuple (ss, dep, soc, load, wait, late, de, dt)
+    at stop k: hops[0] is the fresh vehicle at the depot, and the last
+    entry is the depot return, whose leg (0.0, 0.0, de, dt) is Env.home's
+    and whose state fields are None. run[k] holds the running totals
+    (E, W, L, T) after hops[k], so run[-1] is the route's. SS maps each
+    pickup node to its service start. cost stays None, and hops and run
+    hold only the fresh vehicle, for a route the route model rejects."""
+
+    __slots__ = ("nodes", "hops", "run", "SS", "cost")
 
     def __init__(self, nodes):
-        m = len(nodes)
         self.nodes = nodes
-        self.DEP = [0.0] * (m + 1)     # clock after service
-        self.B = [1.0] * (m + 1)       # soc after stop (incl. charge)
-        self.LOAD = [0] * (m + 1)
-        self.SS = {}                   # pickup node -> service start
-        self.legs = []                 # (wait, late, de, dt) per hop, depot return last
-        self.cumE = [0.0] * (m + 1)    # running totals after stop k
-        self.cumW = [0.0] * (m + 1)
-        self.cumL = [0.0] * (m + 1)
-        self.cumT = [0.0] * (m + 1)
+        self.hops = [(0.0, 0.0, 1.0, 0, 0.0, 0.0, 0.0, 0.0)]
+        self.run = [(0.0, 0.0, 0.0, 0.0)]
+        self.SS = {}
         self.cost = None
 
 
@@ -61,42 +60,23 @@ class RouteCtx:
     # -- full route simulation ------------------------------------------------
 
     def simulate(self, nodes):
-        """Simulate one route from a fresh vehicle; RouteInfo or None."""
+        """Simulate one route from a fresh vehicle; RouteInfo or None.
+        The route is the tail walk from the depot, and its running
+        totals add up the recorded hops in the walk's order."""
+        if 0 in nodes:
+            raise ValueError("routes must not contain the depot")
         info = RouteInfo(list(nodes))
-        hop, n = self.env.hop, self.env.n
-        u, tau, b, load = 0, 0.0, 1.0, 0
-        ss_of = info.SS
-        legs = info.legs
+        if self.walk(info.nodes, 0, 0.0, 1.0, 0, info.SS,
+                     0.0, 0.0, 0.0, 0.0, info.hops) is None:
+            return None
+        run = info.run
         E = W = L = T = 0.0
-        for k, w_node in enumerate(nodes, start=1):
-            if w_node == 0:
-                raise ValueError("routes must not contain the depot")
-            res = hop(u, tau, b, load, w_node, ss_of.get(w_node - n))
-            if res is None:
-                return None
-            ss, dep, b, load, wait, late, de, dt = res
-            legs.append(res[4:])
-            if w_node <= n:
-                ss_of[w_node] = ss
+        for _, _, _, _, wait, late, de, dt in info.hops[1:]:
             E += de
             W += wait
             L += late
             T += dt
-            info.DEP[k] = dep
-            info.B[k] = b
-            info.LOAD[k] = load
-            info.cumE[k] = E
-            info.cumW[k] = W
-            info.cumL[k] = L
-            info.cumT[k] = T
-            u, tau = w_node, dep
-        leg = self.env.home(u, b, load)
-        if leg is None:
-            return None
-        legs.append((0.0, 0.0) + leg)
-        E += leg[0]
-        T += leg[1]
-        info.E, info.W, info.L, info.T = E, W, L, T
+            run.append((E, W, L, T))
         info.cost = self.env.price(E, W, L, T)
         return info
 
@@ -105,7 +85,7 @@ class RouteCtx:
         hop by hop in replay's order, so J equals replay's bit for bit."""
         E = W = L = T = 0.0
         for info in plan:
-            for wait, late, de, dt in info.legs:
+            for _, _, _, _, wait, late, de, dt in info.hops[1:]:
                 W += wait
                 L += late
                 E += de
@@ -138,14 +118,16 @@ class RouteCtx:
         hop, too_late, price, n = env.hop, env.too_late, env.price, env.n
         p = 1 + req
         d = 1 + n + req
-        m = len(info.nodes)
-        rnodes = info.nodes
+        rnodes, hops, run = info.nodes, info.hops, info.run
+        m = len(rnodes)
+        totE, totW, totL, totT = run[-1]
         out = []
         for i in range(m + 1):
-            if too_late(info.DEP[i], p, None):
-                break           # DEP never decreases: no later slot either
+            _, dep, b, load, _, _, _, _ = hops[i]
+            if too_late(dep, p, None):
+                break           # departures never fall: no later slot either
             u = rnodes[i - 1] if i else 0
-            hop_p = hop(u, info.DEP[i], info.B[i], info.LOAD[i], p, None)
+            hop_p = hop(u, dep, b, load, p, None)
             if hop_p is None:
                 continue
             ss_p, tau_c, b_c, load_c, wait_p, _, de_p, dt_p = hop_p
@@ -156,10 +138,8 @@ class RouteCtx:
             # costs of the re-simulated middle part (stops i+1 .. j), and of
             # the old route from stop i on, which every candidate replaces
             midE, midW, midL, midT = de_p, wait_p, 0.0, dt_p
-            oldE = info.E - info.cumE[i]
-            oldW = info.W - info.cumW[i]
-            oldL = info.L - info.cumL[i]
-            oldT = info.T - info.cumT[i]
+            cumE, cumW, cumL, cumT = run[i]
+            oldE, oldW, oldL, oldT = totE - cumE, totW - cumW, totL - cumL, totT - cumT
             for j in range(i, m + 1):
                 if too_late(tau_c, d, ss_p):
                     break       # departure already too late for the delivery
@@ -194,19 +174,23 @@ class RouteCtx:
 
     # -- tail walk and removal pricing -----------------------------------------
 
-    def walk(self, nodes, u, tau, b, load, over, E, W, L, T):
+    def walk(self, nodes, u, tau, b, load, over, E, W, L, T, trail=None):
         """(E, W, L, T) of the stops nodes walked and the return home,
         starting at node u in state (tau, b, load) with running totals
         E, W, L, T; None when a hop or the return fails. over maps
         pickup nodes to service starts; the walk reads a delivery's
         pickup start from it and records the pickups it serves. The
-        totals add up in simulate's order, so they keep a full
-        simulation's bits."""
+        totals add up hop by hop in one fixed order, so a walk from any
+        stop of a simulated route keeps a full simulation's bits. A
+        given trail list receives each hop's tuple and the depot
+        return, as RouteInfo.hops holds them (simulate's record)."""
         hop, n = self.env.hop, self.env.n
         for w in nodes:
             res = hop(u, tau, b, load, w, over.get(w - n))
             if res is None:
                 return None
+            if trail is not None:
+                trail.append(res)
             ss, tau, b, load, wait, late, de, dt = res
             if w <= n:
                 over[w] = ss
@@ -218,6 +202,8 @@ class RouteCtx:
         leg = self.env.home(u, b, load)
         if leg is None:
             return None
+        if trail is not None:
+            trail.append((None, None, None, None, 0.0, 0.0) + leg)
         return E + leg[0], W, L, T + leg[1]
 
     def removal_cost(self, info, req):
@@ -232,9 +218,9 @@ class RouteCtx:
         """
         i = info.nodes.index(1 + req)
         u = info.nodes[i - 1] if i else 0
+        _, dep, b, load, _, _, _, _ = info.hops[i]
         tail = self.walk(_strip(info.nodes[i + 1:], {req}, self, u), u,
-                         info.DEP[i], info.B[i], info.LOAD[i], info.SS.copy(),
-                         info.cumE[i], info.cumW[i], info.cumL[i], info.cumT[i])
+                         dep, b, load, info.SS.copy(), *info.run[i])
         if tail is None:
             return float("inf")
         return self.env.price(*tail)

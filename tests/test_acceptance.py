@@ -44,7 +44,7 @@ def _verify_episode(env, state):
         pick_ss = {}
         for node, arrival, ss, soc, charge in route:
             assert ss >= arrival - 1e-9
-            assert soc - charge >= env.rho - 1e-12      # soc on arrival
+            assert soc - charge >= env.inst.fleet.soc_reserve - 1e-12      # soc on arrival
             assert soc <= 1.0 + 1e-12
             if 1 <= node <= n:                          # pickup
                 r = node - 1
@@ -55,7 +55,7 @@ def _verify_episode(env, state):
                 r = node - 1 - n
                 load -= 1
                 assert r in pick_ss
-                assert ss - pick_ss[r] <= env.max_ride[r] + 1e-9
+                assert ss - pick_ss[r] <= env.inst.requests[r].max_ride + 1e-9
             assert 0 <= load <= env.inst.fleet.capacity
 
 
@@ -73,7 +73,7 @@ def test_mask_guided_rollouts_never_violate_constraints():
             acts = np.flatnonzero(env.mask(state))
             env.step(state, int(rng.choice(acts)))
             assert state.load <= inst.fleet.capacity
-            assert env.rho - 1e-12 <= state.soc <= 1.0 + 1e-12
+            assert inst.fleet.soc_reserve - 1e-12 <= state.soc <= 1.0 + 1e-12
             states_checked += 1
         _verify_episode(env, state)
     dt = time.time() - t0

@@ -167,6 +167,27 @@ def test_solve_alns_not_worse_than_greedy(tmp_path):
         assert by[(p, "alns")] >= by[(p, "greedy")] - 1e-9
 
 
+def test_solve_takes_the_directory_generate_wrote(tmp_path, capsys):
+    # generate writes its manifest beside the instances; solve reads the
+    # directory's instance_*.json, as eval --instances does
+    out = gen_dir(tmp_path, count=3)
+    sol_dir = tmp_path / "sols"
+    assert run("solve", str(out), "--solver", "greedy",
+               "--out", str(sol_dir)) == 0
+    insts = sorted(str(p) for p in out.glob("instance_*.json"))
+    assert [r[0] for r in read_csv(sol_dir / "metrics.csv")[1:]] == insts
+    mani = json.loads((sol_dir / "manifest_solve.json").read_text())
+    assert sorted(mani["inputHashes"]) == insts
+    for i in range(3):
+        assert (sol_dir / f"solution_instance_{i:04d}_greedy.json").is_file()
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    capsys.readouterr()
+    assert run("solve", str(empty), "--solver", "greedy",
+               "--out", str(tmp_path / "none")) == 3
+    assert "no instances found" in capsys.readouterr().err
+
+
 def test_solve_neural_requires_checkpoint(tmp_path, capsys):
     out = gen_dir(tmp_path, count=1)
     inst = str(out / "instance_0000.json")

@@ -26,7 +26,7 @@ def slow_mask(env, state, battery_blocks=None):
     rho = inst.fleet.soc_reserve
     e = inst.edges.energy
     t = inst.edges.time
-    chargers = inst.chargers
+    chargers = list(range(1 + 2 * n, V))
     out = [False] * V
     if state.terminal:
         return out
@@ -315,7 +315,7 @@ def test_replay_bit_exact(small_instance):
 
 
 def test_replay_rejects_off_mask(small_instance):
-    charger = small_instance.chargers[0]
+    charger = Env(small_instance).chargers[0]
     with pytest.raises(ReplayError):
         replay(Env(small_instance), [[charger]])
 
@@ -436,7 +436,7 @@ def test_too_late_is_sound(tight_fleet):
         for w in range(env.num_nodes):
             if n < w <= 2 * n:
                 ps = start * inst.horizon
-                cases.append((w, ps + (1.0 + late) * env.max_ride[w - 1 - n], ps))
+                cases.append((w, ps + (1.0 + late) * inst.requests[w - 1 - n].max_ride, ps))
                 cases.append((w, ps, None))
             else:
                 cases.append((w, max(0.0, env.l[w] + late * (env.l[w] - env.a[w])),

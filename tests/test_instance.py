@@ -203,5 +203,5 @@ def test_generator_keeps_depot_reachable():
     B = inst.fleet.battery_kwh
     rho = inst.fleet.soc_reserve
     for j in range(inst.num_nodes):
-        esc = min(inst.edges.energy[j][k] for k in [0] + inst.chargers)
+        esc = min(inst.edges.energy[j][k] for k in [0] + list(range(1 + 2 * inst.n, inst.num_nodes)))
         assert esc / B <= 1.0 - rho + 1e-12

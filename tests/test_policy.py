@@ -404,7 +404,7 @@ def test_forced_first_action_validated(small_instance):
     env = Env(small_instance)
     charger = env.chargers[0]       # blocked from the depot
     with pytest.raises(ValueError, match="masked"):
-        rollout_episode(policy, env, None, greedy=True, starts=[charger])
+        rollout_episode(policy, env, None, starts=[charger])
 
 
 def test_forced_first_action_respected(small_instance):
@@ -412,10 +412,9 @@ def test_forced_first_action_respected(small_instance):
     env = Env(small_instance)
     m = env.mask(env.reset())
     pickups = [j for j in range(1, 1 + env.n) if m[j]]
-    _, _, actions = rollout_episode(policy, env, None, greedy=True,
-                                    starts=[pickups[-1], None])
+    _, _, actions = rollout_episode(policy, env, None, starts=[pickups[-1], None])
     assert actions[0][0] == pickups[-1]
-    assert actions[1] == rollout_episode(policy, env, None, greedy=True)[2][0]
+    assert actions[1] == rollout_episode(policy, env, None)[2][0]
 
 
 def forced_logprobs(policy, inst, tape, enc, actions):
@@ -446,12 +445,11 @@ def test_lockstep_matches_one_start_decoding():
         enc = policy.encode(None, normalize_features(inst))
         m = env.mask(env.reset())
         starts = [None] + [j for j in range(1, 1 + env.n) if m[j]]
-        states, lps, actions = rollout_episode(policy, env, None, greedy=True,
+        states, lps, actions = rollout_episode(policy, env, None,
                                                starts=starts, enc=enc)
         assert lps.shape == (len(starts),)
         for i, a0 in enumerate(starts):
-            s1, lp1, acts1 = rollout_episode(policy, env, None, greedy=True,
-                                             starts=[a0], enc=enc)
+            s1, lp1, acts1 = rollout_episode(policy, env, None, starts=[a0], enc=enc)
             assert actions[i] == acts1[0]
             assert states[i].steps == s1[0].steps == len(actions[i])
             assert env.solution(states[i]).reward == env.solution(s1[0]).reward
@@ -597,8 +595,7 @@ def one_start_per_call(policy, inst, k_p):
     enc = policy.encode(None, normalize_features(inst))
     best = None
     for a0 in [None] + pomo_starts(env, k_p):
-        states, _, _ = rollout_episode(policy, env, None, greedy=True,
-                                       starts=[a0], enc=enc)
+        states, _, _ = rollout_episode(policy, env, None, starts=[a0], enc=enc)
         sol = env.solution(states[0])
         if best is None or sol.reward > best.reward:
             best = sol
@@ -624,7 +621,7 @@ def test_noisy_multistart_draws_one_normal_per_step():
     for seed in range(4):
         inst = generate_instance(6, charger_count=1, seed=60 + seed)
         env = Env(inst)
-        states, _, _ = rollout_episode(policy, env, None, greedy=True,
+        states, _, _ = rollout_episode(policy, env, None,
                                        starts=[None] + pomo_starts(env, 8),
                                        noise=NoiseConfig.make(0.3, seed))
         noise = NoiseConfig.make(0.3, seed)

@@ -75,16 +75,17 @@ def test_simulate_matches_episode_replay(tight_fleet):
                     sol = replay(env, [route])
                 checked[f] += 1
                 assert info is not None
-                assert info.E == pytest.approx(sol.j_energy, abs=1e-9)
-                assert info.W == pytest.approx(sol.j_wait, abs=1e-9)
-                assert info.L == pytest.approx(sol.j_late, abs=1e-9)
-                assert info.T == pytest.approx(sol.j_travel, abs=1e-9)
+                # hops add up in replay's order, so totals and price are
+                # replay's to the bit
+                assert info.run[-1] == (sol.j_energy, sol.j_wait,
+                                        sol.j_late, sol.j_travel)
+                assert info.cost == sol.objective
                 # per-stop timeline against the simulator's own log
                 log = sol.routes[0]
                 for k, (node, _, ss, soc, _) in enumerate(log[1:-1], start=1):
                     assert node == route[k - 1]
-                    assert info.DEP[k] == ss + inst.nodes[node].sigma
-                    assert info.B[k] == pytest.approx(soc, abs=1e-12)
+                    assert info.hops[k][1] == ss + inst.nodes[node].sigma
+                    assert info.hops[k][2] == soc
                 # without its chargers the route may run flat; with no charger
                 # left, the mask's escape move cannot serve a route stop, so
                 # the two verdicts must agree
@@ -112,6 +113,39 @@ def test_simulate_infeasible_is_none(small_instance):
     ctx = RouteCtx(Env(small_instance))
     n = small_instance.n
     assert ctx.simulate([1 + n]) is None     # delivery before pickup
+
+
+def test_route_info_holds_the_kernel_hops(tight_fleet):
+    """Each recorded hop is Env.hop's answer from the state the hop
+    before it recorded, the last entry carries Env.home's leg, and run
+    holds the running totals of the recorded legs."""
+    checked = 0
+    for ctx, plan in solver_plans(tight_fleet):
+        env, n = ctx.env, ctx.env.n
+        for route in plan:
+            info = ctx.simulate(route)
+            if info is None:
+                continue
+            hops, run = info.hops, info.run
+            assert len(hops) == len(run) == len(route) + 2
+            assert hops[0] == (0.0, 0.0, 1.0, 0, 0.0, 0.0, 0.0, 0.0)
+            u = 0
+            for k, w in enumerate(route, start=1):
+                _, dep, b, load, _, _, _, _ = hops[k - 1]
+                assert hops[k] == env.hop(u, dep, b, load, w, info.SS.get(w - n))
+                u = w
+            _, _, b, load, _, _, _, _ = hops[-2]
+            assert hops[-1][4:] == (0.0, 0.0) + env.home(u, b, load)
+            E = W = L = T = 0.0
+            assert run[0] == (E, W, L, T)
+            for k, (_, _, _, _, wait, late, de, dt) in enumerate(hops[1:], start=1):
+                E, W, L, T = E + de, W + wait, L + late, T + dt
+                assert run[k] == (E, W, L, T)
+            assert info.cost == env.price(*run[-1])
+            # the walk without a trail returns the same totals
+            assert ctx.walk(route, 0, 0.0, 1.0, 0, {}, 0.0, 0.0, 0.0, 0.0) == run[-1]
+            checked += 1
+    assert checked >= 30
 
 
 def test_scan_insertions_equals_brute_force(tight_fleet):
@@ -255,13 +289,14 @@ def full_scan(ctx, info, req):
     env = ctx.env
     hop, home, n = env.hop, env.home, env.n
     p, d = 1 + req, 1 + n + req
-    ride_cap = env.max_ride[req]
+    ride_cap = env.inst.requests[req].max_ride
     rnodes, SS = info.nodes, info.SS
     m = len(rnodes)
     out = []
     for i in range(m + 1):
         u = rnodes[i - 1] if i else 0
-        hop_p = hop(u, info.DEP[i], info.B[i], info.LOAD[i], p, None)
+        _, dep, b, load, _, _, _, _ = info.hops[i]
+        hop_p = hop(u, dep, b, load, p, None)
         if hop_p is None:
             continue
         ss_p, tau_c, b_c, load_c, wait_p, _, de_p, dt_p = hop_p
@@ -296,10 +331,12 @@ def full_scan(ctx, info, req):
                     if leg is not None:
                         tailE += leg[0]
                         tailT += leg[1]
-                        oldE = info.E - info.cumE[i]
-                        oldW = info.W - info.cumW[i]
-                        oldL = info.L - info.cumL[i]
-                        oldT = info.T - info.cumT[i]
+                        (totE, totW, totL, totT), (cumE, cumW, cumL, cumT) = \
+                            info.run[-1], info.run[i]
+                        oldE = totE - cumE
+                        oldW = totW - cumW
+                        oldL = totL - cumL
+                        oldT = totT - cumT
                         delta = env.price(tailE - oldE, tailW - oldW,
                                           tailL - oldL, tailT - oldT)
                         out.append((delta, i, j))

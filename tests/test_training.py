@@ -136,8 +136,7 @@ def test_update_invariant_to_trajectory_order_within_instance():
         policy.zero_grad()
         tape = Tape()
         enc = policy.encode(tape, feats)
-        states, lps, _ = rollout_episode(policy, env, tape, greedy=True,
-                                         starts=order, enc=enc)
+        states, lps, _ = rollout_episode(policy, env, tape, starts=order, enc=enc)
         adv = pomo_advantages([env.solution(s).reward for s in states])
         loss = ad.scale(tape, ad.tsum(tape, ad.mul(tape, lps, Tensor(adv))),
                         -1.0 / len(order))
