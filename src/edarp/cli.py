@@ -10,7 +10,9 @@ over spawned worker processes pinned to one BLAS thread each; the solve
 and eval manifests record that count as poolBlasThreads. The eval
 manifest also totals, over all replicas, the logged stops reached with a
 charge below 0 (strandedStops, which a warning on stderr reports) and
-below the fleet's reserve (reserveBreaches).
+below the fleet's reserve (reserveBreaches). An exact solve manifest
+records limitHits, the number of instances whose search hit --limit
+(each also warned about on stderr).
 
 Exit codes: 0 success; 2 usage, including a numeric flag out of its
 range, a solve flag that another solver reads (SOLVER_FLAGS), a train
@@ -242,11 +244,13 @@ def cmd_generate(args):
 # -- solve ----------------------------------------------------------------------
 
 def _solve_one(task):
-    """(path, solution, wall seconds, ALNS history rows or None)."""
+    """(path, solution, wall seconds, ALNS history rows or None, whether
+    an exact search hit --limit)."""
     path, solver, seed, opts = task
     inst = _load_instance(path)
     t0 = time.time()
     history = None
+    limit_hit = False
     if solver == "greedy":
         sol = greedy_solve(inst)
     elif solver == "exact":
@@ -254,7 +258,8 @@ def _solve_one(task):
             sol, optimal = exact_solve(inst, limit=opts["limit"])
         except SearchLimitError as e:
             raise UsageError(f"{path}: {e}; raise --limit") from e
-        if not optimal:
+        limit_hit = not optimal
+        if limit_hit:
             print(f"warning: search limit hit on {path}; best found returned",
                   file=sys.stderr)
     elif solver == "alns":
@@ -266,7 +271,7 @@ def _solve_one(task):
     wall = time.time() - t0
     if not np.isfinite(sol.reward) or not np.isfinite(sol.objective):
         raise NumericalError(f"non-finite objective for {path}")
-    return path, sol, wall, history
+    return path, sol, wall, history, limit_hit
 
 
 # flag -> (the one solver that reads it, its value when not given)
@@ -315,13 +320,13 @@ def cmd_solve(args):
     tasks = [(path, args.solver, _stream_seed(args.seed, 2, i), opts)
              for i, path in enumerate(paths)]
 
-    results, pool_fields = _run_tasks(_solve_one, tasks, args.jobs)
+    results, run_fields = _run_tasks(_solve_one, tasks, args.jobs)
 
     # the output directory appears only once every instance has loaded
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     outputs = []
-    for (path, sol, wall, history), task in zip(results, tasks):
+    for (path, sol, wall, history, _), task in zip(results, tasks):
         sol_path = out / f"solution_{Path(path).stem}_{args.solver}.json"
         sol_path.write_bytes(save_solution(sol))
         outputs.append(sol_path)
@@ -333,8 +338,10 @@ def cmd_solve(args):
         rows.append(_metrics_row(path, args.solver, task[2], sol, wall))
     _append_metrics(metrics_path, rows)
     outputs.append(metrics_path)
+    if args.solver == "exact":
+        run_fields["limitHits"] = sum(hit for *_, hit in results)
     _write_manifest(out, "solve", _config_echo(args), args.seed,
-                    paths, outputs, time.time() - t0, pool_fields)
+                    paths, outputs, time.time() - t0, run_fields)
     for row in rows:
         print(f"{row[0]}: reward {row[3]} completion {row[5]}%")
     return 0

@@ -932,3 +932,17 @@ def test_usage_error_on_unknown_solver(tmp_path):
     with pytest.raises(SystemExit) as ex:
         run("solve", str(out / "instance_0000.json"), "--solver", "sorcery")
     assert ex.value.code == 2
+
+
+def test_solve_exact_manifest_counts_limit_hits(tmp_path, capsys):
+    inst = gen_dir(tmp_path, count=1, n=3, seed=8) / "instance_0000.json"
+    for argv, hits in ((["--limit", "40"], 1), ([], 0)):
+        out = tmp_path / f"sols{hits}"
+        capsys.readouterr()
+        assert run("solve", str(inst), "--solver", "exact", *argv,
+                   "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        assert (f"warning: search limit hit on {inst}; best found returned"
+                in err) == bool(hits)
+        mani = json.loads((out / "manifest_solve.json").read_text())
+        assert mani["limitHits"] == hits

@@ -1,8 +1,11 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
                    Node, Request, enumerate_rewards, exact_solve,
                    generate_instance, replay)
+from edarp.oracle import _search, _servable
 
 
 def test_single_request_route_is_direct():
@@ -77,3 +80,77 @@ def test_exact_beats_or_ties_every_enumerated_trajectory():
     assert optimal
     assert sol.reward >= full["worst_reward"]
     assert sol.reward == full["best_reward"]
+
+
+# (n, vehicles, tight fleet, seed) -> (vehicle routes, reward.hex(), optimal),
+# recorded from the search before it bounded on the servable requests
+PINNED = {
+    (3, 1, False, 101): ([[1, 4, 3, 6]], "0x1.f5e488da14af1p+3", True),
+    (3, 2, True, 102): ([[2, 5], [3, 6]], "0x1.963674403aff0p+3", True),
+    (3, 3, False, 103): ([[], [], [2, 3, 1, 6, 5, 4]], "0x1.922a9f7fe65d6p+4", True),
+    (4, 1, True, 104): ([[2, 6, 9, 3, 7]], "0x1.fa3302a25bc2dp+3", True),
+    (4, 2, False, 105): ([[1, 5], [2, 6, 4, 8, 3, 7]], "0x1.ffd712ad9efefp+4", True),
+    (4, 3, True, 106): ([[], [], [1, 9, 3, 7, 4, 8]], "0x1.dca22a3d51bd8p+3", True),
+    (5, 2, False, 107): ([[], [3, 4, 9, 1, 8, 2, 5, 6, 10, 7]],
+                         "0x1.4975b56ed836cp+5", True),
+    (5, 3, True, 108): ([[], [], [4, 9, 11, 5, 10, 11]], "0x1.8f145a854b9f9p+3", True),
+}
+
+
+def _fleet(vehicles, tight):
+    if tight:
+        return FleetParams(vehicles=vehicles, battery_kwh=4.0, soc_reserve=0.3)
+    return FleetParams(vehicles=vehicles)
+
+
+def test_seeded_exact_output_is_pinned():
+    for (n, k, tight, seed), (routes, reward, optimal) in PINNED.items():
+        inst = generate_instance(n, charger_count=1, fleet=_fleet(k, tight), seed=seed)
+        sol, opt = exact_solve(inst)
+        assert (sol.vehicle_routes(), sol.reward.hex(), opt) == (routes, reward, optimal)
+
+
+def test_exact_actions_equal_enumerated_best_sequence():
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            for tight in (False, True):
+                for seed in (200 + 10 * n + k, 500 + 10 * n + k):
+                    inst = generate_instance(n, charger_count=1,
+                                             fleet=_fleet(k, tight), seed=seed)
+                    sol, optimal = exact_solve(inst)
+                    full = enumerate_rewards(inst)
+                    assert optimal and full["complete"]
+                    actions = [stop[0] for log in sol.routes for stop in log[1:]]
+                    assert actions == full["best_seq"], (n, k, tight, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.integers(0, 10_000))
+def test_servable_bounds_every_terminal_below(n, k, tight, seed):
+    inst = generate_instance(n, charger_count=1, fleet=_fleet(k, tight), seed=seed)
+    env = Env(inst)
+
+    def most_served(state):
+        """Most requests served by a terminal state below state; checks
+        _servable against it at every non-terminal state on the way."""
+        if state.terminal:
+            return state.n_served
+        mask = env.mask(state)
+        below = 0
+        for j in range(env.num_nodes):
+            if mask[j]:
+                child = state.clone()
+                env.step(child, j, mask=mask)
+                below = max(below, most_served(child))
+        assert _servable(env, state) >= below
+        return below
+
+    most_served(env.reset())
+
+
+def test_bound_prunes_most_of_the_enumeration(small_instance):
+    pruned = _search(small_instance, 10_000_000, enumerate_all=False)[3]
+    full = _search(small_instance, 10_000_000, enumerate_all=True)[3]
+    assert not pruned["exhausted"] and not full["exhausted"]
+    assert pruned["expanded"] <= 0.4 * full["expanded"]
