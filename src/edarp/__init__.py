@@ -7,7 +7,7 @@ multi-start baselines.
 """
 
 from .instance import (CostWeights, EdgeMatrices, FeatureTensors, FleetParams,
-                       Instance, InstanceFormatError, Node, Request, Violation,
+                       Instance, InstanceFormatError, Node, Request,
                        generate_instance, load, normalize_features, save, validate)
 from .environment import (Env, EpisodeState, MaskViolation, NoiseConfig,
                           ReplayError, Solution, charging_power, load_solution,
@@ -31,7 +31,7 @@ __all__ = [
     "Instance", "InstanceFormatError", "MaskViolation", "Node", "NoiseConfig",
     "OperatorWeights", "Policy", "PolicyConfig", "ReplayError", "Request",
     "RouteCtx", "Solution", "StageResult", "Tape", "Tensor",
-    "TrainConfig", "TrainReport", "Violation", "alns_solve", "charging_power",
+    "TrainConfig", "TrainReport", "alns_solve", "charging_power",
     "curriculum_train", "enumerate_rewards", "exact_solve", "generate_instance",
     "greedy_rollout", "greedy_solve", "load", "load_policy", "load_solution",
     "multistart_rollout", "normalize_features", "plan_from_solution",

@@ -42,10 +42,6 @@ class Tensor:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
 
 class Tape:
     """Ordered record of (output, gradient rule) pairs.

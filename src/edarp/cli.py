@@ -12,7 +12,9 @@ manifest also totals, over all replicas, the logged stops reached with a
 charge below 0 (strandedStops, which a warning on stderr reports) and
 below the fleet's reserve (reserveBreaches). An exact solve manifest
 records limitHits, the number of instances whose search hit --limit
-(each also warned about on stderr).
+(each also warned about on stderr), and an ALNS solve manifest
+replayFailures, the candidates that replay refused, summed over
+instances.
 
 Exit codes: 0 success; 2 usage, including a numeric flag out of its
 range, a solve flag that another solver reads (SOLVER_FLAGS), a train
@@ -23,8 +25,10 @@ built, an exact search whose --limit runs out before any complete
 trajectory, solve instances that share a file stem, whose output
 files would collide, and a solve --metrics path that names a file the
 run itself reads or writes (an instance, the checkpoint, a solution,
-telemetry or manifest file); 3 data error, including a missing, unreadable or
-malformed instance, config or checkpoint file (a checkpoint's weights
+telemetry or manifest file); 3 data error, including a missing or
+unreadable instance, config or checkpoint file, a malformed or invalid
+instance (the error names the file and the field), a malformed config
+or checkpoint file (a checkpoint's weights
 and its optimizer state, optState, are checked by every command that
 reads it, and a weight or moment that is not base64 of the
 parameter's size is refused), or an instance directory with no
@@ -49,7 +53,7 @@ from .alns import alns_solve
 from .environment import NoiseConfig, save_solution
 from .greedy import greedy_solve
 from .instance import (FleetParams, InstanceFormatError, generate_instance, load,
-                       normalize_features, save, validate)
+                       normalize_features, save)
 from .oracle import SearchLimitError, exact_solve
 from .policy import (PolicyConfig, load_policy, multistart_rollout, require,
                      save_policy)
@@ -134,14 +138,9 @@ def _load_instance(path):
     if not p.is_file():
         raise DataError(f"instance file not found: {p}")
     try:
-        inst = load(p.read_bytes())
+        return load(p.read_bytes())
     except InstanceFormatError as e:
-        raise DataError(str(e)) from e
-    problems = validate(inst)
-    if problems:
-        raise DataError(f"invalid instance {p}: "
-                        + "; ".join(v.message for v in problems))
-    return inst
+        raise DataError(f"{p}: {e}") from e
 
 
 def _read_checkpoint(path):
@@ -244,13 +243,14 @@ def cmd_generate(args):
 # -- solve ----------------------------------------------------------------------
 
 def _solve_one(task):
-    """(path, solution, wall seconds, ALNS history rows or None, whether
-    an exact search hit --limit)."""
+    """(path, solution, wall seconds, ALNS history rows or None, the
+    solver's manifest counters: limitHits for exact, replayFailures for
+    ALNS)."""
     path, solver, seed, opts = task
     inst = _load_instance(path)
     t0 = time.time()
     history = None
-    limit_hit = False
+    counters = {}
     if solver == "greedy":
         sol = greedy_solve(inst)
     elif solver == "exact":
@@ -258,12 +258,13 @@ def _solve_one(task):
             sol, optimal = exact_solve(inst, limit=opts["limit"])
         except SearchLimitError as e:
             raise UsageError(f"{path}: {e}; raise --limit") from e
-        limit_hit = not optimal
-        if limit_hit:
+        counters["limitHits"] = int(not optimal)
+        if not optimal:
             print(f"warning: search limit hit on {path}; best found returned",
                   file=sys.stderr)
     elif solver == "alns":
         sol, stats = alns_solve(inst, opts["iterations"], seed)
+        counters["replayFailures"] = stats.replay_failures
         if opts["telemetry"]:
             history = stats.history
     else:
@@ -271,7 +272,7 @@ def _solve_one(task):
     wall = time.time() - t0
     if not np.isfinite(sol.reward) or not np.isfinite(sol.objective):
         raise NumericalError(f"non-finite objective for {path}")
-    return path, sol, wall, history, limit_hit
+    return path, sol, wall, history, counters
 
 
 # flag -> (the one solver that reads it, its value when not given)
@@ -338,8 +339,9 @@ def cmd_solve(args):
         rows.append(_metrics_row(path, args.solver, task[2], sol, wall))
     _append_metrics(metrics_path, rows)
     outputs.append(metrics_path)
-    if args.solver == "exact":
-        run_fields["limitHits"] = sum(hit for *_, hit in results)
+    for *_, counters in results:
+        for key, count in counters.items():
+            run_fields[key] = run_fields.get(key, 0) + count
     _write_manifest(out, "solve", _config_echo(args), args.seed,
                     paths, outputs, time.time() - t0, run_fields)
     for row in rows:

@@ -27,7 +27,7 @@ KINDS = (KIND_DEPOT, KIND_PICKUP, KIND_DELIVERY, KIND_CHARGER)
 
 
 class InstanceFormatError(ValueError):
-    """Raised when serialized instance data cannot be decoded."""
+    """Raised when serialized instance data cannot be decoded or is invalid."""
 
 
 @dataclass
@@ -87,13 +87,6 @@ class EdgeMatrices:
         self.dist = np.asarray(dist, dtype=np.float64)
         self.energy = np.asarray(energy, dtype=np.float64)
 
-    def __eq__(self, other):
-        if not isinstance(other, EdgeMatrices):
-            return NotImplemented
-        return (np.array_equal(self.time, other.time)
-                and np.array_equal(self.dist, other.dist)
-                and np.array_equal(self.energy, other.energy))
-
 
 class Instance:
     def __init__(self, nodes, edges, requests, fleet, weights, horizon, seed=0):
@@ -112,21 +105,6 @@ class Instance:
     @property
     def num_nodes(self):
         return len(self.nodes)
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (self.nodes == other.nodes
-                and self.edges == other.edges
-                and self.requests == other.requests
-                and self.fleet == other.fleet
-                and self.weights == other.weights
-                and self.horizon == other.horizon
-                and self.seed == other.seed)
-
-    def __repr__(self):
-        return (f"Instance(n={self.n}, nodes={self.num_nodes}, "
-                f"K={self.fleet.vehicles}, seed={self.seed})")
 
 
 # Generator geometry and timing: meters, seconds and kWh per km.
@@ -222,107 +200,92 @@ def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
                     fleet, weights, HORIZON, seed)
 
 
-@dataclass
-class Violation:
-    field: str
-    where: int        # node, request, or edge-row index; -1 for instance-level
-    message: str
-
-
 def validate(inst):
-    """Check every structural invariant; returns a list of Violations,
-    each message naming its field as the instance JSON does
-    (e.g. "nodes[4].sigma must be >= 0, got -5.0")."""
+    """Check every structural invariant; returns a list of messages, each
+    naming its field as the instance JSON does
+    (e.g. "nodes[4].sigma must be >= 0, got -5.0"). The edge matrices'
+    shapes are checked before any rule reads them."""
     out = []
     n = inst.n
     v = inst.num_nodes
 
     if v < 1 or inst.nodes[0].kind != KIND_DEPOT:
         got = inst.nodes[0].kind if v else "no node"
-        out.append(Violation("kind", 0, f"nodes[0].kind must be {KIND_DEPOT}, got {got}"))
+        out.append(f"nodes[0].kind must be {KIND_DEPOT}, got {got}")
     depots = sum(1 for nd in inst.nodes if nd.kind == KIND_DEPOT)
     if depots != 1:
-        out.append(Violation("kind", -1, f"nodes must hold exactly one {KIND_DEPOT}, "
-                                         f"got {depots}"))
+        out.append(f"nodes must hold exactly one {KIND_DEPOT}, got {depots}")
     if v < 1 + 2 * n:
-        out.append(Violation("nodes", -1, f"nodes holds {v} entries, fewer than "
-                                          f"1 + 2n = {1 + 2 * n}"))
+        out.append(f"nodes holds {v} entries, fewer than 1 + 2n = {1 + 2 * n}")
         return out
 
     # a NaN fails every comparison and an infinity passes the range checks
     # below, so either would silently switch a rule off: refuse them first
     w = inst.weights
-    numbers = [(f"nodes[{j}].{k}", j, getattr(nd, k)) for j, nd in enumerate(inst.nodes)
+    numbers = [(f"nodes[{j}].{k}", getattr(nd, k)) for j, nd in enumerate(inst.nodes)
                for k in ("x", "y", "a", "l", "sigma")]
-    numbers += [(f"requests[{i}].maxRide", r.id, r.max_ride)
-                for i, r in enumerate(inst.requests)]
-    numbers += [("fleet.batteryKwh", -1, inst.fleet.battery_kwh),
-                ("horizon", -1, inst.horizon), ("weights.timeUnit", -1, w.time_unit)]
-    numbers += [("weights." + k, -1, getattr(w, k))
+    numbers += [(f"requests[{i}].maxRide", r.max_ride) for i, r in enumerate(inst.requests)]
+    numbers += [("fleet.batteryKwh", inst.fleet.battery_kwh),
+                ("horizon", inst.horizon), ("weights.timeUnit", w.time_unit)]
+    numbers += [("weights." + k, getattr(w, k))
                 for k in ("energy", "wait", "late", "complete", "travel")]
-    for name, where, value in numbers:
+    for name, value in numbers:
         if not math.isfinite(value):
-            out.append(Violation(name, where, f"{name} must be finite, got {value}"))
+            out.append(f"{name} must be finite, got {value}")
 
     for j, nd in enumerate(inst.nodes):
         at = f"nodes[{j}]"
         if nd.id != j:
-            out.append(Violation("id", j, f"{at}.id must be {j}, got {nd.id}"))
+            out.append(f"{at}.id must be {j}, got {nd.id}")
         expected = (KIND_DEPOT if j == 0 else
                     KIND_PICKUP if j <= n else
                     KIND_DELIVERY if j <= 2 * n else
                     KIND_CHARGER)
         if nd.kind != expected:
-            out.append(Violation("kind", j, f"{at}.kind must be {expected}, got {nd.kind}"))
+            out.append(f"{at}.kind must be {expected}, got {nd.kind}")
         if nd.a > nd.l:
-            out.append(Violation("window", j, f"{at}.l {nd.l} is before {at}.a {nd.a}: "
-                                              "the window closes before it opens"))
+            out.append(f"{at}.l {nd.l} is before {at}.a {nd.a}: "
+                       "the window closes before it opens")
         if nd.sigma < 0:
-            out.append(Violation("sigma", j, f"{at}.sigma must be >= 0, got {nd.sigma}"))
+            out.append(f"{at}.sigma must be >= 0, got {nd.sigma}")
         if nd.kind == KIND_PICKUP and nd.q <= 0:
-            out.append(Violation("q", j, f"{at}.q must be > 0 at a pickup, got {nd.q}"))
+            out.append(f"{at}.q must be > 0 at a pickup, got {nd.q}")
         if nd.kind == KIND_DELIVERY:
             twin = inst.nodes[j - n]
             if nd.q >= 0:
-                out.append(Violation("q", j, f"{at}.q must be < 0 at a delivery, "
-                                             f"got {nd.q}"))
+                out.append(f"{at}.q must be < 0 at a delivery, got {nd.q}")
             elif nd.q != -twin.q:
-                out.append(Violation("q", j, f"{at}.q must undo nodes[{j - n}].q "
-                                             f"{twin.q}, got {nd.q}"))
+                out.append(f"{at}.q must undo nodes[{j - n}].q {twin.q}, got {nd.q}")
         if nd.kind in (KIND_DEPOT, KIND_CHARGER) and nd.q != 0:
-            out.append(Violation("q", j, f"{at}.q must be 0 at a {nd.kind}, got {nd.q}"))
+            out.append(f"{at}.q must be 0 at a {nd.kind}, got {nd.q}")
 
-    for i, r in enumerate(inst.requests):
-        at = f"requests[{i}]"
-        if r.pickup != 1 + r.id or r.delivery != 1 + n + r.id:
-            out.append(Violation("request", r.id, (
-                f"{at}.pickup and .delivery must be {1 + r.id} and {1 + n + r.id} "
-                f"for id {r.id}, got {r.pickup} and {r.delivery}")))
-            continue
-        direct = inst.edges.time[r.pickup, r.delivery]
-        if r.max_ride < direct:
-            out.append(Violation("maxRide", r.id, (
-                f"{at}.maxRide {r.max_ride} is below the direct travel time "
-                f"{direct} from nodes[{r.pickup}] to nodes[{r.delivery}]")))
-
+    shaped = True
     for name in ("time", "dist", "energy"):
         m = getattr(inst.edges, name)
         at = f"edges.{name}"
         if m.shape != (v, v):
-            out.append(Violation(name, -1, f"{at} has shape {m.shape}, expected ({v}, {v})"))
+            out.append(f"{at} has shape {m.shape}, expected ({v}, {v})")
+            shaped = False
             continue
         if not np.all(np.isfinite(m)):
             i, j = np.argwhere(~np.isfinite(m))[0]
-            out.append(Violation(name, int(i), f"{at}[{i}][{j}] must be finite, "
-                                               f"got {m[i, j]}"))
+            out.append(f"{at}[{i}][{j}] must be finite, got {m[i, j]}")
         if (m < 0).any():
             i, j = np.argwhere(m < 0)[0]
-            out.append(Violation(name, int(i), f"{at}[{i}][{j}] must be >= 0, "
-                                               f"got {m[i, j]}"))
+            out.append(f"{at}[{i}][{j}] must be >= 0, got {m[i, j]}")
         diag = np.flatnonzero(np.diagonal(m) != 0.0)
         if diag.size:
             i = diag[0]
-            out.append(Violation(name, -1, f"{at}[{i}][{i}] must be 0, got {m[i, i]}"))
+            out.append(f"{at}[{i}][{i}] must be 0, got {m[i, i]}")
+
+    for i, r in enumerate(inst.requests):
+        at = f"requests[{i}]"
+        if (r.id, r.pickup, r.delivery) != (i, 1 + i, 1 + n + i):
+            out.append(f"{at}.id, .pickup and .delivery must be {i}, {1 + i} and "
+                       f"{1 + n + i}, got {r.id}, {r.pickup} and {r.delivery}")
+        elif shaped and r.max_ride < (direct := inst.edges.time[r.pickup, r.delivery]):
+            out.append(f"{at}.maxRide {r.max_ride} is below the direct travel time "
+                       f"{direct} from nodes[{r.pickup}] to nodes[{r.delivery}]")
 
     f = inst.fleet
     for name, value, bad, rule in (
@@ -336,14 +299,11 @@ def validate(inst):
             ("weights.timeUnit", w.time_unit, w.time_unit <= 0, "> 0"),
             ("horizon", inst.horizon, inst.horizon <= 0, "> 0")):
         if bad:
-            out.append(Violation(name.removeprefix("fleet."), -1,
-                                 f"{name} must be {rule}, got {value}"))
+            out.append(f"{name} must be {rule}, got {value}")
 
-    if (inst.edges.energy.shape == (v, v) and f.battery_kwh > 0
-            and depot_unreachable(inst.edges.energy, f)):
-        out.append(Violation("energy", -1, (
-            "edges.energy: the depot is unreachable from some node on the "
-            "battery share above fleet.socReserve")))
+    if shaped and f.battery_kwh > 0 and depot_unreachable(inst.edges.energy, f):
+        out.append("edges.energy: the depot is unreachable from some node on the "
+                   "battery share above fleet.socReserve")
     return out
 
 
@@ -452,7 +412,8 @@ def _known_keys(where, obj, group):
 
 def load(data):
     """Parse instance JSON produced by save(); inverse of save on valid data.
-    A key that save() does not write is refused, never ignored."""
+    A key that save() does not write is refused, never ignored, and so is
+    every instance that validate() flags: what load returns is valid."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -497,9 +458,9 @@ def load(data):
     if initial_soc != 1.0:
         raise InstanceFormatError(
             f"unsupported initialSoc {initial_soc}: every vehicle starts full")
-    for nd in inst.nodes:
-        if nd.kind not in KINDS:
-            raise InstanceFormatError(f"unknown node kind {nd.kind!r}")
     if n != inst.n:
         raise InstanceFormatError("request count does not match n")
+    problems = validate(inst)
+    if problems:
+        raise InstanceFormatError("invalid instance: " + "; ".join(problems))
     return inst

@@ -1,7 +1,20 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from edarp import FleetParams, generate_instance
+
+# On a failing @given test hypothesis imports its patch writer, which pulls
+# in libcst; under filterwarnings = error a DeprecationWarning raised by that
+# import becomes an INTERNALERROR that ends the session. Import it once here
+# with those warnings ignored, so a failing property is reported as a failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:     # without libcst hypothesis writes no patches
+        pass
 
 
 @pytest.fixture

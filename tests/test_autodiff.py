@@ -221,9 +221,9 @@ def test_gradcheck_edge_attention(rng):
 
 def reference_edge_attention(tp, qkv, heads):
     """edge_attention as the per-head composition of taped ops it fused."""
-    v = qkv.shape[0]
+    v = qkv.data.shape[0]
     mask = dup_mask(v)
-    dk = qkv.shape[-1] // (3 * heads)
+    dk = qkv.data.shape[-1] // (3 * heads)
     outs = []
     for h in range(heads):
         q, k, vv = (ad.take(tp, qkv, np.s_[..., c + h * dk:c + (h + 1) * dk])
@@ -315,7 +315,7 @@ def test_gradcheck_composed_network(rng):
         h = ad.layer_norm(tp, ad.ffn(tp, x, w1, b1, w2, b2), gain, bias)
         u = ad.matmul(tp, h, w3)
         p = ad.masked_softmax(tp, u, mask)
-        safe = ad.add(tp, p, Tensor(np.full(p.shape, 1e-9)))
+        safe = ad.add(tp, p, Tensor(np.full(p.data.shape, 1e-9)))
         return ad.tsum(tp, ad.log(tp, ad.take(tp, safe, 2)))
 
     check_grads(build, [x, w1, b1, w2, b2, gain, bias, w3])
@@ -541,7 +541,7 @@ def test_params_init_bounds_and_determinism():
     p1 = ad.params_init(r1, (50, 20), 20)
     p2 = ad.params_init(r2, (50, 20), 20)
     bound = 1.0 / np.sqrt(20)
-    assert p1.shape == (50, 20)
+    assert p1.data.shape == (50, 20)
     assert np.all(np.abs(p1.data) <= bound)
     assert np.array_equal(p1.data, p2.data)
     assert p1.data.std() > 0.1 * bound

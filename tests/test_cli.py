@@ -7,7 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from edarp import Policy, PolicyConfig, cli, generate_instance, save, save_policy
+from edarp import (FleetParams, Policy, PolicyConfig, alns_solve, cli,
+                   generate_instance, save, save_policy)
 from edarp.environment import Solution
 from edarp.cli import METRICS_COLUMNS, main
 from edarp.policy import SCHEMA_POLICY, multistart_rollout
@@ -311,6 +312,29 @@ def test_solve_names_every_invalid_instance_field(tmp_path, capsys, edits):
     err = capsys.readouterr().err
     for _, _, message in edits:
         assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["requests"][0].update(id=7, pickup=8, delivery=10),
+     "requests[0].id, .pickup and .delivery must be 0, 1 and 3, got 7, 8 and 10"),
+    (lambda d: d["requests"][1].update(id=0, pickup=1, delivery=3),
+     "requests[1].id, .pickup and .delivery must be 1, 2 and 4, got 0, 1 and 3"),
+    (lambda d: d["edges"].update(time=[[0.0] * 3] * 3),
+     "edges.time has shape (3, 3), expected (6, 6)"),
+    (lambda d: d["edges"].update(time=5.0), "edges.time has shape (), expected (6, 6)"),
+], ids=["id7", "second-id0", "time3x3", "time-scalar"])
+def test_solve_refuses_request_slot_and_edge_shape(tmp_path, capsys, edit, message):
+    """A request that is not its slot's, or an edge matrix of the wrong
+    shape, is a data error naming the file and the field; no rule reads
+    a matrix before its shape is checked."""
+    doc = json.loads(save(generate_instance(2, seed=3)))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("solve", str(path), "--solver", "greedy", "--out", str(out)) == 3
+    assert f"{path}: invalid instance: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -946,3 +970,20 @@ def test_solve_exact_manifest_counts_limit_hits(tmp_path, capsys):
                 in err) == bool(hits)
         mani = json.loads((out / "manifest_solve.json").read_text())
         assert mani["limitHits"] == hits
+
+
+def test_solve_alns_manifest_counts_replay_failures(tmp_path):
+    inst = generate_instance(6, charger_count=2, fleet=FleetParams(
+        battery_kwh=4.0, soc_reserve=0.3), seed=1176)
+    path = tmp_path / "instance_0000.json"
+    path.write_bytes(save(inst))
+    expected = alns_solve(inst, 100, cli._stream_seed(0, 2, 0))[1].replay_failures
+    assert expected > 0
+    assert run("solve", str(path), "--solver", "alns", "--iterations", "100",
+               "--seed", "0", "--out", str(tmp_path / "alns")) == 0
+    mani = json.loads((tmp_path / "alns" / "manifest_solve.json").read_text())
+    assert mani["replayFailures"] == expected
+    assert run("solve", str(path), "--solver", "greedy",
+               "--out", str(tmp_path / "greedy")) == 0
+    mani = json.loads((tmp_path / "greedy" / "manifest_solve.json").read_text())
+    assert "replayFailures" not in mani and "limitHits" not in mani

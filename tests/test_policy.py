@@ -220,7 +220,7 @@ def test_encode_matches_per_head_reference(cfg, n):
             [t.data.tobytes() for t in outs[1]]
         rng = np.random.default_rng(n)
         loss = ad.tsum(tape, ad.concat(tape, [
-            ad.reshape(tape, ad.mul(tape, t, Tensor(rng.standard_normal(t.shape))),
+            ad.reshape(tape, ad.mul(tape, t, Tensor(rng.standard_normal(t.data.shape))),
                        (-1,)) for t in outs[0]], 0))
         tape.backward(loss)
         runs.append(([t.data.tobytes() for t in outs[0]],
@@ -256,7 +256,7 @@ tape = Tape()
 enc = policy.encode(tape, normalize_features(generate_instance(10, seed=1)))
 rng = np.random.default_rng(10)
 tape.backward(ad.tsum(tape, ad.concat(tape, [
-    ad.reshape(tape, ad.mul(tape, t, Tensor(rng.standard_normal(t.shape))), (-1,))
+    ad.reshape(tape, ad.mul(tape, t, Tensor(rng.standard_normal(t.data.shape))), (-1,))
     for t in (enc.Z, enc.keys, enc.depot_ctx, enc.graph_ctx)], 0)))
 h = hashlib.sha256()
 for name, t in policy.params.items():
@@ -393,7 +393,7 @@ def test_sampled_rollout_on_mask_and_logprob_sign(small_instance):
         tape = Tape()
         states, lp, actions = rollout_episode(policy, env, tape, rng=rng)
         assert states[0].terminal
-        assert lp.shape == (1,) and lp.data[0] <= 1e-12
+        assert lp.data.shape == (1,) and lp.data[0] <= 1e-12
         assert len(actions[0]) == states[0].steps
         tape.backward(lp)           # the whole trajectory stays differentiable
         assert any(t.grad is not None for t in policy.params.values())
@@ -447,7 +447,7 @@ def test_lockstep_matches_one_start_decoding():
         starts = [None] + [j for j in range(1, 1 + env.n) if m[j]]
         states, lps, actions = rollout_episode(policy, env, None,
                                                starts=starts, enc=enc)
-        assert lps.shape == (len(starts),)
+        assert lps.data.shape == (len(starts),)
         for i, a0 in enumerate(starts):
             s1, lp1, acts1 = rollout_episode(policy, env, None, starts=[a0], enc=enc)
             assert actions[i] == acts1[0]
