@@ -9,18 +9,20 @@ feasibility mask.
 
 import numpy as np
 
-from edarp import Env, charging_power, generate_instance
+from edarp import Env, charging_power, generate_instance, node_kinds
+from edarp.instance import KINDS
 
 # A size-n instance has 1 depot, n pickups, n deliveries, and one or
-# more charging stations, in that node order. Everything is derived
-# deterministically from the seed.
+# more charging stations, in that node order; the order alone gives each
+# node its role (node_kinds returns indices into instance.KINDS).
+# Everything is derived deterministically from the seed.
 inst = generate_instance(n=3, charger_count=1, seed=7)
-print("nodes:", [nd.kind for nd in inst.nodes])
+print("nodes:", [KINDS[k] for k in node_kinds(inst)])
 print("horizon:", inst.horizon, "s")
-for r in inst.requests:
-    nd = inst.nodes[r.pickup]
-    print(f"request {r.id}: pickup window [{nd.a:.0f}, {nd.l:.0f}]s, "
-          f"ride cap {r.max_ride:.0f}s")
+for i, cap in enumerate(inst.max_ride):
+    nd = inst.nodes[1 + i]          # request i is picked up at node 1 + i
+    print(f"request {i}: pickup window [{nd.a:.0f}, {nd.l:.0f}]s, "
+          f"ride cap {cap:.0f}s")
 
 # The charging curve is piecewise linear in the state of charge: fast
 # below 0.45, tapering to trickle above 0.95.

@@ -7,8 +7,8 @@ multi-start baselines.
 """
 
 from .instance import (CostWeights, EdgeMatrices, FeatureTensors, FleetParams,
-                       Instance, InstanceFormatError, Node, Request,
-                       generate_instance, load, normalize_features, save, validate)
+                       Instance, InstanceFormatError, Node, generate_instance,
+                       load, node_kinds, normalize_features, save, validate)
 from .environment import (Env, EpisodeState, MaskViolation, NoiseConfig,
                           ReplayError, Solution, charging_power, load_solution,
                           replay, sample_noise, save_solution, score_solution)
@@ -29,12 +29,12 @@ __all__ = [
     "Adam", "AlnsStats", "CURRICULUM_SIZES", "CostWeights",
     "EdgeMatrices", "Env", "EpisodeState", "FeatureTensors", "FleetParams",
     "Instance", "InstanceFormatError", "MaskViolation", "Node", "NoiseConfig",
-    "OperatorWeights", "Policy", "PolicyConfig", "ReplayError", "Request",
+    "OperatorWeights", "Policy", "PolicyConfig", "ReplayError",
     "RouteCtx", "Solution", "StageResult", "Tape", "Tensor",
     "TrainConfig", "TrainReport", "alns_solve", "charging_power",
     "curriculum_train", "enumerate_rewards", "exact_solve", "generate_instance",
     "greedy_rollout", "greedy_solve", "load", "load_policy", "load_solution",
-    "multistart_rollout", "normalize_features", "plan_from_solution",
+    "multistart_rollout", "node_kinds", "normalize_features", "plan_from_solution",
     "pomo_advantages", "pomo_starts", "prune_chargers", "reinforce_update",
     "remove_requests", "replay", "rollout_episode", "sample_noise", "save",
     "save_policy", "save_solution", "score_solution", "shaw_relatedness",

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import __version__
 from .alns import alns_solve
-from .environment import NoiseConfig, save_solution
+from .environment import NoiseConfig, battery_shortfalls, save_solution
 from .greedy import greedy_solve
 from .instance import (FleetParams, InstanceFormatError, generate_instance, load,
                        normalize_features, save)
@@ -455,14 +455,6 @@ def cmd_train(args):
 
 
 # -- eval -----------------------------------------------------------------------
-
-def battery_shortfalls(sol, reserve):
-    """(stranded, breaches): how many stops of sol's logs the vehicle
-    reached with a charge, soc minus chargeDelta, below 0 and below
-    reserve."""
-    arrivals = [stop[3] - stop[4] for log in sol.routes for stop in log]
-    return sum(b < 0.0 for b in arrivals), sum(b < reserve for b in arrivals)
-
 
 def _eval_one(task):
     """(path, [(solution, wall seconds)] per replica, the fleet's reserve

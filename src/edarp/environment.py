@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .instance import KIND_CHARGER, KIND_DELIVERY, KIND_DEPOT, KIND_PICKUP
+from .instance import node_kinds
 
 SCHEMA_SOLUTION = "edarp-solution/1"
 
@@ -141,10 +141,16 @@ class Solution:
         return [[stop[0] for stop in log[1:] if stop[0] != 0] for log in self.routes]
 
 
-# kind codes used in the hot loops
+def battery_shortfalls(sol, reserve):
+    """(stranded, breaches): how many stops of sol's logs the vehicle
+    reached with a charge, soc minus chargeDelta, below 0 and below
+    reserve."""
+    arrivals = [stop[3] - stop[4] for log in sol.routes for stop in log]
+    return sum(b < 0.0 for b in arrivals), sum(b < reserve for b in arrivals)
+
+
+# node_kinds' codes, indices into instance.KINDS, used in the hot loops
 _DEPOT, _PICKUP, _DELIVERY, _CHARGER = 0, 1, 2, 3
-_KIND_CODE = {KIND_DEPOT: _DEPOT, KIND_PICKUP: _PICKUP,
-              KIND_DELIVERY: _DELIVERY, KIND_CHARGER: _CHARGER}
 
 
 class Env:
@@ -184,8 +190,8 @@ class Env:
         self.l = l = [nd.l for nd in inst.nodes]
         self.sigma = sigma = [nd.sigma for nd in inst.nodes]
         self.q = q = [nd.q for nd in inst.nodes]
-        self.kindc = kindc = [_KIND_CODE[nd.kind] for nd in inst.nodes]
-        max_ride = [r.max_ride for r in inst.requests]
+        self.kindc = kindc = node_kinds(inst)
+        max_ride = list(inst.max_ride)
         self.chargers = list(range(1 + 2 * n, self.num_nodes))
         self.visit_once = list(range(1, 1 + n)) + self.chargers   # pickups, chargers
         self.K = inst.fleet.vehicles

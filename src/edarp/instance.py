@@ -4,8 +4,9 @@ An instance is one complete routing problem: a depot, n pickup/delivery
 pairs, charging stations, dense travel-time/distance/energy matrices, a
 homogeneous fleet, and the cost weights used to score solutions.
 
-Node order is fixed: [depot, pickups 1..n, deliveries n+1..2n, chargers].
-Request i is picked up at node 1+i and delivered at node 1+n+i.
+Node order is fixed: [depot, pickups 1..n, deliveries n+1..2n, chargers],
+and it alone decides each node's role (node_kinds). Request i is picked
+up at node 1+i and delivered at node 1+n+i.
 Units are seconds, meters, and kWh throughout.
 The generator's geometry and timing are module constants; its fleet and
 cost weights are arguments.
@@ -19,11 +20,7 @@ import numpy as np
 
 SCHEMA_INSTANCE = "edarp-instance/1"
 
-KIND_DEPOT = "depot"
-KIND_PICKUP = "pickup"
-KIND_DELIVERY = "delivery"
-KIND_CHARGER = "charger"
-KINDS = (KIND_DEPOT, KIND_PICKUP, KIND_DELIVERY, KIND_CHARGER)
+KINDS = ("depot", "pickup", "delivery", "charger")
 
 
 class InstanceFormatError(ValueError):
@@ -32,22 +29,12 @@ class InstanceFormatError(ValueError):
 
 @dataclass
 class Node:
-    id: int
-    kind: str
     x: float
     y: float
     a: float        # window open, seconds
     l: float        # window close, seconds
     sigma: float    # service time, seconds
     q: int          # load change: +1 pickup, -1 delivery, 0 otherwise
-
-
-@dataclass
-class Request:
-    id: int
-    pickup: int
-    delivery: int
-    max_ride: float  # hard cap on delivery service start minus pickup service start
 
 
 @dataclass
@@ -89,10 +76,14 @@ class EdgeMatrices:
 
 
 class Instance:
-    def __init__(self, nodes, edges, requests, fleet, weights, horizon, seed=0):
+    """Nodes in the fixed order, which decides their roles; max_ride[i] is
+    request i's hard cap on its delivery service start minus its pickup
+    service start, and there are n = len(max_ride) requests."""
+
+    def __init__(self, nodes, edges, max_ride, fleet, weights, horizon, seed=0):
         self.nodes = list(nodes)
         self.edges = edges
-        self.requests = list(requests)
+        self.max_ride = list(max_ride)
         self.fleet = fleet
         self.weights = weights
         self.horizon = float(horizon)
@@ -100,11 +91,17 @@ class Instance:
 
     @property
     def n(self):
-        return len(self.requests)
+        return len(self.max_ride)
 
     @property
     def num_nodes(self):
         return len(self.nodes)
+
+
+def node_kinds(inst):
+    """Each node's role as an index into KINDS, read from its position."""
+    n = inst.n
+    return [(j > 0) + (j > n) + (j > 2 * n) for j in range(inst.num_nodes)]
 
 
 # Generator geometry and timing: meters, seconds and kWh per km.
@@ -164,9 +161,8 @@ def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
     np.fill_diagonal(time, 0.0)
     np.fill_diagonal(energy, 0.0)
 
-    nodes = [Node(0, KIND_DEPOT, float(xy[0, 0]), float(xy[0, 1]),
-                  0.0, HORIZON, 0.0, 0)]
-    requests = []
+    nodes = [Node(float(xy[0, 0]), float(xy[0, 1]), 0.0, HORIZON, 0.0, 0)]
+    max_ride = []
     for i in range(n):
         p, d = 1 + i, 1 + n + i
         t_direct = float(time[p, d])
@@ -177,44 +173,39 @@ def generate_instance(n, charger_count=1, fleet=None, seed=0, asymmetry=0.2, *,
             raise ValueError(f"horizon too short for request {i}")
         a_hi = min(a_hi, n * DEMAND_EVERY)
         a_p = float(rng.uniform(0.0, a_hi))
-        nodes.append(Node(p, KIND_PICKUP, float(xy[p, 0]), float(xy[p, 1]),
+        nodes.append(Node(float(xy[p, 0]), float(xy[p, 1]),
                           a_p, a_p + WINDOW_WIDTH, SERVICE_TIME, 1))
-        requests.append(Request(i, p, d, RIDE_TIME_FACTOR * t_direct))
+        max_ride.append(RIDE_TIME_FACTOR * t_direct)
     for i in range(n):
         p, d = 1 + i, 1 + n + i
         t_direct = float(time[p, d])
         a_p = nodes[p].a
-        nodes.append(Node(d, KIND_DELIVERY, float(xy[d, 0]), float(xy[d, 1]),
+        nodes.append(Node(float(xy[d, 0]), float(xy[d, 1]),
                           a_p + t_direct,
                           a_p + WINDOW_WIDTH + t_direct + DELIVERY_SLACK,
                           SERVICE_TIME, -1))
     for c in range(charger_count):
         j = 1 + 2 * n + c
-        nodes.append(Node(j, KIND_CHARGER, float(xy[j, 0]), float(xy[j, 1]),
+        nodes.append(Node(float(xy[j, 0]), float(xy[j, 1]),
                           0.0, HORIZON, CHARGER_SERVICE_TIME, 0))
 
     if depot_unreachable(energy, fleet):
         raise ValueError("battery too small: depot unreachable from some node")
 
-    return Instance(nodes, EdgeMatrices(time, dist, energy), requests,
+    return Instance(nodes, EdgeMatrices(time, dist, energy), max_ride,
                     fleet, weights, HORIZON, seed)
 
 
 def validate(inst):
     """Check every structural invariant; returns a list of messages, each
     naming its field as the instance JSON does
-    (e.g. "nodes[4].sigma must be >= 0, got -5.0"). The edge matrices'
-    shapes are checked before any rule reads them."""
+    (e.g. "nodes[4].sigma must be >= 0, got -5.0"). Roles come from the
+    node order, so the rules judge each node by its position. The edge
+    matrices' shapes are checked before any rule reads them."""
     out = []
     n = inst.n
     v = inst.num_nodes
 
-    if v < 1 or inst.nodes[0].kind != KIND_DEPOT:
-        got = inst.nodes[0].kind if v else "no node"
-        out.append(f"nodes[0].kind must be {KIND_DEPOT}, got {got}")
-    depots = sum(1 for nd in inst.nodes if nd.kind == KIND_DEPOT)
-    if depots != 1:
-        out.append(f"nodes must hold exactly one {KIND_DEPOT}, got {depots}")
     if v < 1 + 2 * n:
         out.append(f"nodes holds {v} entries, fewer than 1 + 2n = {1 + 2 * n}")
         return out
@@ -224,7 +215,7 @@ def validate(inst):
     w = inst.weights
     numbers = [(f"nodes[{j}].{k}", getattr(nd, k)) for j, nd in enumerate(inst.nodes)
                for k in ("x", "y", "a", "l", "sigma")]
-    numbers += [(f"requests[{i}].maxRide", r.max_ride) for i, r in enumerate(inst.requests)]
+    numbers += [(f"requests[{i}].maxRide", cap) for i, cap in enumerate(inst.max_ride)]
     numbers += [("fleet.batteryKwh", inst.fleet.battery_kwh),
                 ("horizon", inst.horizon), ("weights.timeUnit", w.time_unit)]
     numbers += [("weights." + k, getattr(w, k))
@@ -233,31 +224,24 @@ def validate(inst):
         if not math.isfinite(value):
             out.append(f"{name} must be finite, got {value}")
 
-    for j, nd in enumerate(inst.nodes):
+    for j, (nd, k) in enumerate(zip(inst.nodes, node_kinds(inst))):
+        kind = KINDS[k]
         at = f"nodes[{j}]"
-        if nd.id != j:
-            out.append(f"{at}.id must be {j}, got {nd.id}")
-        expected = (KIND_DEPOT if j == 0 else
-                    KIND_PICKUP if j <= n else
-                    KIND_DELIVERY if j <= 2 * n else
-                    KIND_CHARGER)
-        if nd.kind != expected:
-            out.append(f"{at}.kind must be {expected}, got {nd.kind}")
         if nd.a > nd.l:
             out.append(f"{at}.l {nd.l} is before {at}.a {nd.a}: "
                        "the window closes before it opens")
         if nd.sigma < 0:
             out.append(f"{at}.sigma must be >= 0, got {nd.sigma}")
-        if nd.kind == KIND_PICKUP and nd.q <= 0:
+        if kind == "pickup" and nd.q <= 0:
             out.append(f"{at}.q must be > 0 at a pickup, got {nd.q}")
-        if nd.kind == KIND_DELIVERY:
+        if kind == "delivery":
             twin = inst.nodes[j - n]
             if nd.q >= 0:
                 out.append(f"{at}.q must be < 0 at a delivery, got {nd.q}")
             elif nd.q != -twin.q:
                 out.append(f"{at}.q must undo nodes[{j - n}].q {twin.q}, got {nd.q}")
-        if nd.kind in (KIND_DEPOT, KIND_CHARGER) and nd.q != 0:
-            out.append(f"{at}.q must be 0 at a {nd.kind}, got {nd.q}")
+        if kind in ("depot", "charger") and nd.q != 0:
+            out.append(f"{at}.q must be 0 at a {kind}, got {nd.q}")
 
     shaped = True
     for name in ("time", "dist", "energy"):
@@ -278,14 +262,11 @@ def validate(inst):
             i = diag[0]
             out.append(f"{at}[{i}][{i}] must be 0, got {m[i, i]}")
 
-    for i, r in enumerate(inst.requests):
-        at = f"requests[{i}]"
-        if (r.id, r.pickup, r.delivery) != (i, 1 + i, 1 + n + i):
-            out.append(f"{at}.id, .pickup and .delivery must be {i}, {1 + i} and "
-                       f"{1 + n + i}, got {r.id}, {r.pickup} and {r.delivery}")
-        elif shaped and r.max_ride < (direct := inst.edges.time[r.pickup, r.delivery]):
-            out.append(f"{at}.maxRide {r.max_ride} is below the direct travel time "
-                       f"{direct} from nodes[{r.pickup}] to nodes[{r.delivery}]")
+    for i, cap in enumerate(inst.max_ride):
+        p, d = 1 + i, 1 + n + i
+        if shaped and cap < (direct := inst.edges.time[p, d]):
+            out.append(f"requests[{i}].maxRide {cap} is below the direct travel time "
+                       f"{direct} from nodes[{p}] to nodes[{d}]")
 
     f = inst.fleet
     for name, value, bad, rule in (
@@ -331,14 +312,12 @@ def normalize_features(inst):
     (max equal to min) maps to zero.
     """
     v = inst.num_nodes
-    kind_idx = {k: i for i, k in enumerate(KINDS)}
     node = np.zeros((v, 10))
     xs = np.array([nd.x for nd in inst.nodes])
     ys = np.array([nd.y for nd in inst.nodes])
     sig = np.array([nd.sigma for nd in inst.nodes])
     qs = np.array([float(nd.q) for nd in inst.nodes])
-    for j, nd in enumerate(inst.nodes):
-        node[j, kind_idx[nd.kind]] = 1.0
+    node[np.arange(v), node_kinds(inst)] = 1.0
     node[:, 4] = _minmax(xs, xs.min(), xs.max())
     node[:, 5] = _minmax(ys, ys.min(), ys.max())
     node[:, 6] = np.array([nd.a for nd in inst.nodes]) / inst.horizon
@@ -371,11 +350,11 @@ def save(inst):
         "weights": {"energy": inst.weights.energy, "wait": inst.weights.wait,
                     "late": inst.weights.late, "complete": inst.weights.complete,
                     "travel": inst.weights.travel, "timeUnit": inst.weights.time_unit},
-        "nodes": [{"id": nd.id, "kind": nd.kind, "x": nd.x, "y": nd.y,
+        "nodes": [{"id": j, "kind": KINDS[k], "x": nd.x, "y": nd.y,
                    "a": nd.a, "l": nd.l, "sigma": nd.sigma, "q": nd.q}
-                  for nd in inst.nodes],
-        "requests": [{"id": r.id, "pickup": r.pickup, "delivery": r.delivery,
-                      "maxRide": r.max_ride} for r in inst.requests],
+                  for j, (nd, k) in enumerate(zip(inst.nodes, node_kinds(inst)))],
+        "requests": [{"id": i, "pickup": 1 + i, "delivery": 1 + inst.n + i,
+                      "maxRide": cap} for i, cap in enumerate(inst.max_ride)],
         "edges": {"time": inst.edges.time.tolist(),
                   "dist": inst.edges.dist.tolist(),
                   "energy": inst.edges.energy.tolist()},
@@ -413,7 +392,9 @@ def _known_keys(where, obj, group):
 def load(data):
     """Parse instance JSON produced by save(); inverse of save on valid data.
     A key that save() does not write is refused, never ignored, and so is
-    every instance that validate() flags: what load returns is valid."""
+    a node id or kind or a request's id, pickup or delivery that differs
+    from what the node order gives, and every instance that validate()
+    flags: what load returns is valid."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -441,18 +422,21 @@ def load(data):
         weights = CostWeights(float(wt["energy"]), float(wt["wait"]), float(wt["late"]),
                               float(wt["complete"]), float(wt.get("travel", 0.0)),
                               float(wt.get("timeUnit", 60.0)))
-        nodes = [Node(_integer(f"nodes[{i}].id", nd["id"]), str(nd["kind"]),
-                      float(nd["x"]), float(nd["y"]), float(nd["a"]), float(nd["l"]),
-                      float(nd["sigma"]), _integer(f"nodes[{i}].q", nd["q"]))
-                 for i, nd in enumerate(doc["nodes"])]
-        requests = [Request(*(_integer(f"requests[{i}].{k}", r[k])
-                              for k in ("id", "pickup", "delivery")), float(r["maxRide"]))
-                    for i, r in enumerate(doc["requests"])]
+        # each node's id and kind, and each request's id, pickup and
+        # delivery, restate the node order: parsed, checked below, not kept
+        claims = [(_integer(f"nodes[{i}].id", nd["id"]), str(nd["kind"]),
+                   Node(float(nd["x"]), float(nd["y"]), float(nd["a"]), float(nd["l"]),
+                        float(nd["sigma"]), _integer(f"nodes[{i}].q", nd["q"])))
+                  for i, nd in enumerate(doc["nodes"])]
+        slots = [(*(_integer(f"requests[{i}].{k}", r[k])
+                    for k in ("id", "pickup", "delivery")), float(r["maxRide"]))
+                 for i, r in enumerate(doc["requests"])]
         edges = EdgeMatrices(doc["edges"]["time"], doc["edges"]["dist"],
                              doc["edges"]["energy"])
         n = _integer("n", doc["n"])
-        inst = Instance(nodes, edges, requests, fleet, weights,
-                        float(doc["horizon"]), _integer("seed", doc.get("seed", 0)))
+        inst = Instance([nd for _, _, nd in claims], edges, [cap for *_, cap in slots],
+                        fleet, weights, float(doc["horizon"]),
+                        _integer("seed", doc.get("seed", 0)))
     except (KeyError, TypeError, ValueError) as e:
         raise InstanceFormatError(f"malformed instance field: {e}") from e
     if initial_soc != 1.0:
@@ -460,7 +444,18 @@ def load(data):
             f"unsupported initialSoc {initial_soc}: every vehicle starts full")
     if n != inst.n:
         raise InstanceFormatError("request count does not match n")
-    problems = validate(inst)
+    problems = []
+    for j, ((ident, kind, _), k) in enumerate(zip(claims, node_kinds(inst))):
+        if ident != j:
+            problems.append(f"nodes[{j}].id must be {j}, got {ident}")
+        if kind != KINDS[k]:
+            problems.append(f"nodes[{j}].kind must be {KINDS[k]}, got {kind}")
+    for i, (ident, pickup, delivery, _) in enumerate(slots):
+        if (ident, pickup, delivery) != (i, 1 + i, 1 + n + i):
+            problems.append(f"requests[{i}].id, .pickup and .delivery must be {i}, "
+                            f"{1 + i} and {1 + n + i}, got {ident}, {pickup} and "
+                            f"{delivery}")
+    problems += validate(inst)
     if problems:
         raise InstanceFormatError("invalid instance: " + "; ".join(problems))
     return inst

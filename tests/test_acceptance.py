@@ -55,7 +55,7 @@ def _verify_episode(env, state):
                 r = node - 1 - n
                 load -= 1
                 assert r in pick_ss
-                assert ss - pick_ss[r] <= env.inst.requests[r].max_ride + 1e-9
+                assert ss - pick_ss[r] <= env.inst.max_ride[r] + 1e-9
             assert 0 <= load <= env.inst.fleet.capacity
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from edarp import (FleetParams, Policy, PolicyConfig, alns_solve, cli,
                    generate_instance, save, save_policy)
-from edarp.environment import Solution
+from edarp.environment import Solution, battery_shortfalls
 from edarp.cli import METRICS_COLUMNS, main
 from edarp.policy import SCHEMA_POLICY, multistart_rollout
 
@@ -335,6 +335,31 @@ def test_solve_refuses_request_slot_and_edge_shape(tmp_path, capsys, edit, messa
     out = tmp_path / "out"
     assert run("solve", str(path), "--solver", "greedy", "--out", str(out)) == 3
     assert f"{path}: invalid instance: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edits, messages", [
+    ([("nodes[2].id", 5)], ["nodes[2].id must be 2, got 5"]),
+    ([("nodes[3].kind", "pickup")], ["nodes[3].kind must be delivery, got pickup"]),
+    ([("nodes[5].kind", "station")], ["nodes[5].kind must be charger, got station"]),
+    ([("nodes[5].kind", "depot")], ["nodes[5].kind must be charger, got depot"]),
+    ([("nodes[3].kind", "pickup"), ("nodes[4].sigma", -5)],
+     ["nodes[3].kind must be delivery, got pickup", "nodes[4].sigma must be >= 0"]),
+], ids=["id", "delivery-as-pickup", "unknown-kind", "second-depot", "kind-and-sigma"])
+def test_solve_refuses_node_id_or_kind_off_the_layout(tmp_path, capsys, edits, messages):
+    """A node's id and kind must restate its position; the rules that
+    follow judge the node by its position, never by the kind it claims."""
+    doc = json.loads(save(generate_instance(2, seed=3)))
+    for field, bad in edits:
+        set_field(doc, field, bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run("solve", str(path), "--solver", "greedy", "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    for message in messages:
+        assert message in err
+    assert ".q must" not in err
     assert not out.exists()
 
 
@@ -824,8 +849,8 @@ def test_battery_shortfalls_count_arrival_charge():
                   (3, 9.0, 9.0, 0.5, 0.6), (0, 20.0, 20.0, 0.3, 0.0)],
                  [(0, 0.0, 0.0, 1.0, 0.0), (2, 4.0, 4.0, 0.05, 0.0)]]
     sol = Solution(stop_logs, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, {})
-    assert cli.battery_shortfalls(sol, 0.3) == (1, 3)
-    assert cli.battery_shortfalls(sol, 0.0) == (1, 1)
+    assert battery_shortfalls(sol, 0.3) == (1, 3)
+    assert battery_shortfalls(sol, 0.0) == (1, 1)
 
 
 def test_eval_noise_objective_not_below_deterministic(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
-                   MaskViolation, Node, NoiseConfig, ReplayError, Request,
+                   MaskViolation, Node, NoiseConfig, ReplayError,
                    charging_power, generate_instance, greedy_solve,
                    load_solution, replay, sample_noise, save_solution,
                    score_solution)
@@ -39,22 +39,20 @@ def slow_mask(env, state, battery_blocks=None):
     if lo == 0 and b - e[v][0] / B >= rho:
         out[0] = True
     for j in range(1, V):
-        kind = inst.nodes[j].kind
         if (state.visited >> j) & 1:
             continue                                   # rule 1: no revisits
-        if kind == "charger" and (v == 0 or inst.nodes[v].kind == "charger"
-                                  or lo > 0):
+        if j in chargers and (v == 0 or v in chargers or lo > 0):
             continue                                   # rule 5
         nd = inst.nodes[j]
         if not (0 <= lo + nd.q <= inst.fleet.capacity):
             continue                                   # rule 2
         arrival = tau + t[v][j]
         ss = max(arrival, nd.a)
-        if kind == "delivery":
+        if n < j <= 2 * n:                             # a delivery
             r = j - 1 - n
             if r not in state.onboard:
                 continue                               # rule 1: precedence
-            if ss - state.onboard[r] > inst.requests[r].max_ride:
+            if ss - state.onboard[r] > inst.max_ride[r]:
                 continue                               # hard ride cap
         else:
             if ss > nd.l:
@@ -80,10 +78,10 @@ def fixture_charging_instance():
     """Hand-built single request plus one charger with exact energies."""
     H = 14_400.0
     nodes = [
-        Node(0, "depot", 0.0, 0.0, 0.0, H, 0.0, 0),
-        Node(1, "pickup", 1.0, 0.0, 0.0, H, 30.0, 1),
-        Node(2, "delivery", 2.0, 0.0, 0.0, H, 30.0, -1),
-        Node(3, "charger", 3.0, 0.0, 0.0, H, 90.0, 0),
+        Node(0.0, 0.0, 0.0, H, 0.0, 0),        # depot
+        Node(1.0, 0.0, 0.0, H, 30.0, 1),       # pickup
+        Node(2.0, 0.0, 0.0, H, 30.0, -1),      # delivery
+        Node(3.0, 0.0, 0.0, H, 90.0, 0),       # charger
     ]
     t = np.full((4, 4), 100.0)
     np.fill_diagonal(t, 0.0)
@@ -91,10 +89,9 @@ def fixture_charging_instance():
                   [5.0, 0.0, 5.0, 9.0],
                   [9.0, 5.0, 0.0, 4.0],
                   [1.0, 9.0, 9.0, 0.0]])
-    reqs = [Request(0, 1, 2, 10_000.0)]
     fleet = FleetParams(vehicles=1, capacity=3, battery_kwh=20.0,
                         soc_reserve=0.05)
-    return Instance(nodes, EdgeMatrices(t, t * 10.0, e), reqs, fleet,
+    return Instance(nodes, EdgeMatrices(t, t * 10.0, e), [10_000.0], fleet,
                     CostWeights(), H)
 
 
@@ -425,7 +422,7 @@ def test_too_late_is_sound(tight_fleet):
             reject()
         edges = EdgeMatrices(inst.edges.time * speedup, inst.edges.dist,
                              inst.edges.energy)
-        inst = Instance(inst.nodes, edges, inst.requests, inst.fleet,
+        inst = Instance(inst.nodes, edges, inst.max_ride, inst.fleet,
                         inst.weights, inst.horizon, inst.seed)
         env = Env(inst)
         load = min(load, inst.fleet.capacity)
@@ -436,7 +433,7 @@ def test_too_late_is_sound(tight_fleet):
         for w in range(env.num_nodes):
             if n < w <= 2 * n:
                 ps = start * inst.horizon
-                cases.append((w, ps + (1.0 + late) * inst.requests[w - 1 - n].max_ride, ps))
+                cases.append((w, ps + (1.0 + late) * inst.max_ride[w - 1 - n], ps))
                 cases.append((w, ps, None))
             else:
                 cases.append((w, max(0.0, env.l[w] + late * (env.l[w] - env.a[w])),

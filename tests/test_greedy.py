@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
-                   Node, Request, exact_solve, generate_instance,
-                   greedy_solve)
+                   Node, exact_solve, generate_instance, greedy_solve)
 
 
 def test_routes_obey_simulator(small_instance):
@@ -18,19 +17,18 @@ def test_routes_obey_simulator(small_instance):
 def test_equal_energy_tie_goes_to_lower_index():
     H = 14_400.0
     nodes = [
-        Node(0, "depot", 0.0, 0.0, 0.0, H, 0.0, 0),
-        Node(1, "pickup", 1.0, 0.0, 0.0, H, 30.0, 1),
-        Node(2, "pickup", -1.0, 0.0, 0.0, H, 30.0, 1),
-        Node(3, "delivery", 2.0, 0.0, 0.0, H, 30.0, -1),
-        Node(4, "delivery", -2.0, 0.0, 0.0, H, 30.0, -1),
-        Node(5, "charger", 0.0, 5.0, 0.0, H, 900.0, 0),
+        Node(0.0, 0.0, 0.0, H, 0.0, 0),        # depot
+        Node(1.0, 0.0, 0.0, H, 30.0, 1),       # pickups
+        Node(-1.0, 0.0, 0.0, H, 30.0, 1),
+        Node(2.0, 0.0, 0.0, H, 30.0, -1),      # deliveries
+        Node(-2.0, 0.0, 0.0, H, 30.0, -1),
+        Node(0.0, 5.0, 0.0, H, 900.0, 0),      # charger
     ]
     t = np.full((6, 6), 60.0)
     np.fill_diagonal(t, 0.0)
     e = np.full((6, 6), 1.0)
     np.fill_diagonal(e, 0.0)
-    reqs = [Request(0, 1, 3, H), Request(1, 2, 4, H)]
-    inst = Instance(nodes, EdgeMatrices(t, t * 10.0, e), reqs,
+    inst = Instance(nodes, EdgeMatrices(t, t * 10.0, e), [H, H],
                     FleetParams(vehicles=1, capacity=3), CostWeights(), H)
     sol = greedy_solve(inst)
     first = next(stop[0] for stop in sol.routes[0][1:])

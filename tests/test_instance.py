@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from edarp import (FleetParams, InstanceFormatError, generate_instance, load,
                    normalize_features, save, validate)
 
-KINDS = ("depot", "pickup", "delivery", "charger")
-
 
 def test_asymmetry_zero_gives_symmetric_times():
     inst = generate_instance(4, seed=3, asymmetry=0.0)
@@ -190,14 +188,16 @@ def test_generator_rejects_bad_arguments():
 def test_fleet_and_node_invariants_hold():
     inst = generate_instance(6, charger_count=2, seed=17)
     n = inst.n
-    assert [nd.kind for nd in inst.nodes[:1]] == ["depot"]
-    assert all(nd.kind == "pickup" for nd in inst.nodes[1:1 + n])
-    assert all(nd.kind == "delivery" for nd in inst.nodes[1 + n:1 + 2 * n])
-    assert all(nd.kind == "charger" for nd in inst.nodes[1 + 2 * n:])
-    for r in inst.requests:
-        assert r.delivery == r.pickup + n
-        assert r.max_ride >= inst.edges.time[r.pickup][r.delivery]
-        assert inst.nodes[r.pickup].q == -inst.nodes[r.delivery].q > 0
+    # roles by position: depot, n pickups, n deliveries, then chargers
+    assert inst.num_nodes == 1 + 2 * n + 2
+    doc = json.loads(save(inst))
+    assert [nd["kind"] for nd in doc["nodes"]] == \
+        ["depot"] + ["pickup"] * n + ["delivery"] * n + ["charger"] * 2
+    assert inst.nodes[0].q == 0 and all(nd.q == 0 for nd in inst.nodes[1 + 2 * n:])
+    for i, cap in enumerate(inst.max_ride):
+        p, d = 1 + i, 1 + n + i
+        assert cap >= inst.edges.time[p][d]
+        assert inst.nodes[p].q == -inst.nodes[d].q > 0
     assert np.all(np.diag(inst.edges.time) == 0.0)
     assert inst.edges.time.min() >= 0.0
 

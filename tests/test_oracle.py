@@ -3,8 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
-                   Node, Request, enumerate_rewards, exact_solve,
-                   generate_instance, replay)
+                   Node, Policy, PolicyConfig, alns_solve, enumerate_rewards,
+                   exact_solve, generate_instance, greedy_solve,
+                   multistart_rollout, replay)
 from edarp.oracle import _search, _servable
 
 
@@ -44,20 +45,19 @@ def test_tie_break_prefers_lexicographically_smaller_sequence():
     # costs exactly the same, so the reported plan must start with node 1
     H = 14_400.0
     nodes = [
-        Node(0, "depot", 0.0, 0.0, 0.0, H, 0.0, 0),
-        Node(1, "pickup", 1.0, 0.0, 0.0, H, 30.0, 1),
-        Node(2, "pickup", 1.0, 0.0, 0.0, H, 30.0, 1),
-        Node(3, "delivery", 2.0, 0.0, 0.0, H, 30.0, -1),
-        Node(4, "delivery", 2.0, 0.0, 0.0, H, 30.0, -1),
-        Node(5, "charger", 0.0, 1.0, 0.0, H, 900.0, 0),
+        Node(0.0, 0.0, 0.0, H, 0.0, 0),        # depot
+        Node(1.0, 0.0, 0.0, H, 30.0, 1),       # pickups
+        Node(1.0, 0.0, 0.0, H, 30.0, 1),
+        Node(2.0, 0.0, 0.0, H, 30.0, -1),      # deliveries
+        Node(2.0, 0.0, 0.0, H, 30.0, -1),
+        Node(0.0, 1.0, 0.0, H, 900.0, 0),      # charger
     ]
     t = np.full((6, 6), 60.0)
     np.fill_diagonal(t, 0.0)
     t[1, 2] = t[2, 1] = 0.0
     t[3, 4] = t[4, 3] = 0.0
     e = t * 0.01
-    reqs = [Request(0, 1, 3, H), Request(1, 2, 4, H)]
-    inst = Instance(nodes, EdgeMatrices(t, t * 10.0, e), reqs,
+    inst = Instance(nodes, EdgeMatrices(t, t * 10.0, e), [H, H],
                     FleetParams(vehicles=1, capacity=3), CostWeights(), H)
     full = enumerate_rewards(inst)
     assert full["complete"]
@@ -122,6 +122,25 @@ def test_exact_actions_equal_enumerated_best_sequence():
                     assert optimal and full["complete"]
                     actions = [stop[0] for log in sol.routes for stop in log[1:]]
                     assert actions == full["best_seq"], (n, k, tight, seed)
+
+
+def test_no_solver_beats_the_exact_optimum():
+    """Every solver's plan is replayed through the same mask as the
+    oracle's search, so a reward above the optimum means a route model or
+    a replay scored an infeasible plan."""
+    policy = Policy(PolicyConfig(seed=0))
+    for n in range(3, 7):
+        for tight in (False, True):
+            for s in range(4):
+                inst = generate_instance(n, charger_count=2, fleet=_fleet(2, tight),
+                                         seed=3000 + 10 * n + s)
+                best, optimal = exact_solve(inst)
+                assert optimal, (n, tight, s)
+                rewards = {"greedy": greedy_solve(inst).reward,
+                           "alns": alns_solve(inst, 60, s)[0].reward,
+                           "neural": multistart_rollout(policy, inst, k_p=4).reward}
+                for solver, reward in rewards.items():
+                    assert reward <= best.reward, (solver, n, tight, s)
 
 
 @settings(max_examples=25, deadline=None)

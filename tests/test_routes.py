@@ -21,7 +21,7 @@ def battery_free(inst):
     """Route context on the same instance with a battery too large to bind,
     so a verdict that differs from the real one is the battery rule's."""
     fleet = dataclasses.replace(inst.fleet, battery_kwh=1e9)
-    return RouteCtx(Env(Instance(inst.nodes, inst.edges, inst.requests, fleet,
+    return RouteCtx(Env(Instance(inst.nodes, inst.edges, inst.max_ride, fleet,
                                  inst.weights, inst.horizon, inst.seed)))
 
 
@@ -289,7 +289,7 @@ def full_scan(ctx, info, req):
     env = ctx.env
     hop, home, n = env.hop, env.home, env.n
     p, d = 1 + req, 1 + n + req
-    ride_cap = env.inst.requests[req].max_ride
+    ride_cap = env.inst.max_ride[req]
     rnodes, SS = info.nodes, info.SS
     m = len(rnodes)
     out = []

@@ -107,19 +107,19 @@ def test_pomo_starts_ascending_and_truncated():
 
 def test_pomo_starts_fallback_without_feasible_pickups():
     from edarp import (CostWeights, EdgeMatrices, FleetParams, Instance,
-                       Node, Request)
+                       Node)
     H = 14_400.0
     nodes = [
-        Node(0, "depot", 0.0, 0.0, 0.0, H, 0.0, 0),
-        Node(1, "pickup", 1.0, 0.0, 0.0, 10.0, 30.0, 1),   # window shuts早
-        Node(2, "delivery", 2.0, 0.0, 0.0, H, 30.0, -1),
-        Node(3, "charger", 3.0, 0.0, 0.0, H, 900.0, 0),
+        Node(0.0, 0.0, 0.0, H, 0.0, 0),        # depot
+        Node(1.0, 0.0, 0.0, 10.0, 30.0, 1),    # pickup; its window shuts early
+        Node(2.0, 0.0, 0.0, H, 30.0, -1),      # delivery
+        Node(3.0, 0.0, 0.0, H, 900.0, 0),      # charger
     ]
     t = np.full((4, 4), 100.0)
     np.fill_diagonal(t, 0.0)
     e = t * 0.01
     inst = Instance(nodes, EdgeMatrices(t, t * 10.0, e),
-                    [Request(0, 1, 2, H)], FleetParams(vehicles=1), CostWeights(), H)
+                    [H], FleetParams(vehicles=1), CostWeights(), H)
     starts = pomo_starts(Env(inst), 4)
     assert starts == [0]            # depot is all the mask leaves open
 
