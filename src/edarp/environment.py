@@ -76,7 +76,7 @@ class NoiseConfig:
 
 
 class EpisodeState:
-    """Mutable rollout state; clone() is cheap enough for tree search."""
+    """Mutable rollout state; clone() returns an independent copy."""
 
     __slots__ = ("node", "clock", "soc", "load", "onboard", "vehicles_used",
                  "visited", "n_served", "routes", "energy_kwh", "wait_sec",

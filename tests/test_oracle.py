@@ -1,4 +1,7 @@
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,7 +165,8 @@ def test_servable_bounds_every_terminal_below(n, k, tight, seed):
                 child = state.clone()
                 env.step(child, j, mask=mask)
                 below = max(below, most_served(child))
-        assert _servable(env, state) >= below
+        assert _servable(env, state.clock, state.onboard, state.visited,
+                         state.vehicles_used, state.n_served) >= below
         return below
 
     most_served(env.reset())
@@ -173,3 +177,94 @@ def test_bound_prunes_most_of_the_enumeration(small_instance):
     full = _search(small_instance, 10_000_000, enumerate_all=True)[3]
     assert not pruned["exhausted"] and not full["exhausted"]
     assert pruned["expanded"] <= 0.4 * full["expanded"]
+
+
+def _reference_enumeration(inst):
+    """Every trajectory, walked with Env.mask, EpisodeState.clone and
+    Env.step alone: the trajectory count, the best reward with its action
+    sequence, the worst reward and the number of escape nodes. Ties keep
+    the first sequence in depth-first order, the lexicographically
+    smallest."""
+    env = Env(inst)
+    w_c = inst.weights.complete
+    escape = env._escape_action
+    out = {"trajectories": 0, "best": (float("-inf"), None),
+           "worst": float("inf"), "escapes": 0}
+
+    def counted_escape(state):
+        out["escapes"] += 1
+        return escape(state)
+
+    env._escape_action = counted_escape
+
+    def rec(state, seq):
+        mask = env.mask(state)
+        for j in range(env.num_nodes):
+            if not mask[j]:
+                continue
+            child = state.clone()
+            env.step(child, j, mask=mask)
+            if child.terminal:
+                reward = -env.objective(child) + w_c * child.n_served
+                out["trajectories"] += 1
+                if reward > out["best"][0]:
+                    out["best"] = reward, seq + [j]
+                out["worst"] = min(out["worst"], reward)
+            else:
+                rec(child, seq + [j])
+
+    rec(env.reset(), [])
+    return out
+
+
+def test_search_agrees_with_a_mask_and_step_enumeration():
+    """The oracle searches on Env.hop's tuples; an enumeration that only
+    clones and steps EpisodeStates must find the same trajectories, the
+    same rewards to the bit and the same best sequence."""
+    escapes = 0
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            for tight in (False, True):
+                case = (n, k, tight)
+                inst = generate_instance(n, charger_count=1, fleet=_fleet(k, tight),
+                                         seed=700 + 10 * n + k)
+                ref = _reference_enumeration(inst)
+                escapes += ref["escapes"]
+                full = enumerate_rewards(inst)
+                sol, optimal = exact_solve(inst)
+                assert optimal and full["complete"], case
+                assert full["trajectories"] == ref["trajectories"], case
+                best_reward, best_seq = ref["best"]
+                assert full["best_reward"].hex() == best_reward.hex(), case
+                assert sol.reward.hex() == best_reward.hex(), case
+                assert full["worst_reward"].hex() == ref["worst"].hex(), case
+                assert full["best_seq"] == best_seq, case
+                assert [stop[0] for log in sol.routes for stop in log[1:]] == best_seq, case
+    assert escapes > 0
+
+
+def test_exact_solve_refuses_a_search_reward_replay_does_not_reproduce(monkeypatch):
+    """A kernel whose hop prices each leg's energy one ulp high gives the
+    mask the same verdicts, but the search's totals no longer match the
+    simulator's, so exact_solve raises instead of returning them."""
+    init = Env.__init__
+
+    def nudged_init(self, inst):
+        init(self, inst)
+        hop = self.hop
+
+        def hop_high(u, tau, b, load, w, ps):
+            h = hop(u, tau, b, load, w, ps)
+            if h is None:
+                return None
+            return h[:6] + (math.nextafter(h[6], math.inf), h[7])
+
+        self.hop = hop_high
+
+    # rounding absorbs the nudge into the reward on many instances, not here
+    inst = generate_instance(3, charger_count=1, seed=0)
+    honest, _ = exact_solve(inst)
+    monkeypatch.setattr(Env, "__init__", nudged_init)
+    assert _search(inst, 10_000_000, enumerate_all=False)[1][0] != honest.reward
+    with pytest.raises(RuntimeError, match="replay scores"):
+        exact_solve(inst)
