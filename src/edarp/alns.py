@@ -102,25 +102,36 @@ def shaw_removal(rng, served, q, rel):
     return sorted(removed)
 
 
+def _savings(info, ctx):
+    """(request, saving) of each request on info's route, in stop order:
+    the cost its removal saves the route, 0.0 when the rest of the route
+    is infeasible."""
+    n = ctx.env.n
+    out = []
+    for node in info.nodes:
+        if 1 <= node <= n:
+            tcost = ctx.removal_cost(info, node - 1)
+            out.append((node - 1, info.cost - tcost if tcost != float("inf") else 0.0))
+    return out
+
+
 def worst_removal(plan, ctx, q):
     """Remove, q times, the request whose removal saves its route the
     most. Removals are priced from each route's RouteInfo
-    (RouteCtx.removal_cost; a route the route model rejects is skipped),
-    and only the route just cut is simulated again."""
-    n = ctx.env.n
+    (RouteCtx.removal_cost; a route the route model rejects is skipped)
+    once per call: only the route just cut is simulated and priced
+    again."""
     plan = list(plan)
+    savings = [None] * len(plan)    # per route, _savings until it is cut
     removed = []
     for _ in range(q):
         best_r, best_saving = None, None
         for ridx, info in enumerate(plan):
             if info.cost is None:
                 continue
-            for node in info.nodes:
-                if not (1 <= node <= n):
-                    continue
-                r = node - 1
-                tcost = ctx.removal_cost(info, r)
-                saving = info.cost - tcost if tcost != float("inf") else 0.0
+            if savings[ridx] is None:
+                savings[ridx] = _savings(info, ctx)
+            for r, saving in savings[ridx]:
                 if best_saving is None or saving > best_saving:
                     best_r, best_saving = (r, ridx), saving
         if best_r is None:
@@ -128,6 +139,7 @@ def worst_removal(plan, ctx, q):
         r, ridx = best_r
         kept = _strip(plan[ridx].nodes, {r}, ctx)
         plan[ridx] = ctx.simulate(kept) or RouteInfo(kept)
+        savings[ridx] = None
         removed.append(r)
     return sorted(removed)
 

@@ -176,6 +176,10 @@ class Env:
     charge_delta(soc, w) is the charge-curve gain of plugging in at w.
     home(u, b, load) is the return leg (de, dt) to the depot, or None
         when the vehicle is loaded or cannot reach it above the reserve.
+    price(energy, wait, late, travel) is the objective J of totals in
+        kWh and seconds, with the instance's cost weights bound once: the
+        one formula that episodes, routes and their changes are priced
+        with.
 
     Env.mask, Env.step and the route evaluator in routes.py all call it.
     """
@@ -252,8 +256,15 @@ class Env:
                 return home_leg[u]
             return None
 
+        w = inst.weights
+        w_e, w_w, w_l, w_t, tu = w.energy, w.wait, w.late, w.travel, w.time_unit
+
+        def price(energy, wait, late, travel):
+            return (w_e * energy + w_w * (wait / tu)
+                    + w_l * (late / tu) + w_t * (travel / tu))
+
         self.hop, self.charge_delta, self.home = hop, charge_delta, home
-        self.too_late = too_late
+        self.too_late, self.price = too_late, price
 
     def reset(self):
         return EpisodeState()
@@ -356,14 +367,6 @@ class Env:
                 state.terminal = True
         else:
             state.node = j
-
-    def price(self, energy, wait, late, travel):
-        """The objective J of totals in kWh and seconds: the one formula
-        that episodes, routes and their changes are priced with."""
-        w = self.inst.weights
-        tu = w.time_unit
-        return (w.energy * energy + w.wait * (wait / tu)
-                + w.late * (late / tu) + w.travel * (travel / tu))
 
     def objective(self, state):
         """Weighted cost accumulated so far; it only grows along an episode."""

@@ -10,17 +10,23 @@ up at node 1+i and delivered at node 1+n+i.
 Units are seconds, meters, and kWh throughout.
 The generator's geometry and timing are module constants; its fleet and
 cost weights are arguments.
+
+An instance file (schema edarp-instance/2) is indented JSON whose three
+edge matrices are packed: each is the base64 of its little-endian
+float64 bytes in C order (pack_floats), the codec checkpoints use too.
 """
 
+import base64
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-SCHEMA_INSTANCE = "edarp-instance/1"
+SCHEMA_INSTANCE = "edarp-instance/2"
 
 KINDS = ("depot", "pickup", "delivery", "charger")
+EDGE_NAMES = ("time", "dist", "energy")
 
 
 class InstanceFormatError(ValueError):
@@ -244,7 +250,7 @@ def validate(inst):
             out.append(f"{at}.q must be 0 at a {kind}, got {nd.q}")
 
     shaped = True
-    for name in ("time", "dist", "energy"):
+    for name in EDGE_NAMES:
         m = getattr(inst.edges, name)
         at = f"edges.{name}"
         if m.shape != (v, v):
@@ -336,8 +342,35 @@ def normalize_features(inst):
     return FeatureTensors(node, edge)
 
 
+def pack_floats(a):
+    """Base64 text of a's little-endian float64 bytes in C order."""
+    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
+    return base64.b64encode(raw).decode()
+
+
+def unpack_floats(label, text, shape):
+    """text, the pack_floats of an array of `shape`, as an owned, writable
+    float64 array; ValueError naming label unless text is a string of
+    valid base64 holding exactly one float64 per entry. The values
+    themselves are left to the caller to check."""
+    if not isinstance(text, str):
+        raise ValueError(f"{label} must be a base64 string, "
+                         f"got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as e:
+        raise ValueError(f"{label} is not valid base64: {e}") from e
+    size = math.prod(shape)
+    if len(raw) != 8 * size:
+        raise ValueError(f"{label} must hold {size} float64 values "
+                         f"({8 * size} bytes), got {len(raw)} bytes")
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+
+
 def save(inst):
-    """Serialize to versioned JSON bytes; floats round-trip exactly."""
+    """Serialize to versioned JSON bytes (schema edarp-instance/2): every
+    field as indented JSON but the edge matrices, each packed by
+    pack_floats, so every value round-trips bit for bit."""
     doc = {
         "schema": SCHEMA_INSTANCE,
         "seed": inst.seed,
@@ -355,9 +388,7 @@ def save(inst):
                   for j, (nd, k) in enumerate(zip(inst.nodes, node_kinds(inst)))],
         "requests": [{"id": i, "pickup": 1 + i, "delivery": 1 + inst.n + i,
                       "maxRide": cap} for i, cap in enumerate(inst.max_ride)],
-        "edges": {"time": inst.edges.time.tolist(),
-                  "dist": inst.edges.dist.tolist(),
-                  "energy": inst.edges.energy.tolist()},
+        "edges": {k: pack_floats(getattr(inst.edges, k)) for k in EDGE_NAMES},
     }
     return (json.dumps(doc, indent=1) + "\n").encode()
 
@@ -393,8 +424,11 @@ def load(data):
     """Parse instance JSON produced by save(); inverse of save on valid data.
     A key that save() does not write is refused, never ignored, and so is
     a node id or kind or a request's id, pickup or delivery that differs
-    from what the node order gives, and every instance that validate()
-    flags: what load returns is valid."""
+    from what the node order gives, an edge matrix that is not a base64
+    string of V*V float64 values (V nodes), and every instance that
+    validate() flags: what load returns is valid, and its edge matrices
+    are owned, writable float64 arrays. Any other schema is refused,
+    edarp-instance/1's float lists included."""
     if isinstance(data, bytes):
         data = data.decode("utf-8", errors="replace")
     try:
@@ -431,8 +465,9 @@ def load(data):
         slots = [(*(_integer(f"requests[{i}].{k}", r[k])
                     for k in ("id", "pickup", "delivery")), float(r["maxRide"]))
                  for i, r in enumerate(doc["requests"])]
-        edges = EdgeMatrices(doc["edges"]["time"], doc["edges"]["dist"],
-                             doc["edges"]["energy"])
+        v = len(claims)
+        edges = EdgeMatrices(*(unpack_floats(f"edges.{k}", doc["edges"][k], (v, v))
+                               for k in EDGE_NAMES))
         n = _integer("n", doc["n"])
         inst = Instance([nd for _, _, nd in claims], edges, [cap for *_, cap in slots],
                         fleet, weights, float(doc["horizon"]),

@@ -15,7 +15,6 @@ clipped logits go through a masked softmax, so infeasible nodes carry
 exactly zero probability.
 """
 
-import base64
 import json
 import math
 from numbers import Integral, Real
@@ -25,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .environment import Env
-from .instance import normalize_features
+from .instance import normalize_features, pack_floats, unpack_floats
 
 SCHEMA_POLICY = "edarp-policy/2"
 
@@ -336,48 +335,32 @@ def save_policy(policy, opt=None, epoch=0):
     """Checkpoint bytes (schema edarp-policy/2): one JSON document of the
     policy's header and weights and, given its Adam optimizer, an optState
     of the step count, both moment sets and the epochs done. Each array
-    is stored as base64 of its little-endian float64 bytes in C order.
-    No other module knows this layout."""
+    is stored as base64 of its little-endian float64 bytes in C order
+    (instance.pack_floats, the instance files' codec). No other module
+    knows this document's layout."""
     cfg = policy.config
     doc = {
         "schema": SCHEMA_POLICY,
         "header": {"dH": cfg.d_h, "heads": cfg.heads, "layers": cfg.layers,
                    "ffnMult": cfg.ffn_mult, "lambda": cfg.lam,
                    "kappa": cfg.kappa, "seed": cfg.seed},
-        "params": {k: {"shape": list(t.data.shape), "data": _pack(t.data)}
+        "params": {k: {"shape": list(t.data.shape), "data": pack_floats(t.data)}
                    for k, t in policy.params.items()},
     }
     if opt is not None:
         doc["optState"] = {
             "t": opt.t,
-            "m": {k: _pack(a) for k, a in opt.m.items()},
-            "v": {k: _pack(a) for k, a in opt.v.items()},
+            "m": {k: pack_floats(a) for k, a in opt.m.items()},
+            "v": {k: pack_floats(a) for k, a in opt.v.items()},
             "epoch": epoch}
     return (json.dumps(doc) + "\n").encode()
 
 
-def _pack(a):
-    """Base64 text of a's little-endian float64 bytes in C order."""
-    raw = np.ascontiguousarray(a, dtype="<f8").tobytes()
-    return base64.b64encode(raw).decode()
-
-
 def _param_array(label, text, shape, nonneg=False):
-    """text, base64 of little-endian float64 bytes, as an owned array of
+    """text, unpacked by instance.unpack_floats to an owned array of
     `shape`; ValueError naming label unless it holds one finite number
     per entry, none negative if nonneg."""
-    if not isinstance(text, str):
-        raise ValueError(f"{label} must be a base64 string, "
-                         f"got {type(text).__name__}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as e:
-        raise ValueError(f"{label} is not valid base64: {e}") from e
-    size = math.prod(shape)
-    if len(raw) != 8 * size:
-        raise ValueError(f"{label} must hold {size} float64 values "
-                         f"({8 * size} bytes), got {len(raw)} bytes")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    arr = unpack_floats(label, text, shape)
     if not np.isfinite(arr).all():
         raise ValueError(f"non-finite {label}")
     if nonneg and (arr < 0).any():

@@ -317,24 +317,46 @@ def test_solve_names_every_invalid_instance_field(tmp_path, capsys, edits):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda d: d["requests"][0].update(id=7, pickup=8, delivery=10),
-     "requests[0].id, .pickup and .delivery must be 0, 1 and 3, got 7, 8 and 10"),
+     "invalid instance: requests[0].id, .pickup and .delivery must be 0, 1 and 3, "
+     "got 7, 8 and 10"),
     (lambda d: d["requests"][1].update(id=0, pickup=1, delivery=3),
-     "requests[1].id, .pickup and .delivery must be 1, 2 and 4, got 0, 1 and 3"),
-    (lambda d: d["edges"].update(time=[[0.0] * 3] * 3),
-     "edges.time has shape (3, 3), expected (6, 6)"),
-    (lambda d: d["edges"].update(time=5.0), "edges.time has shape (), expected (6, 6)"),
-], ids=["id7", "second-id0", "time3x3", "time-scalar"])
+     "invalid instance: requests[1].id, .pickup and .delivery must be 1, 2 and 4, "
+     "got 0, 1 and 3"),
+    (lambda d: d["edges"].update(time=base64.b64encode(bytes(8 * 9)).decode()),
+     "malformed instance field: edges.time must hold 36 float64 values "
+     "(288 bytes), got 72 bytes"),
+    (lambda d: d["edges"].update(time=5.0),
+     "malformed instance field: edges.time must be a base64 string, got float"),
+    (lambda d: d["edges"].update(time="not*base64"),
+     "malformed instance field: edges.time is not valid base64"),
+], ids=["id7", "second-id0", "time3x3", "time-scalar", "time-not-base64"])
 def test_solve_refuses_request_slot_and_edge_shape(tmp_path, capsys, edit, message):
-    """A request that is not its slot's, or an edge matrix of the wrong
-    shape, is a data error naming the file and the field; no rule reads
-    a matrix before its shape is checked."""
+    """A request that is not its slot's, or an edge matrix that is not
+    the packed float64 of a V x V matrix, is a data error naming the file
+    and the field; no rule reads a matrix before its shape is checked."""
     doc = json.loads(save(generate_instance(2, seed=3)))
     edit(doc)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert run("solve", str(path), "--solver", "greedy", "--out", str(out)) == 3
-    assert f"{path}: invalid instance: {message}" in capsys.readouterr().err
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_solve_refuses_float_list_instance_schema_1(tmp_path, capsys):
+    """An edarp-instance/1 file, edge matrices as decimal float lists, is
+    refused by its schema: no reader for it is kept."""
+    inst = generate_instance(2, seed=3)
+    doc = json.loads(save(inst))
+    doc["schema"] = "edarp-instance/1"
+    doc["edges"] = {k: getattr(inst.edges, k).tolist() for k in ("time", "dist", "energy")}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc, indent=1))
+    out = tmp_path / "out"
+    assert run("solve", str(path), "--solver", "greedy", "--out", str(out)) == 3
+    assert (f"{path}: unsupported schema 'edarp-instance/1', "
+            "expected 'edarp-instance/2'") in capsys.readouterr().err
     assert not out.exists()
 
 

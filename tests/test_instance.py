@@ -100,6 +100,61 @@ def test_save_load_round_trip():
     assert save(load(save(inst))) == save(inst)
 
 
+EDGES = ("time", "dist", "energy")
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2 ** 31 - 1),
+       chargers=st.integers(1, 3), tight=st.booleans())
+def test_packed_edges_round_trip_bit_for_bit(n, seed, chargers, tight):
+    fleet = FleetParams(battery_kwh=4.0, soc_reserve=0.3) if tight else FleetParams()
+    inst = generate_instance(n, charger_count=chargers, fleet=fleet, seed=seed)
+    data = save(inst)
+    back = load(data)
+    for k in EDGES:
+        a, b = getattr(inst.edges, k), getattr(back.edges, k)
+        assert b.dtype == np.float64 and b.flags.owndata and b.flags.writeable
+        assert b.shape == a.shape and b.tobytes() == a.tobytes()
+    assert save(back) == data
+
+
+def test_packed_edges_keep_signed_zero_and_subnormal():
+    """Values a decimal round trip could lose keep their bits."""
+    inst = generate_instance(2, seed=4)
+    inst.edges.dist[1, 2] = -0.0
+    inst.edges.dist[2, 1] = 5e-324
+    inst.edges.time[3, 1] = 5e-324
+    inst.edges.energy[1, 3] = -0.0
+    assert validate(inst) == []
+    back = load(save(inst))
+    for k in EDGES:
+        assert getattr(back.edges, k).tobytes() == getattr(inst.edges, k).tobytes()
+    assert np.signbit(back.edges.dist[1, 2]) and np.signbit(back.edges.energy[1, 3])
+    assert back.edges.dist[2, 1] == back.edges.time[3, 1] == 5e-324
+
+
+def test_instance_edges_are_packed():
+    """Each matrix is a base64 string: 32/3 bytes per stored number, where
+    decimal float lists took about 22."""
+    inst = generate_instance(10, charger_count=2, seed=3)
+    data = save(inst)
+    doc = json.loads(data)
+    assert doc["schema"] == "edarp-instance/2"
+    assert all(isinstance(doc["edges"][k], str) for k in EDGES)
+    assert sum(len(doc["edges"][k]) for k in EDGES) <= 11 * 3 * inst.num_nodes ** 2
+
+
+def test_load_refuses_float_list_edges_under_schema_2():
+    """The float lists of edarp-instance/1 are refused under the new
+    schema too: load keeps no float-list reader."""
+    inst = generate_instance(3, seed=1)
+    doc = json.loads(save(inst))
+    doc["edges"]["dist"] = inst.edges.dist.tolist()
+    with pytest.raises(InstanceFormatError,
+                       match=re.escape("edges.dist must be a base64 string, got list")):
+        load(json.dumps(doc).encode())
+
+
 def test_load_refuses_what_validate_flags():
     doc = json.loads(save(generate_instance(2, seed=1)))
     doc["nodes"][4]["sigma"] = -5
