@@ -11,9 +11,10 @@ Feasible next nodes come from six constraint groups: visit/precedence
 state, capacity, hard time windows (pickups and chargers; deliveries are
 soft-late but hard on ride time), battery reserve with an escape-energy
 margin, structural charger/depot rules, and fleet accounting handled by
-the depot transition itself. Every per-hop rule and the charge curve are
-written once, in the kernel Env builds (see Env); the mask, the step and
-the route evaluator of the neighborhood solver all call it. Masks are
+the depot transition itself. Every per-hop rule, the charge curve and
+the transition arithmetic are written once, in the kernel Env builds
+(see Env); the mask, the step (on its realized leg) and the route
+evaluator of the neighborhood solver all call it. Masks are
 computed from the deterministic matrices; when traversal noise is
 enabled the realized costs may exceed the estimates the mask saw, which
 is the intended reactive behavior.
@@ -160,12 +161,14 @@ class Env:
     __init__ builds with the instance tables bound as closure locals,
     so the hot insertion scans pay no attribute lookups per hop:
 
-    hop(u, tau, b, load, w, ps) serves stop w after leaving u at clock
-        tau with state of charge b and the given load; ps is w's pickup
-        service start when w is a delivery (None: not on board). It
-        returns (ss, dep, soc, load, wait, late, de, dt) or None when
-        the charger structural rule, capacity, the hard window or ride
-        cap, or the escape-margin battery rule blocks the hop.
+    hop(u, tau, b, load, w, ps, leg=None) serves stop w after leaving u
+        at clock tau with state of charge b and the given load; ps is
+        w's pickup service start when w is a delivery (None: not on
+        board). It returns (ss, dep, soc, load, wait, late, de, dt) or
+        None when the charger structural rule, capacity, the hard window
+        or ride cap, or the escape-margin battery rule blocks the hop.
+        Env.step passes its move's realized leg (dt, de), noisy or an
+        escape: hop then skips every rule and runs on that leg.
     too_late(tau, w, ps) is true when no hop that leaves for w at clock
         tau or later can serve it: w's hard window has closed (pickups
         and chargers), or w is a delivery that is not on board or whose
@@ -190,9 +193,9 @@ class Env:
         self.num_nodes = inst.num_nodes
         self.t = t = inst.edges.time.tolist()
         self.e = e = inst.edges.energy.tolist()
-        self.a = a = [nd.a for nd in inst.nodes]
-        self.l = l = [nd.l for nd in inst.nodes]
-        self.sigma = sigma = [nd.sigma for nd in inst.nodes]
+        a = [nd.a for nd in inst.nodes]
+        l = [nd.l for nd in inst.nodes]
+        sigma = [nd.sigma for nd in inst.nodes]
         self.q = q = [nd.q for nd in inst.nodes]
         self.kindc = kindc = node_kinds(inst)
         max_ride = list(inst.max_ride)
@@ -214,30 +217,33 @@ class Env:
             room = 1.0 - soc
             return room if charge > room else charge
 
-        def hop(u, tau, b, load, w, ps):
-            kind = kindc[w]
-            if kind == _CHARGER and (u == 0 or kindc[u] == _CHARGER or load > 0):
+        def hop(u, tau, b, load, w, ps, leg=None):
+            kind = kindc[w]         # a given leg skips every rule below
+            if kind == _CHARGER and leg is None and (u == 0 or kindc[u] == _CHARGER or load > 0):
                 return None
             nl = load + q[w]
-            if nl < 0 or nl > cap:
+            if (nl < 0 or nl > cap) and leg is None:
                 return None
-            dt = t[u][w]
-            de = e[u][w]
+            if leg is None:
+                dt = t[u][w]
+                de = e[u][w]
+            else:
+                dt, de = leg
             arrival = tau + dt
             aw = a[w]
             ss = arrival if arrival > aw else aw
             wait = late = 0.0
             if kind == _DELIVERY:
-                if ps is None or ss - ps > max_ride[w - 1 - n]:
+                if (ps is None or ss - ps > max_ride[w - 1 - n]) and leg is None:
                     return None
                 if ss > l[w]:
                     late = ss - l[w]
-            elif ss > l[w]:
+            elif ss > l[w] and leg is None:
                 return None          # hard upper window for pickups and chargers
             elif kind == _PICKUP and arrival < aw:
                 wait = aw - arrival
             after = b - de * invB
-            if after < rho or after - escape[w] * invB < rho:
+            if (after < rho or after - escape[w] * invB < rho) and leg is None:
                 return None
             if kind == _CHARGER:
                 after += charge_delta(after, w)
@@ -325,35 +331,26 @@ class Env:
             z = float(noise.rng.standard_normal())
             dt = sample_noise(dt, noise.scale, z)
             de = sample_noise(de, noise.scale, z)
-        arrival = state.clock + dt
-        aj = self.a[j]
-        sig = self.sigma[j]
-        service_start = arrival if arrival > aj else aj
-        soc_travel = state.soc - de * self.invB
-        kind = self.kindc[j]
+        tau, b = state.clock, state.soc
+        ss, state.clock, state.soc, state.load, wait, late, _, _ = \
+            self.hop(v, tau, b, state.load, j, None, (dt, de))
         charge = 0.0
-        if kind == _CHARGER:
-            charge = self.charge_delta(soc_travel, j)
-            state.charge_visits += 1
-        soc_new = soc_travel + charge
+        kind = self.kindc[j]
         if kind == _PICKUP:
-            if arrival < aj:
-                state.wait_sec += aj - arrival
-            state.onboard[j - 1] = service_start
+            state.onboard[j - 1] = ss
         elif kind == _DELIVERY:
-            lj = self.l[j]
-            if service_start > lj:
-                state.late_sec += service_start - lj
             state.onboard.pop(j - 1 - self.n, None)
             state.n_served += 1
+        elif kind == _CHARGER:
+            charge = self.charge_delta(b - de * self.invB, j)
+            state.charge_visits += 1
         state.energy_kwh += de
+        state.wait_sec += wait
+        state.late_sec += late
         state.travel_sec += dt
-        state.load += self.q[j]
-        state.clock = service_start + sig
-        state.soc = soc_new
         if j != 0:
             state.visited |= 1 << j
-        state.routes[-1].append((j, arrival, service_start, soc_new, charge))
+        state.routes[-1].append((j, tau + dt, ss, state.soc, charge))
         if j == 0:
             state.node = 0
             if state.n_served < self.n and state.vehicles_used < self.K:

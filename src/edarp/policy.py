@@ -219,15 +219,8 @@ def state_scalars(env, state):
 
 def visited_array(env, state):
     v = env.num_nodes
-    out = np.zeros(v, dtype=bool)
-    bits = state.visited
-    i = 0
-    while bits and i < v:
-        if bits & 1:
-            out[i] = True
-        bits >>= 1
-        i += 1
-    return out
+    return np.unpackbits(np.frombuffer(state.visited.to_bytes(v // 8 + 1, "little"), np.uint8),
+                         count=v, bitorder="little").view(bool)
 
 
 def pomo_starts(env, k_p):

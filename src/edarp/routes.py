@@ -61,23 +61,16 @@ class RouteCtx:
 
     def simulate(self, nodes):
         """Simulate one route from a fresh vehicle; RouteInfo or None.
-        The route is the tail walk from the depot, and its running
-        totals add up the recorded hops in the walk's order."""
+        The route is the tail walk from the depot, which records its
+        hops and running totals in the RouteInfo."""
         if 0 in nodes:
             raise ValueError("routes must not contain the depot")
         info = RouteInfo(list(nodes))
-        if self.walk(info.nodes, 0, 0.0, 1.0, 0, info.SS,
-                     0.0, 0.0, 0.0, 0.0, info.hops) is None:
+        tot = self.walk(info.nodes, 0, 0.0, 1.0, 0, info.SS,
+                        0.0, 0.0, 0.0, 0.0, info)
+        if tot is None:
             return None
-        run = info.run
-        E = W = L = T = 0.0
-        for _, _, _, _, wait, late, de, dt in info.hops[1:]:
-            E += de
-            W += wait
-            L += late
-            T += dt
-            run.append((E, W, L, T))
-        info.cost = self.env.price(E, W, L, T)
+        info.cost = self.env.price(*tot)
         return info
 
     def plan_objective(self, plan):
@@ -174,7 +167,7 @@ class RouteCtx:
 
     # -- tail walk and removal pricing -----------------------------------------
 
-    def walk(self, nodes, u, tau, b, load, over, E, W, L, T, trail=None):
+    def walk(self, nodes, u, tau, b, load, over, E, W, L, T, info=None):
         """(E, W, L, T) of the stops nodes walked and the return home,
         starting at node u in state (tau, b, load) with running totals
         E, W, L, T; None when a hop or the return fails. over maps
@@ -182,15 +175,14 @@ class RouteCtx:
         pickup start from it and records the pickups it serves. The
         totals add up hop by hop in one fixed order, so a walk from any
         stop of a simulated route keeps a full simulation's bits. A
-        given trail list receives each hop's tuple and the depot
-        return, as RouteInfo.hops holds them (simulate's record)."""
+        given RouteInfo receives each hop's tuple and the depot return
+        in hops, and the running totals after each in run (simulate's
+        record)."""
         hop, n = self.env.hop, self.env.n
         for w in nodes:
             res = hop(u, tau, b, load, w, over.get(w - n))
             if res is None:
                 return None
-            if trail is not None:
-                trail.append(res)
             ss, tau, b, load, wait, late, de, dt = res
             if w <= n:
                 over[w] = ss
@@ -198,13 +190,19 @@ class RouteCtx:
             W += wait
             L += late
             T += dt
+            if info is not None:
+                info.hops.append(res)
+                info.run.append((E, W, L, T))
             u = w
         leg = self.env.home(u, b, load)
         if leg is None:
             return None
-        if trail is not None:
-            trail.append((None, None, None, None, 0.0, 0.0) + leg)
-        return E + leg[0], W, L, T + leg[1]
+        E += leg[0]
+        T += leg[1]
+        if info is not None:
+            info.hops.append((None, None, None, None, 0.0, 0.0) + leg)
+            info.run.append((E, W, L, T))
+        return E, W, L, T
 
     def removal_cost(self, info, req):
         """Cost of info's route without request req, the chargers its

@@ -50,7 +50,8 @@ def _verify_episode(env, state):
                 r = node - 1
                 load += 1
                 pick_ss[r] = ss
-                assert env.a[node] - 1e-9 <= ss <= env.l[node] + 1e-9
+                nd = env.inst.nodes[node]
+                assert nd.a - 1e-9 <= ss <= nd.l + 1e-9
             elif n < node <= 2 * n:                     # delivery
                 r = node - 1 - n
                 load -= 1

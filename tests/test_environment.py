@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -210,9 +211,10 @@ def test_step_wait_before_window(small_instance):
     wait_before = s.wait_sec
     env.step(s, j)
     wait = s.wait_sec - wait_before
-    if arrival < env.a[j]:
-        assert wait == pytest.approx(env.a[j] - arrival)
-        assert s.routes[-1][-1][2] == env.a[j]
+    a_j = small_instance.nodes[j].a
+    if arrival < a_j:
+        assert wait == pytest.approx(a_j - arrival)
+        assert s.routes[-1][-1][2] == a_j
     else:
         assert wait == 0.0
 
@@ -284,6 +286,84 @@ def test_noisy_rollout_never_undercuts(small_instance):
         prev_node, prev_depart = node, s.clock
         if node == 0:
             prev_node, prev_depart = 0, 0.0
+
+
+def test_forced_leg_takes_the_rule_path(tight_fleet):
+    """Wherever hop admits a move, the same move with its matrix leg
+    forced (every rule skipped) returns hop's tuple field for field, and
+    Env.step logs and totals that tuple."""
+    compared = set()              # (tight, kind) of compared hops
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), tight=st.booleans(), seed=st.integers(0, 10_000),
+           walk=st.integers(0, 2 ** 32 - 1))
+    def check(n, tight, seed, walk):
+        fleet = tight_fleet if tight else FleetParams()
+        try:
+            inst = generate_instance(n, charger_count=2, fleet=fleet, seed=seed)
+        except ValueError:
+            reject()
+        env = Env(inst)
+        rng = np.random.default_rng(walk)
+        s = env.reset()
+        while not s.terminal:
+            u, tau, b, load = s.node, s.clock, s.soc, s.load
+            admitted = {}
+            for w in range(env.num_nodes):
+                ps = s.onboard.get(w - 1 - n)
+                h = env.hop(u, tau, b, load, w, ps)
+                if h is not None:
+                    assert env.hop(u, tau, b, load, w, ps,
+                                   leg=(env.t[u][w], env.e[u][w])) == h, (u, w)
+                    admitted[w] = h
+                    compared.add((tight, env.kindc[w]))
+            m = env.mask(s)
+            j = int(rng.choice([w for w, ok in enumerate(m) if ok]))
+            totals = (s.energy_kwh, s.wait_sec, s.late_sec, s.travel_sec)
+            used = s.vehicles_used
+            env.step(s, j, mask=m)
+            if j not in admitted:
+                continue            # an escape move: no rule admits it
+            ss, dep, soc, nl, wait, late, de, dt = admitted[j]
+            route = s.routes[-2 if s.vehicles_used > used else -1]
+            assert route[-1][:4] == (j, tau + dt, ss, soc)
+            E, W, L, T = totals
+            assert (s.energy_kwh, s.wait_sec, s.late_sec, s.travel_sec) == \
+                (E + de, W + wait, L + late, T + dt)
+            if j:
+                assert (s.clock, s.soc, s.load) == (dep, soc, nl)
+
+    check()
+    assert compared == {(tight, kind) for tight in (False, True)
+                        for kind in range(4)}, compared
+
+
+def test_noisy_episode_bytes_are_pinned(tight_fleet, monkeypatch):
+    """Episodes driven by the mask alone (greedy's lowest-energy rule)
+    under noise 0.3: the realized legs, escape moves included, keep
+    their bytes. No policy and no BLAS call is involved."""
+    escapes = []
+    escape = Env._escape_action
+    monkeypatch.setattr(Env, "_escape_action",
+                        lambda env, s: escapes.append(s.steps) or escape(env, s))
+    pins = [(FleetParams(), "6984b9c9e6bd1897214e096667a6803c747a1c35ac4cd1ea6be0d651c7a76c26"),
+            (tight_fleet, "4fb53d2ec262f092e6c62862bd070faf36acbddf661df0783b801de1c5f8c280")]
+    for fleet, digest in pins:
+        h = hashlib.sha256()
+        for seed in range(5):
+            env = Env(generate_instance(10, charger_count=2, fleet=fleet,
+                                        seed=1234 + seed))
+            noise = NoiseConfig.make(0.3, seed)
+            s = env.reset()
+            while not s.terminal:
+                m = env.mask(s)
+                e_v = env.e[s.node]
+                action = min((j for j in range(1, env.num_nodes) if m[j]),
+                             key=e_v.__getitem__, default=0)
+                env.step(s, action, noise=noise, mask=m)
+            h.update(save_solution(env.solution(s)))
+        assert h.hexdigest() == digest, fleet
+    assert len(escapes) >= 20       # noisy legs run batteries down
 
 
 def test_reward_decomposition(small_instance):
@@ -436,8 +516,8 @@ def test_too_late_is_sound(tight_fleet):
                 cases.append((w, ps + (1.0 + late) * inst.max_ride[w - 1 - n], ps))
                 cases.append((w, ps, None))
             else:
-                cases.append((w, max(0.0, env.l[w] + late * (env.l[w] - env.a[w])),
-                              None))
+                nd = inst.nodes[w]
+                cases.append((w, max(0.0, nd.l + late * (nd.l - nd.a)), None))
         for w, tau, ps in cases:
             if not env.too_late(tau, w, ps):
                 continue

@@ -1,8 +1,10 @@
+import hashlib
+
 import numpy as np
-import pytest
 
 from edarp import (CostWeights, EdgeMatrices, Env, FleetParams, Instance,
-                   Node, exact_solve, generate_instance, greedy_solve)
+                   Node, exact_solve, generate_instance, greedy_solve,
+                   save_solution)
 
 
 def test_routes_obey_simulator(small_instance):
@@ -58,10 +60,16 @@ def test_terminates_within_step_bound():
         assert np.isfinite(sol.reward)
 
 
-def test_frozen_regression_reward():
-    # pinned behavior on one mid-size instance; catches silent changes to
-    # the tie-break or the mask rules
-    inst = generate_instance(10, charger_count=2, seed=1234)
-    sol = greedy_solve(inst)
-    assert sol.reward == pytest.approx(greedy_solve(inst).reward, abs=0.0)
-    assert sol.n_served >= 1
+def test_frozen_regression_reward(tight_fleet):
+    # pinned bytes on one mid-size instance per fleet; catches silent
+    # changes to the tie-break, the mask rules or the step's arithmetic.
+    # Greedy takes escape moves on both.
+    pins = [(FleetParams(), "0x1.2206e009fdd68p+3",
+             "609db66a0ff4d8bb0a762d39d9f03b2fae717185a9c568cfeb47ad187599d8af"),
+            (tight_fleet, "0x1.88a8ed5420450p+0",
+             "8edb3c35444f8befa3f8c3af2ff70e5917763245c9f5b214a6bc91cb418688ec")]
+    for fleet, reward, digest in pins:
+        inst = generate_instance(10, charger_count=2, fleet=fleet, seed=1234)
+        sol = greedy_solve(inst)
+        assert sol.reward.hex() == reward, fleet
+        assert hashlib.sha256(save_solution(sol)).hexdigest() == digest, fleet

@@ -246,17 +246,19 @@ def test_search_agrees_with_a_mask_and_step_enumeration():
 def test_exact_solve_refuses_a_search_reward_replay_does_not_reproduce(monkeypatch):
     """A kernel whose hop prices each leg's energy one ulp high gives the
     mask the same verdicts, but the search's totals no longer match the
-    simulator's, so exact_solve raises instead of returning them."""
+    simulator's, so exact_solve raises instead of returning them. The
+    nudge spares a realized leg, the one Env.step hands hop, so replay
+    stays the honest simulator the search is checked against."""
     init = Env.__init__
 
     def nudged_init(self, inst):
         init(self, inst)
         hop = self.hop
 
-        def hop_high(u, tau, b, load, w, ps):
-            h = hop(u, tau, b, load, w, ps)
-            if h is None:
-                return None
+        def hop_high(u, tau, b, load, w, ps, leg=None):
+            h = hop(u, tau, b, load, w, ps, leg)
+            if h is None or leg is not None:
+                return h
             return h[:6] + (math.nextafter(h[6], math.inf), h[7])
 
         self.hop = hop_high

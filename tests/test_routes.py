@@ -142,7 +142,7 @@ def test_route_info_holds_the_kernel_hops(tight_fleet):
                 E, W, L, T = E + de, W + wait, L + late, T + dt
                 assert run[k] == (E, W, L, T)
             assert info.cost == env.price(*run[-1])
-            # the walk without a trail returns the same totals
+            # the walk without a RouteInfo returns the same totals
             assert ctx.walk(route, 0, 0.0, 1.0, 0, {}, 0.0, 0.0, 0.0, 0.0) == run[-1]
             checked += 1
     assert checked >= 30
