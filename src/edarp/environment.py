@@ -176,6 +176,9 @@ class Env:
         validated travel and service times are >= 0, so a later
         departure never starts service earlier and departure clocks
         never fall along a route.
+    ready[w] is a[w] + sigma[w], w's departure when service starts at
+        its window open: hop never departs w before ready[w], since its
+        service start is at least a[w] and rounding is monotone.
     charge_delta(soc, w) is the charge-curve gain of plugging in at w.
     home(u, b, load) is the return leg (de, dt) to the depot, or None
         when the vehicle is loaded or cannot reach it above the reserve.
@@ -209,6 +212,7 @@ class Env:
         escape = [min(e[j][k] for k in [0] + self.chargers)
                   for j in range(self.num_nodes)]
         home_leg = [(e[u][0], t[u][0]) for u in range(self.num_nodes)]
+        self.ready = [aw + sw for aw, sw in zip(a, sigma)]
         self.step_limit = 4 * (self.num_nodes + 2) * self.K
 
         def charge_delta(soc, w):

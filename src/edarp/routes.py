@@ -10,11 +10,13 @@ on its own. One tail walk (RouteCtx.walk) serves every evaluation:
 simulate walks a route from a fresh vehicle, and insertion scans and
 removal prices walk the rest, a plain node list, from a recorded stop,
 so their verdicts and prices agree with a from-scratch simulation
-exactly. The stops a removal strands are dropped by _strip alone,
-before the walk. Scans skip the candidates that the kernel's lateness
-bound (Env.too_late) already rules out, and every price is Env.price;
-this module keeps no window, ride-cap or charger rule and no cost weight
-of its own. A route is simulated again only when a move changed it.
+exactly. The stops a removal strands are dropped by _stripped alone,
+lazily, as the walk reaches them. Scans skip the candidates that the
+kernel's lateness bound (Env.too_late) already rules out, at the walk's
+clock or, for a whole pickup slot, at the pickup's earliest departure
+(Env.ready), and every price is Env.price; this module keeps no window,
+ride-cap or charger rule and no cost weight of its own. A route is
+simulated again only when a move changed it.
 
 Greedy's start plan breaks that premise where the simulator's escape
 move ran: a depot return with passengers aboard leaves a route this
@@ -104,14 +106,18 @@ class RouteCtx:
         the pickup's window has closed at a slot's departure it is
         closed at every later slot, and once the next original stop
         cannot be served at the walk's clock, neither the delivery nor
-        the walk on can reach it. Only infeasible candidates are
-        skipped; the list and its order are what a full scan returns.
+        the walk on can reach it. The pickup never departs before
+        Env.ready[p], so a slot whose next original stop is too late at
+        that clock would stop at its first delivery slot; it is skipped
+        before the pickup hop. Only infeasible candidates are skipped;
+        the list and its order are what a full scan returns.
         """
         env = self.env
         hop, too_late, price, n = env.hop, env.too_late, env.price, env.n
         p = 1 + req
         d = 1 + n + req
-        rnodes, hops, run = info.nodes, info.hops, info.run
+        ready_p = env.ready[p]
+        rnodes, hops, run, SS = info.nodes, info.hops, info.run, info.SS
         m = len(rnodes)
         totE, totW, totL, totT = run[-1]
         out = []
@@ -119,6 +125,8 @@ class RouteCtx:
             _, dep, b, load, _, _, _, _ = hops[i]
             if too_late(dep, p, None):
                 break           # departures never fall: no later slot either
+            if i < m and too_late(ready_p, rnodes[i], SS.get(rnodes[i] - n)):
+                continue        # the next stop closes before the pickup can leave
             u = rnodes[i - 1] if i else 0
             hop_p = hop(u, dep, b, load, p, None)
             if hop_p is None:
@@ -127,7 +135,7 @@ class RouteCtx:
             # delta of the edge swap at the pickup junction accrues when the
             # tail walk reaches the next original stop; track state instead
             cur = p
-            ss_over = info.SS.copy()
+            ss_over = SS.copy()
             # costs of the re-simulated middle part (stops i+1 .. j), and of
             # the old route from stop i on, which every candidate replaces
             midE, midW, midL, midT = de_p, wait_p, 0.0, dt_p
@@ -206,7 +214,7 @@ class RouteCtx:
 
     def removal_cost(self, info, req):
         """Cost of info's route without request req, the chargers its
-        removal strands dropped (_strip).
+        removal strands dropped (_stripped).
 
         A simulated route has no stranded charger, so the stops before
         the pickup stay as they are: their state is read from info, and
@@ -217,7 +225,7 @@ class RouteCtx:
         i = info.nodes.index(1 + req)
         u = info.nodes[i - 1] if i else 0
         _, dep, b, load, _, _, _, _ = info.hops[i]
-        tail = self.walk(_strip(info.nodes[i + 1:], {req}, self, u), u,
+        tail = self.walk(_stripped(info.nodes[i + 1:], {req}, self, u), u,
                          dep, b, load, info.SS.copy(), *info.run[i])
         if tail is None:
             return float("inf")
@@ -279,21 +287,25 @@ def remove_requests(plan, ctx, req_ids):
 
 
 def _strip(route, reqs, ctx, prev=0):
+    """_stripped as a list."""
+    return list(_stripped(route, reqs, ctx, prev))
+
+
+def _stripped(route, reqs, ctx, prev=0):
     """The route without the pickups and deliveries of the requests reqs
     and without the chargers that leaves stranded (following the depot
     or another charger, Env.hop's charger rule); prev is the stop before
-    route, the depot for a whole route."""
+    route, the depot for a whole route. Lazy, so a walk that fails
+    early strips no further."""
     n, kindc = ctx.env.n, ctx.env.kindc
-    out = []
     for node in route:
         # (node - 1) % n is the request of a pickup or a delivery node
         if 1 <= node <= 2 * n and (node - 1) % n in reqs:
             continue
         if kindc[node] == _CHARGER and (prev == 0 or kindc[prev] == _CHARGER):
             continue
-        out.append(node)
+        yield node
         prev = node
-    return out
 
 
 def prune_chargers(info, ctx):

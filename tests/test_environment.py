@@ -536,3 +536,57 @@ def test_too_late_is_sound(tight_fleet):
     env = Env(inst)
     for tau in (0.0, inst.horizon, 10 * inst.horizon):
         assert not env.too_late(tau, 0, None)
+
+
+def test_lateness_bound_is_monotone_and_hops_leave_after_ready(tight_fleet):
+    """The two facts the insertion scan's slot skip rests on. Once
+    too_late holds at a clock it holds at every later clock, for every
+    node kind, with or without a pickup start. And no departure hop
+    returns from w, on the rule path or on a given leg, is earlier than
+    env.ready[w]; clocks are drawn around the arrival at w's window
+    open, where the service start is a[w] itself."""
+    held = set()                # kinds the bound held for
+    admitted = set()            # kinds the rule path admitted a hop to
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), tight=st.booleans(), seed=st.integers(0, 10_000),
+           start=st.floats(0.0, 1.0), shift=st.floats(-0.2, 0.2),
+           later=st.lists(st.floats(0.0, 5000.0), min_size=1, max_size=3),
+           offset=st.floats(-60.0, 60.0), leg_dt=st.floats(0.0, 2000.0),
+           b=st.floats(0.3, 1.0), load=st.integers(0, 2))
+    def check(n, tight, seed, start, shift, later, offset, leg_dt, b, load):
+        fleet = tight_fleet if tight else FleetParams()
+        try:
+            inst = generate_instance(n, charger_count=2, fleet=fleet, seed=seed)
+        except ValueError:
+            reject()
+        env = Env(inst)
+        load = min(load, inst.fleet.capacity)
+        ps_on = start * inst.horizon
+        for w in range(env.num_nodes):
+            nd = inst.nodes[w]
+            if n < w <= 2 * n:
+                cases = [(ps_on + (1.0 + shift) * inst.max_ride[w - 1 - n], ps_on),
+                         (ps_on, None)]
+            else:
+                cases = [(max(0.0, nd.l + shift * (nd.l - nd.a)), None)]
+            for tau, ps in cases:
+                if env.too_late(tau, w, ps):
+                    held.add(env.kindc[w])
+                    for tau2 in (np.nextafter(tau, np.inf), *(tau + dt for dt in later)):
+                        assert env.too_late(tau2, w, ps), (w, tau, tau2, ps)
+            for u in range(env.num_nodes):
+                if u == w:
+                    continue
+                tau = max(0.0, nd.a - env.t[u][w] + offset)
+                for ps in (None, ps_on):
+                    h = env.hop(u, tau, b, load, w, ps)
+                    if h is not None:
+                        admitted.add(env.kindc[w])
+                        assert h[1] >= env.ready[w], (u, w, tau, h)
+                    h = env.hop(u, tau, b, load, w, ps, leg=(leg_dt, env.e[u][w]))
+                    assert h[1] >= env.ready[w], (u, w, tau, leg_dt, h)
+
+    check()
+    assert held == {1, 2, 3}, held      # pickups, deliveries and chargers
+    assert admitted == {0, 1, 2, 3}, admitted

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from edarp import (Env, FleetParams, Instance, ReplayError, RouteCtx,
@@ -405,7 +405,48 @@ def test_pruned_scan_equals_full_scan(tight_fleet):
                 assert got == want, (route, req)
                 scans += 1
     assert scans >= 100
-    assert pruned_calls < full_calls, "the lateness bound pruned no hop"
+    # hop calls pruned/full on these plans: 0.513 with the lateness bound
+    # alone, 0.388 once a slot whose next stop closes before the pickup's
+    # earliest departure is skipped; the bound sits between the two
+    assert pruned_calls < 0.45 * full_calls, (pruned_calls, full_calls)
+
+
+def test_pruned_scan_equals_full_scan_off_the_triangle(tight_fleet):
+    """The pruned scan returns full_scan's candidates in full_scan's order
+    on instances whose asymmetry breaks the triangle inequality too, for
+    every request a greedy or short-ALNS route does not serve, on the
+    default, tight, one-vehicle and three-vehicle fleets."""
+    fleets = (FleetParams(), tight_fleet, FleetParams(vehicles=1),
+              FleetParams(vehicles=3))
+    scanned = set()             # asymmetries with a nonempty scan
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(n=st.integers(3, 20), chargers=st.integers(1, 3),
+           asymmetry=st.sampled_from([0.2, 1.0, 3.0]),
+           fleet=st.sampled_from(fleets), seed=st.integers(0, 10_000))
+    def check(n, chargers, asymmetry, fleet, seed):
+        try:
+            inst = generate_instance(n, charger_count=chargers, fleet=fleet,
+                                     seed=seed, asymmetry=asymmetry)
+        except ValueError:
+            reject()
+        ctx = RouteCtx(Env(inst))
+        sol, _ = alns_solve(inst, iterations=20, seed=seed)
+        for plan_sol in (greedy_solve(inst), sol):
+            for route in plan_from_solution(plan_sol, inst.fleet.vehicles):
+                info = ctx.simulate(route)
+                if info is None:
+                    continue
+                on_route = set(served_requests([info], n))
+                for req in range(n):
+                    if req not in on_route:
+                        got = ctx.scan_insertions(info, req)
+                        assert got == full_scan(ctx, info, req), (route, req)
+                        if got:
+                            scanned.add(asymmetry)
+
+    check()
+    assert scanned == {0.2, 1.0, 3.0}, scanned
 
 
 def test_removal_cost_equals_route_cost_of_cleaned_route(tight_fleet):
