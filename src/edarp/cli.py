@@ -27,7 +27,10 @@ files would collide, and a solve --metrics path that names a file the
 run itself reads or writes (an instance, the checkpoint, a solution,
 telemetry or manifest file); 3 data error, including a missing or
 unreadable instance, config or checkpoint file, a malformed or invalid
-instance (the error names the file and the field), a malformed config
+instance (the error names the file and the field), an existing solve
+--metrics or eval_metrics.csv file whose header is not METRICS_COLUMNS
+or whose last line lacks its line break, or a directory there (refused
+before anything is solved or written), a malformed config
 or checkpoint file (a checkpoint's weights
 and its optimizer state, optState, are checked by every command that
 reads it, and a weight or moment that is not base64 of the
@@ -38,6 +41,7 @@ instance_*.json; 4 numerical failure.
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -201,9 +205,26 @@ def _write_csv(path, header, rows):
         wr.writerows(rows)
 
 
+def _check_metrics_file(path):
+    """Refuse an existing metrics file that appended rows would leave
+    unreadable to report: one whose header is not METRICS_COLUMNS, or
+    whose last line lacks its line break (the first new row would join
+    it), or a directory (OSError). Called before anything is solved or
+    written; an empty file is fine and gets the header."""
+    data = path.read_bytes() if path.exists() else b""
+    if not data:
+        return
+    header = next(csv.reader(io.StringIO(data.decode(errors="replace"), newline="")))
+    if header != METRICS_COLUMNS:
+        raise DataError(f"{path} does not have the metrics column set; "
+                        "name a new file or one this tool wrote")
+    if not data.endswith(b"\n"):
+        raise DataError(f"{path} does not end in a line break; appended rows "
+                        "would join its last line")
+
+
 def _append_metrics(path, rows):
-    path = Path(path)
-    fresh = not path.exists()
+    fresh = not path.exists() or path.stat().st_size == 0
     with open(path, "a", newline="") as fh:
         wr = csv.writer(fh)
         if fresh:
@@ -312,6 +333,7 @@ def cmd_solve(args):
     if metrics_path.resolve() in {p.resolve() for p in own}:
         raise UsageError(f"--metrics {args.metrics} names a file this run reads "
                          "or writes; choose another name")
+    _check_metrics_file(metrics_path)
     policy = None
     if args.solver == "neural":
         if not args.checkpoint:
@@ -480,6 +502,9 @@ def _eval_one(task):
 def cmd_eval(args):
     policy, _ = _read_checkpoint(args.checkpoint)
     paths = _instance_paths(args.instances)
+    out = Path(args.out)
+    metrics_path = out / "eval_metrics.csv"
+    _check_metrics_file(metrics_path)
     t0 = time.time()
 
     tasks = [(p, policy, args.stochastic, args.replicas,
@@ -487,7 +512,6 @@ def cmd_eval(args):
              for i, p in enumerate(paths)]
     results, pool_fields = _run_tasks(_eval_one, tasks, args.jobs)
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     per_instance = []
@@ -502,7 +526,6 @@ def cmd_eval(args):
                              np.mean([s.objective for s, _ in reps]),
                              np.mean([s.metrics["completion_pct"] for s, _ in reps]),
                              np.mean([s.j_travel for s, _ in reps])])
-    metrics_path = out / "eval_metrics.csv"
     _append_metrics(metrics_path, rows)
     agg = np.array(per_instance)
     summary_path = out / "eval_summary.csv"

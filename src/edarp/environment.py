@@ -179,6 +179,10 @@ class Env:
     ready[w] is a[w] + sigma[w], w's departure when service starts at
         its window open: hop never departs w before ready[w], since its
         service start is at least a[w] and rounding is monotone.
+    moves(u, tau, b, load, onboard, visited) is [(w, hop's tuple)] for
+        every move but the depot that hop admits from u, in ascending w:
+        the unvisited pickups, the on-board deliveries (ps from onboard,
+        request id -> pickup service start) and the unvisited chargers.
     charge_delta(soc, w) is the charge-curve gain of plugging in at w.
     home(u, b, load) is the return leg (de, dt) to the depot, or None
         when the vehicle is loaded or cannot reach it above the reserve.
@@ -187,7 +191,8 @@ class Env:
         one formula that episodes, routes and their changes are priced
         with.
 
-    Env.mask, Env.step and the route evaluator in routes.py all call it.
+    Env.mask, Env.step, the exact search in oracle.py and the route
+    evaluator in routes.py all call it.
     """
 
     def __init__(self, inst):
@@ -202,8 +207,7 @@ class Env:
         self.q = q = [nd.q for nd in inst.nodes]
         self.kindc = kindc = node_kinds(inst)
         max_ride = list(inst.max_ride)
-        self.chargers = list(range(1 + 2 * n, self.num_nodes))
-        self.visit_once = list(range(1, 1 + n)) + self.chargers   # pickups, chargers
+        self.chargers = chargers = list(range(1 + 2 * n, self.num_nodes))
         self.K = inst.fleet.vehicles
         cap = inst.fleet.capacity
         self.invB = invB = 1.0 / inst.fleet.battery_kwh
@@ -261,6 +265,21 @@ class Env:
                 return ps is None or tau - ps > max_ride[w - 1 - n]
             return kind != _DEPOT and tau > l[w]
 
+        pickups, d0 = range(1, 1 + n), 1 + n
+
+        def moves(u, tau, b, load, onboard, visited):
+            out = []
+            for p in pickups:
+                if not (visited >> p) & 1 and (h := hop(u, tau, b, load, p, None)):
+                    out.append((p, h))
+            for r in sorted(onboard):
+                if h := hop(u, tau, b, load, d0 + r, onboard[r]):
+                    out.append((d0 + r, h))
+            for c in chargers:
+                if not (visited >> c) & 1 and (h := hop(u, tau, b, load, c, None)):
+                    out.append((c, h))
+            return out
+
         def home(u, b, load):
             if load == 0 and b - e[u][0] * invB >= rho:
                 return home_leg[u]
@@ -273,8 +292,8 @@ class Env:
             return (w_e * energy + w_w * (wait / tu)
                     + w_l * (late / tu) + w_t * (travel / tu))
 
-        self.hop, self.charge_delta, self.home = hop, charge_delta, home
-        self.too_late, self.price = too_late, price
+        self.hop, self.moves, self.home = hop, moves, home
+        self.charge_delta, self.too_late, self.price = charge_delta, too_late, price
 
     def reset(self):
         return EpisodeState()
@@ -282,23 +301,16 @@ class Env:
     def mask(self, state):
         """Boolean feasibility over nodes; guaranteed nonempty when non-terminal.
 
-        Asks the kernel about every structural candidate: the depot,
-        unvisited pickups, on-board deliveries and unvisited chargers.
+        The depot when home allows it and every node of moves; when
+        neither offers one, the escape action alone.
         """
         allowed = [False] * self.num_nodes
         if state.terminal:
             return allowed
-        hop = self.hop
-        v, tau, b, load = state.node, state.clock, state.soc, state.load
+        v, b, load = state.node, state.soc, state.load
         any_ok = allowed[0] = self.home(v, b, load) is not None
-        visited = state.visited
-        for j in self.visit_once:
-            if not (visited >> j) & 1 and hop(v, tau, b, load, j, None) is not None:
-                allowed[j] = any_ok = True
-        d0 = 1 + self.n
-        for r, ps in state.onboard.items():
-            if hop(v, tau, b, load, d0 + r, ps) is not None:
-                allowed[d0 + r] = any_ok = True
+        for j, _ in self.moves(v, state.clock, b, load, state.onboard, state.visited):
+            allowed[j] = any_ok = True
         if not any_ok:
             allowed[self._escape_action(state)] = True
         return allowed

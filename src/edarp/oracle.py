@@ -4,11 +4,11 @@ Every mask-feasible action sequence is enumerated on the per-hop kernel
 Env builds: a search node is a handful of plain values (node, clock,
 SoC, load, on-board map, visited bits, vehicle, served count and the
 energy, wait, late and travel totals), and its children are Env.home's
-depot return and Env.hop's tuples over exactly Env.mask's candidates,
-in ascending node order. Each child adds its hop's costs to the totals
-in Env.step's order, so every total, and with it every price, is the
-simulator's to the bit. Only a node with no feasible hop and no depot
-return goes to the simulator itself: it becomes an EpisodeState, and
+depot return and Env.moves' (node, hop tuple) pairs, the regular moves
+of Env.mask, in ascending node order. Each child adds its hop's four
+costs to the totals in Env.step's order, so every total, and with it
+every price, is the simulator's to the bit. Only a node with no regular
+move goes to the simulator itself: it becomes an EpisodeState, and
 Env.mask and Env.step take the escape move, so the escape rule stays
 Env's alone.
 
@@ -58,28 +58,22 @@ def _values(s):
             s.n_served, s.energy_kwh, s.wait_sec, s.late_sec, s.travel_sec)
 
 
-def _search(inst, limit, enumerate_all):
-    """Depth-first search: with enumerate_all every trajectory is visited
-    and the worst reward kept; otherwise branches whose _servable bound
-    cannot beat the best are pruned."""
+def _search(inst, limit):
+    """Depth-first search, pruning each child whose _servable bound
+    cannot beat the best complete reward."""
     env = Env(inst)
-    n, K, hop, home, price = env.n, env.K, env.hop, env.home, env.price
+    n, K, moves, home, price = env.n, env.K, env.moves, env.home, env.price
     w_c = inst.weights.complete
-    pickups, chargers, d0 = range(1, 1 + n), env.chargers, 1 + n
+    d0, c0 = 1 + n, 1 + 2 * n             # the first delivery and charger
     start = env.reset()
     best = [float("-inf"), None]           # reward, action sequence
-    worst = [float("inf")]
-    expanded = complete = 0
+    expanded = 0
     exhausted = False
     seq = []
 
     def finish(reward):
-        nonlocal complete
-        complete += 1
         if reward > best[0]:
             best[:] = reward, list(seq)
-        if enumerate_all and reward < worst[0]:
-            worst[0] = reward
 
     def rec(v, tau, b, load, onboard, visited, veh, served, E, W, L, T):
         nonlocal expanded, exhausted
@@ -94,59 +88,31 @@ def _search(inst, limit, enumerate_all):
             seq.append(0)
             if served == n or veh == K:
                 finish(-price(E2, W, L, T2) + w_c * served)
-            elif (enumerate_all or -price(E2, W, L, T2)
-                  + w_c * _servable(env, 0.0, {}, visited, veh + 1, served) > best[0]):
+            elif -price(E2, W, L, T2) + w_c * _servable(env, 0.0, {}, visited, veh + 1,
+                                                         served) > best[0]:
                 rec(0, 0.0, 1.0, 0, {}, visited, veh + 1, served, E2, W, L, T2)
             seq.pop()
-        any_ok = h is not None
-        for p in pickups:
-            if (visited >> p) & 1 or (h := hop(v, tau, b, load, p, None)) is None:
-                continue
+        children = moves(v, tau, b, load, onboard, visited)
+        for j, (ss, dep, b2, load2, wait, late, de, dt) in children:
             if exhausted:
                 return
-            any_ok = True
-            ss, dep, b2, load2, wait, _, de, dt = h
-            E2, W2, T2 = E + de, W + wait, T + dt
-            onboard2 = dict(onboard)
-            onboard2[p - 1] = ss
-            visited2 = visited | 1 << p
-            seq.append(p)
-            if (enumerate_all or -price(E2, W2, L, T2)
-                    + w_c * _servable(env, dep, onboard2, visited2, veh, served) > best[0]):
-                rec(p, dep, b2, load2, onboard2, visited2, veh, served, E2, W2, L, T2)
+            # Env.step's order; adding a zero wait or late is exact, no total is -0.0
+            E2, W2, L2, T2 = E + de, W + wait, L + late, T + dt
+            onboard2, served2 = onboard, served
+            if j < d0:                      # a pickup boards its request
+                onboard2 = dict(onboard)
+                onboard2[j - 1] = ss
+            elif j < c0:                    # a delivery serves it
+                onboard2 = dict(onboard)
+                del onboard2[j - d0]
+                served2 += 1
+            visited2 = visited | 1 << j
+            seq.append(j)
+            if -price(E2, W2, L2, T2) + w_c * _servable(env, dep, onboard2, visited2, veh,
+                                                        served2) > best[0]:
+                rec(j, dep, b2, load2, onboard2, visited2, veh, served2, E2, W2, L2, T2)
             seq.pop()
-        for r in sorted(onboard):
-            d = d0 + r
-            if (h := hop(v, tau, b, load, d, onboard[r])) is None:
-                continue
-            if exhausted:
-                return
-            any_ok = True
-            _, dep, b2, load2, _, late, de, dt = h
-            E2, L2, T2 = E + de, L + late, T + dt
-            onboard2 = dict(onboard)
-            del onboard2[r]
-            visited2 = visited | 1 << d
-            seq.append(d)
-            if (enumerate_all or -price(E2, W, L2, T2)
-                    + w_c * _servable(env, dep, onboard2, visited2, veh, served + 1) > best[0]):
-                rec(d, dep, b2, load2, onboard2, visited2, veh, served + 1, E2, W, L2, T2)
-            seq.pop()
-        for c in chargers:
-            if (visited >> c) & 1 or (h := hop(v, tau, b, load, c, None)) is None:
-                continue
-            if exhausted:
-                return
-            any_ok = True
-            _, dep, b2, load2, _, _, de, dt = h
-            E2, T2 = E + de, T + dt
-            visited2 = visited | 1 << c
-            seq.append(c)
-            if (enumerate_all or -price(E2, W, L, T2)
-                    + w_c * _servable(env, dep, onboard, visited2, veh, served) > best[0]):
-                rec(c, dep, b2, load2, onboard, visited2, veh, served, E2, W, L, T2)
-            seq.pop()
-        if any_ok:
+        if h is not None or children:
             return
         # every regular rule blocks: the simulator takes its escape move
         s = start.clone()
@@ -159,14 +125,13 @@ def _search(inst, limit, enumerate_all):
         seq.append(j)
         if s.terminal:
             finish(-env.objective(s) + w_c * s.n_served)
-        elif (enumerate_all or -env.objective(s) + w_c * _servable(
-                env, s.clock, s.onboard, s.visited, s.vehicles_used, s.n_served) > best[0]):
+        elif -env.objective(s) + w_c * _servable(
+                env, s.clock, s.onboard, s.visited, s.vehicles_used, s.n_served) > best[0]:
             rec(*_values(s))
         seq.pop()
 
     rec(*_values(start))
-    return env, best, worst, {"expanded": expanded, "complete": complete,
-                              "exhausted": exhausted}
+    return env, best, {"expanded": expanded, "exhausted": exhausted}
 
 
 def exact_solve(inst, limit=10_000_000):
@@ -179,7 +144,7 @@ def exact_solve(inst, limit=10_000_000):
     The Solution is the replay of the best action sequence through the
     simulator, and it must score the search's reward to the bit.
     """
-    env, best, _, counters = _search(inst, limit, enumerate_all=False)
+    env, best, counters = _search(inst, limit)
     if best[1] is None:
         raise SearchLimitError(f"node budget {limit} ran out before the search "
                                "completed any trajectory")
@@ -197,19 +162,37 @@ def exact_solve(inst, limit=10_000_000):
 
 
 def enumerate_rewards(inst, limit=10_000_000):
-    """Pruning-free enumeration of every complete trajectory.
+    """Every complete trajectory, walked with Env.mask, EpisodeState.clone
+    and Env.step alone: the simulator's own enumeration, the reference the
+    search is checked against on tiny instances. Returns the best and worst
+    rewards, the best action sequence (ties keep the first in depth-first
+    order, the lexicographically smallest), the trajectory count, the
+    non-terminal states visited (expanded, which the budget counts) and
+    whether the walk finished inside the budget (complete)."""
+    env = Env(inst)
+    w_c = inst.weights.complete
+    out = {"best_reward": float("-inf"), "best_seq": None, "worst_reward": float("inf"),
+           "trajectories": 0, "complete": True, "expanded": 0}
 
-    Returns a dict with the best and worst rewards, the best action
-    sequence, the trajectory count, and whether enumeration finished
-    inside the budget. Serves as the reward-range reference on tiny
-    instances and as exact_solve's check that the bound prunes nothing
-    better.
-    """
-    _, best, worst, counters = _search(inst, limit, enumerate_all=True)
-    return {
-        "best_reward": best[0],
-        "best_seq": best[1],
-        "worst_reward": worst[0],
-        "trajectories": counters["complete"],
-        "complete": not counters["exhausted"],
-    }
+    def rec(state, seq):
+        out["expanded"] += 1
+        if out["expanded"] > limit:
+            out["complete"] = False
+            return
+        mask = env.mask(state)
+        for j in (j for j, ok in enumerate(mask) if ok):
+            if not out["complete"]:
+                return
+            child = state.clone()
+            env.step(child, j, mask=mask)
+            if not child.terminal:
+                rec(child, seq + [j])
+                continue
+            reward = -env.objective(child) + w_c * child.n_served
+            out["trajectories"] += 1
+            if reward > out["best_reward"]:
+                out["best_reward"], out["best_seq"] = reward, seq + [j]
+            out["worst_reward"] = min(out["worst_reward"], reward)
+
+    rec(env.reset(), [])
+    return out

@@ -464,6 +464,36 @@ def test_solve_refuses_metrics_on_its_own_files(tmp_path, capsys):
     assert len(read_csv(out / "telemetry_instance_0000.csv")) == 2
 
 
+def test_solve_refuses_a_metrics_file_it_cannot_append_to(tmp_path, capsys):
+    """Rows appended under a foreign header, or to a last line without its
+    line break, would leave a file report refuses; solve refuses it, and a
+    directory, before solving, leaves it unchanged and writes no solution,
+    telemetry or manifest. An empty file gets the header."""
+    inst = gen_dir(tmp_path, count=1) / "instance_0000.json"
+    out = tmp_path / "o"
+    out.mkdir()
+    bad = out / "metrics.csv"
+    capsys.readouterr()
+    for content in ("a,b\n1,2\n", ",".join(METRICS_COLUMNS)):
+        bad.write_text(content)
+        for solver, extra in (("greedy", ()), ("alns", ("--telemetry", "--iterations", "1"))):
+            assert run("solve", str(inst), "--solver", solver, *extra, "--out", str(out)) == 3
+            assert str(bad) in capsys.readouterr().err
+            assert bad.read_text() == content
+            assert [p.name for p in out.iterdir()] == ["metrics.csv"]
+    (out / "dir.csv").mkdir()
+    assert run("solve", str(inst), "--solver", "greedy", "--out", str(out),
+               "--metrics", "dir.csv") == 3
+    assert sorted(p.name for p in out.iterdir()) == ["dir.csv", "metrics.csv"]
+    empty = out / "empty.csv"
+    empty.touch()
+    assert run("solve", str(inst), "--solver", "greedy", "--out", str(out),
+               "--metrics", "empty.csv") == 0
+    rows = read_csv(empty)
+    assert rows[0] == METRICS_COLUMNS and len(rows) == 2
+    assert run("report", str(empty)) == 0
+
+
 def test_solve_jobs_parallel_matches_serial(tmp_path):
     out = gen_dir(tmp_path, count=3, n=2, seed=2)
     insts = sorted(str(p) for p in out.glob("instance_*.json"))
@@ -936,6 +966,30 @@ def test_eval_encodes_each_instance_and_parses_checkpoint_once(tmp_path, monkeyp
         assert [r[:skip] for r in got] == want
         assert ((tmp_path / other / "eval_summary.csv").read_bytes()
                 == (tmp_path / "shared" / "eval_summary.csv").read_bytes())
+
+
+def test_eval_refuses_a_metrics_file_of_another_header(tmp_path, capsys):
+    """eval appends to eval_metrics.csv in --out: a foreign header there is
+    refused before any rollout, the file left unchanged and no summary or
+    manifest written; an empty one gets the header."""
+    inst_dir = gen_dir(tmp_path, count=1)
+    ck = tmp_path / "ck.json"
+    ck.write_bytes(save_policy(Policy(PolicyConfig(d_h=16, heads=2, layers=1))))
+    out = tmp_path / "eval"
+    out.mkdir()
+    metrics = out / "eval_metrics.csv"
+    metrics.write_text("a,b\n1,2\n")
+    capsys.readouterr()
+    argv = ("eval", "--checkpoint", str(ck), "--instances", str(inst_dir), "--out", str(out))
+    assert run(*argv) == 3
+    assert str(metrics) in capsys.readouterr().err
+    assert metrics.read_text() == "a,b\n1,2\n"
+    assert [p.name for p in out.iterdir()] == ["eval_metrics.csv"]
+    metrics.write_text("")
+    assert run(*argv) == 0
+    rows = read_csv(metrics)
+    assert rows[0] == METRICS_COLUMNS and len(rows) == 2
+    assert (out / "manifest_eval.json").is_file()
 
 
 def test_eval_missing_checkpoint(tmp_path):

@@ -338,6 +338,51 @@ def test_forced_leg_takes_the_rule_path(tight_fleet):
                         for kind in range(4)}, compared
 
 
+def test_moves_are_the_masks_regular_moves(tight_fleet):
+    """On states reached by walks that mix random and greedy steps, the
+    nodes of Env.moves are, in ascending order, the non-depot nodes that
+    slow_mask and Env.mask allow whenever a regular move exists, and each
+    tuple is Env.hop's for its node. Where no regular move exists, moves
+    is empty and the mask holds the escape move alone."""
+    seen = set()                  # (tight, loaded, escape) of checked states
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 8), tight=st.booleans(), seed=st.integers(0, 10_000),
+           walk=st.integers(0, 2 ** 32 - 1))
+    def check(n, tight, seed, walk):
+        fleet = tight_fleet if tight else FleetParams()
+        try:
+            inst = generate_instance(n, charger_count=2, fleet=fleet, seed=seed)
+        except ValueError:
+            reject()
+        env = Env(inst)
+        rng = np.random.default_rng(walk)
+        s = env.reset()
+        while not s.terminal:
+            u, tau, b, load = s.node, s.clock, s.soc, s.load
+            moves = env.moves(u, tau, b, load, s.onboard, s.visited)
+            m = env.mask(s)
+            js = [j for j, _ in moves]
+            regular = bool(moves) or env.home(u, b, load) is not None
+            assert m == slow_mask(env, s)
+            if regular:
+                assert js == [j for j in range(1, env.num_nodes) if m[j]], (u, js)
+            else:
+                assert js == [] and sum(m) == 1
+            for j, h in moves:
+                assert h == env.hop(u, tau, b, load, j, s.onboard.get(j - 1 - n)), (u, j)
+            seen.add((tight, load > 0, not regular))
+            allowed = [j for j, ok in enumerate(m) if ok]
+            if rng.random() < 0.5:      # greedy's cheapest-energy step
+                j = min((j for j in allowed if j), key=lambda j: env.e[u][j], default=0)
+            else:
+                j = int(rng.choice(allowed))
+            env.step(s, j, mask=m)
+
+    check()
+    assert {(False, True, False), (True, True, False), (True, True, True)} <= seen, seen
+
+
 def test_noisy_episode_bytes_are_pinned(tight_fleet, monkeypatch):
     """Episodes driven by the mask alone (greedy's lowest-energy rule)
     under noise 0.3: the realized legs, escape moves included, keep

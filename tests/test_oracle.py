@@ -21,18 +21,6 @@ def test_single_request_route_is_direct():
     assert routes == [[1, 2]]
 
 
-def test_pruned_matches_unpruned_enumeration():
-    for seed in range(12):
-        inst = generate_instance(1 + seed % 2, charger_count=1,
-                                 fleet=FleetParams(vehicles=2), seed=300 + seed)
-        sol, optimal = exact_solve(inst)
-        full = enumerate_rewards(inst)
-        assert optimal and full["complete"]
-        assert sol.reward == full["best_reward"]
-        assert full["best_reward"] >= full["worst_reward"]
-        assert full["trajectories"] >= 1
-
-
 def test_oracle_solution_survives_replay():
     for seed in (41, 42, 43):
         inst = generate_instance(2, charger_count=1, seed=seed)
@@ -76,27 +64,21 @@ def test_budget_exhaustion_reports_not_optimal():
     assert sol.reward > float("-inf")
 
 
-def test_exact_beats_or_ties_every_enumerated_trajectory():
-    inst = generate_instance(2, charger_count=1, seed=77)
-    sol, optimal = exact_solve(inst)
-    full = enumerate_rewards(inst)
-    assert optimal
-    assert sol.reward >= full["worst_reward"]
-    assert sol.reward == full["best_reward"]
-
-
-# (n, vehicles, tight fleet, seed) -> (vehicle routes, reward.hex(), optimal),
-# recorded from the search before it bounded on the servable requests
+# (n, vehicles, tight fleet, seed) -> (vehicle routes, reward.hex(), optimal,
+# expanded nodes); the solutions were recorded from the search before it
+# bounded on the servable requests, the node counts from the bounded search
+# with one child loop per node kind, so a single loop over Env.moves must
+# walk the same tree, not only reach the same optimum
 PINNED = {
-    (3, 1, False, 101): ([[1, 4, 3, 6]], "0x1.f5e488da14af1p+3", True),
-    (3, 2, True, 102): ([[2, 5], [3, 6]], "0x1.963674403aff0p+3", True),
-    (3, 3, False, 103): ([[], [], [2, 3, 1, 6, 5, 4]], "0x1.922a9f7fe65d6p+4", True),
-    (4, 1, True, 104): ([[2, 6, 9, 3, 7]], "0x1.fa3302a25bc2dp+3", True),
-    (4, 2, False, 105): ([[1, 5], [2, 6, 4, 8, 3, 7]], "0x1.ffd712ad9efefp+4", True),
-    (4, 3, True, 106): ([[], [], [1, 9, 3, 7, 4, 8]], "0x1.dca22a3d51bd8p+3", True),
+    (3, 1, False, 101): ([[1, 4, 3, 6]], "0x1.f5e488da14af1p+3", True, 23),
+    (3, 2, True, 102): ([[2, 5], [3, 6]], "0x1.963674403aff0p+3", True, 61),
+    (3, 3, False, 103): ([[], [], [2, 3, 1, 6, 5, 4]], "0x1.922a9f7fe65d6p+4", True, 209),
+    (4, 1, True, 104): ([[2, 6, 9, 3, 7]], "0x1.fa3302a25bc2dp+3", True, 29),
+    (4, 2, False, 105): ([[1, 5], [2, 6, 4, 8, 3, 7]], "0x1.ffd712ad9efefp+4", True, 209),
+    (4, 3, True, 106): ([[], [], [1, 9, 3, 7, 4, 8]], "0x1.dca22a3d51bd8p+3", True, 374),
     (5, 2, False, 107): ([[], [3, 4, 9, 1, 8, 2, 5, 6, 10, 7]],
-                         "0x1.4975b56ed836cp+5", True),
-    (5, 3, True, 108): ([[], [], [4, 9, 11, 5, 10, 11]], "0x1.8f145a854b9f9p+3", True),
+                         "0x1.4975b56ed836cp+5", True, 677),
+    (5, 3, True, 108): ([[], [], [4, 9, 11, 5, 10, 11]], "0x1.8f145a854b9f9p+3", True, 467),
 }
 
 
@@ -107,24 +89,62 @@ def _fleet(vehicles, tight):
 
 
 def test_seeded_exact_output_is_pinned():
-    for (n, k, tight, seed), (routes, reward, optimal) in PINNED.items():
+    for (n, k, tight, seed), (routes, reward, optimal, expanded) in PINNED.items():
         inst = generate_instance(n, charger_count=1, fleet=_fleet(k, tight), seed=seed)
         sol, opt = exact_solve(inst)
         assert (sol.vehicle_routes(), sol.reward.hex(), opt) == (routes, reward, optimal)
+        assert _search(inst, 10_000_000)[2]["expanded"] == expanded, (n, k, tight, seed)
+
+
+def _check_exact_equals_enumeration(cases):
+    """The oracle searches on Env.moves' tuples under its bound;
+    enumerate_rewards only masks, clones and steps EpisodeStates. Both
+    must find the same best reward to the bit and the same action
+    sequence on every (n, vehicles, tight fleet, seed) case."""
+    for n, k, tight, seed in cases:
+        case = (n, k, tight, seed)
+        inst = generate_instance(n, charger_count=1, fleet=_fleet(k, tight), seed=seed)
+        full = enumerate_rewards(inst)
+        sol, optimal = exact_solve(inst)
+        assert optimal and full["complete"], case
+        assert full["trajectories"] >= 1, case
+        assert full["best_reward"] >= full["worst_reward"], case
+        assert sol.reward.hex() == full["best_reward"].hex(), case
+        assert [stop[0] for log in sol.routes for stop in log[1:]] == full["best_seq"], case
+
+
+def test_pruned_matches_unpruned_enumeration():
+    # two-vehicle cases at n = 1 and 2
+    _check_exact_equals_enumeration([(1 + i % 2, 2, False, 300 + i) for i in range(12)])
+
+
+def test_exact_beats_or_ties_every_enumerated_trajectory():
+    _check_exact_equals_enumeration([(2, 2, False, 77)])
 
 
 def test_exact_actions_equal_enumerated_best_sequence():
-    for n in (2, 3, 4):
-        for k in (1, 2, 3):
-            for tight in (False, True):
-                for seed in (200 + 10 * n + k, 500 + 10 * n + k):
-                    inst = generate_instance(n, charger_count=1,
-                                             fleet=_fleet(k, tight), seed=seed)
-                    sol, optimal = exact_solve(inst)
-                    full = enumerate_rewards(inst)
-                    assert optimal and full["complete"]
-                    actions = [stop[0] for log in sol.routes for stop in log[1:]]
-                    assert actions == full["best_seq"], (n, k, tight, seed)
+    # two seeds for every size, fleet size and fleet at n = 2 to 4
+    _check_exact_equals_enumeration(
+        [(n, k, tight, base + 10 * n + k) for n in (2, 3, 4) for k in (1, 2, 3)
+         for tight in (False, True) for base in (200, 500)])
+
+
+def test_search_agrees_with_a_mask_and_step_enumeration(monkeypatch):
+    """A third seed for every size, fleet size and fleet, on instances
+    whose trees reach escape nodes too."""
+    escapes = 0
+    escape = Env._escape_action
+
+    def counted_escape(self, state):
+        nonlocal escapes
+        escapes += 1
+        return escape(self, state)
+
+    monkeypatch.setattr(Env, "_escape_action", counted_escape)
+    _check_exact_equals_enumeration(
+        [(n, k, tight, 700 + 10 * n + k) for n in (2, 3, 4) for k in (1, 2, 3)
+         for tight in (False, True)])
+    assert escapes > 0
 
 
 def test_no_solver_beats_the_exact_optimum():
@@ -173,100 +193,34 @@ def test_servable_bounds_every_terminal_below(n, k, tight, seed):
 
 
 def test_bound_prunes_most_of_the_enumeration(small_instance):
-    pruned = _search(small_instance, 10_000_000, enumerate_all=False)[3]
-    full = _search(small_instance, 10_000_000, enumerate_all=True)[3]
-    assert not pruned["exhausted"] and not full["exhausted"]
+    pruned = _search(small_instance, 10_000_000)[2]
+    full = enumerate_rewards(small_instance)
+    assert not pruned["exhausted"] and full["complete"]
     assert pruned["expanded"] <= 0.4 * full["expanded"]
 
 
-def _reference_enumeration(inst):
-    """Every trajectory, walked with Env.mask, EpisodeState.clone and
-    Env.step alone: the trajectory count, the best reward with its action
-    sequence, the worst reward and the number of escape nodes. Ties keep
-    the first sequence in depth-first order, the lexicographically
-    smallest."""
-    env = Env(inst)
-    w_c = inst.weights.complete
-    escape = env._escape_action
-    out = {"trajectories": 0, "best": (float("-inf"), None),
-           "worst": float("inf"), "escapes": 0}
-
-    def counted_escape(state):
-        out["escapes"] += 1
-        return escape(state)
-
-    env._escape_action = counted_escape
-
-    def rec(state, seq):
-        mask = env.mask(state)
-        for j in range(env.num_nodes):
-            if not mask[j]:
-                continue
-            child = state.clone()
-            env.step(child, j, mask=mask)
-            if child.terminal:
-                reward = -env.objective(child) + w_c * child.n_served
-                out["trajectories"] += 1
-                if reward > out["best"][0]:
-                    out["best"] = reward, seq + [j]
-                out["worst"] = min(out["worst"], reward)
-            else:
-                rec(child, seq + [j])
-
-    rec(env.reset(), [])
-    return out
-
-
-def test_search_agrees_with_a_mask_and_step_enumeration():
-    """The oracle searches on Env.hop's tuples; an enumeration that only
-    clones and steps EpisodeStates must find the same trajectories, the
-    same rewards to the bit and the same best sequence."""
-    escapes = 0
-    for n in (2, 3, 4):
-        for k in (1, 2, 3):
-            for tight in (False, True):
-                case = (n, k, tight)
-                inst = generate_instance(n, charger_count=1, fleet=_fleet(k, tight),
-                                         seed=700 + 10 * n + k)
-                ref = _reference_enumeration(inst)
-                escapes += ref["escapes"]
-                full = enumerate_rewards(inst)
-                sol, optimal = exact_solve(inst)
-                assert optimal and full["complete"], case
-                assert full["trajectories"] == ref["trajectories"], case
-                best_reward, best_seq = ref["best"]
-                assert full["best_reward"].hex() == best_reward.hex(), case
-                assert sol.reward.hex() == best_reward.hex(), case
-                assert full["worst_reward"].hex() == ref["worst"].hex(), case
-                assert full["best_seq"] == best_seq, case
-                assert [stop[0] for log in sol.routes for stop in log[1:]] == best_seq, case
-    assert escapes > 0
-
-
 def test_exact_solve_refuses_a_search_reward_replay_does_not_reproduce(monkeypatch):
-    """A kernel whose hop prices each leg's energy one ulp high gives the
+    """A kernel whose moves price each leg's energy one ulp high gives the
     mask the same verdicts, but the search's totals no longer match the
-    simulator's, so exact_solve raises instead of returning them. The
-    nudge spares a realized leg, the one Env.step hands hop, so replay
-    stays the honest simulator the search is checked against."""
+    simulator's, so exact_solve raises instead of returning them. Env.step
+    runs its leg through hop, which the nudge spares, so replay stays the
+    honest simulator the search is checked against."""
     init = Env.__init__
 
     def nudged_init(self, inst):
         init(self, inst)
-        hop = self.hop
+        moves = self.moves
 
-        def hop_high(u, tau, b, load, w, ps, leg=None):
-            h = hop(u, tau, b, load, w, ps, leg)
-            if h is None or leg is not None:
-                return h
-            return h[:6] + (math.nextafter(h[6], math.inf), h[7])
+        def moves_high(*node):
+            return [(j, h[:6] + (math.nextafter(h[6], math.inf), h[7]))
+                    for j, h in moves(*node)]
 
-        self.hop = hop_high
+        self.moves = moves_high
 
     # rounding absorbs the nudge into the reward on many instances, not here
     inst = generate_instance(3, charger_count=1, seed=0)
     honest, _ = exact_solve(inst)
     monkeypatch.setattr(Env, "__init__", nudged_init)
-    assert _search(inst, 10_000_000, enumerate_all=False)[1][0] != honest.reward
+    assert _search(inst, 10_000_000)[1][0] != honest.reward
     with pytest.raises(RuntimeError, match="replay scores"):
         exact_solve(inst)
